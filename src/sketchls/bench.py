@@ -5,11 +5,18 @@ target precision, ridge ablations, and ridge-weight sweeps.
 Replications run in a thread pool; each replication derives its own dataset
 seed (master seed XOR replication index) and per-method generator streams, and
 aggregation is a deterministic fold over replication order, so results are
-byte-identical regardless of the worker count.  Failed or divergent
-replications are excluded from the trimmed means and surfaced in a
-``failures`` column.  Wall-clock columns include sketch construction and
-preconditioner build but exclude dataset generation; they are the only
-non-deterministic outputs.
+byte-identical regardless of the worker count.  Solvers are looked up by name
+in :data:`sketchls.solvers.METHODS`.
+
+Any library error (:class:`~sketchls.errors.SketchlsError`) raised inside a
+replication fails that replication only, for the affected method or variant
+(for all of them when it is raised while the replication is prepared), and
+never aborts the run.  Failed or divergent replications are excluded from the
+means and surfaced in a ``failures`` column (a ``diverge`` status in the time
+table).  An invalid :class:`ExperimentConfig`, such as ``m > n``, raises
+``ValueError`` when it is built.  Wall-clock columns include sketch
+construction and preconditioner build but exclude dataset generation; they
+are the only non-deterministic outputs.
 """
 
 from __future__ import annotations
@@ -20,20 +27,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datagen import DataSpec, Dataset, make_dataset
-from .errors import EmptyInput, NotPositiveDefinite, SingularMatrix
+from .errors import EmptyInput, SketchlsError
 from .linalg import gram, row_sq_norms
 from .precond import LambdaRule, build_m, delta_from_matrix, delta_measure
-from .sketch import SketchKind, derive_rng, leverage_sample, srht_apply
-from .solvers import (
-    SolveTrace,
-    acc_ihs_solve,
-    aopt_cs_estimate,
-    aopt_ihs_solve,
-    cs_estimate,
-    ihs_solve,
-    preconditioned_descent,
-    pw_gradient_solve,
-)
+from .sketch import derive_rng, leverage_sample, srht_apply
+from .solvers import METHODS as SOLVERS
+from .solvers import SolveTrace, aopt_cs_estimate, cs_estimate, preconditioned_descent
 
 __all__ = [
     "METHODS",
@@ -48,7 +47,7 @@ __all__ = [
     "lambda_sweep",
 ]
 
-METHODS = ("ihs", "acc-ihs", "pw-gradient", "aopt-ihs")
+METHODS = tuple(SOLVERS)
 INITIALIZERS = ("full", "srht-cs", "lev-cs", "aopt-cs")
 DELTA_VARIANTS = ("zero", "rule", "srht")
 RIDGE_VARIANTS = ("ridged", "raw", "identity")
@@ -82,8 +81,8 @@ class ExperimentConfig:
             raise ValueError("trim must lie in [0, 0.5)")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        if not 1 <= self.m <= self.data.n:
+            raise ValueError(f"m must lie in [1, n = {self.data.n}], got {self.m}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -111,8 +110,87 @@ def _map_reps(fn, reps: int, threads: int):
         return list(pool.map(fn, range(reps)))
 
 
+def _or_failure(fn, arg):
+    """``fn(arg)``, or None when it raises a library error."""
+    try:
+        return fn(arg)
+    except SketchlsError:
+        return None
+
+
+def _replicate(start, keys, reps: int, threads: int):
+    """Run every replication; each yields a dict ``key -> value`` in which
+    None marks a failure.
+
+    ``start(rep)`` prepares replication ``rep`` and returns ``measure(key)``,
+    which computes one entry.  A library error in ``measure`` fails that
+    entry only; one in ``start`` fails every entry of the replication.
+    """
+
+    def one_rep(rep):
+        measure = _or_failure(start, rep)
+        return {key: None if measure is None else _or_failure(measure, key)
+                for key in keys}
+
+    return _map_reps(one_rep, reps, threads)
+
+
+def _curve_rows(label: str, keys, per_rep, cfg: ExperimentConfig):
+    """Per-iteration trimmed means of the squared-error curves of each key.
+
+    Each replication entry is ``((mse1, mse2), descent_violations)`` or None.
+    Rows follow (label, iter, mse1, mse2, failures).
+    """
+    rows = []
+    meta = {"descent_violations": 0, "failures": {}}
+    for key in keys:
+        oks = [r[key] for r in per_rep if r[key] is not None]
+        failures = cfg.reps - len(oks)
+        meta["failures"][key] = failures
+        meta["descent_violations"] += sum(v for _, v in oks)
+        if not oks:
+            continue
+        mse1 = np.stack([c[0] for c, _ in oks])
+        mse2 = np.stack([c[1] for c, _ in oks])
+        for it in range(cfg.n_iter + 1):
+            rows.append(
+                {
+                    label: key,
+                    "iter": it,
+                    "mse1": trimmed_mean(mse1[:, it], cfg.trim),
+                    "mse2": trimmed_mean(mse2[:, it], cfg.trim),
+                    "failures": failures,
+                }
+            )
+    return rows, meta
+
+
+def _mean_rows(label: str, keys, per_rep, cfg: ExperimentConfig):
+    """Mean of each key's delta over the replications where it succeeded.
+
+    Rows follow (dist, d, label, delta_mean, failures).
+    """
+    rows = []
+    for key in keys:
+        vals = [r[key] for r in per_rep if r[key] is not None]
+        rows.append(
+            {
+                "dist": cfg.data.dist,
+                "d": cfg.data.d,
+                label: key,
+                "delta_mean": float(np.mean(vals)) if vals else None,
+                "failures": cfg.reps - len(vals),
+            }
+        )
+    return rows
+
+
 def _rep_dataset(cfg: ExperimentConfig, rep: int) -> Dataset:
     return make_dataset(replace(cfg.data, seed=cfg.data.seed ^ rep))
+
+
+def _rep_rng(cfg: ExperimentConfig, rep: int, stream: str):
+    return derive_rng(cfg.data.seed, rep, _STREAMS[stream])
 
 
 def _descent_violations(objective) -> int:
@@ -133,20 +211,6 @@ def _sq_error_curves(trace: SolveTrace, beta_star, n_iter: int):
     return mse1, d2**2
 
 
-def _run_method(method, cfg, ds, lam, rep, beta0=None):
-    """One solver run inside a replication; returns a SolveTrace."""
-    kind = SketchKind("srht", cfg.m)
-    rng = derive_rng(cfg.data.seed, rep, _STREAMS.get(method, 0))
-    common = dict(beta_ls=ds.beta_ls, stop_at_dist=0.0)
-    if method == "ihs":
-        return ihs_solve(ds.x, ds.y, kind, cfg.n_iter, rng, beta0=beta0, **common)
-    if method == "acc-ihs":
-        return acc_ihs_solve(ds.x, ds.y, kind, cfg.n_iter, rng, beta0=beta0, **common)
-    if method == "pw-gradient":
-        return pw_gradient_solve(ds.x, ds.y, kind, cfg.n_iter, rng, beta0=beta0, **common)
-    return aopt_ihs_solve(ds.x, ds.y, cfg.m, cfg.n_iter, lam, **common)
-
-
 def run_convergence(cfg: ExperimentConfig, threads: int = 1):
     """MSE curves per iteration for each configured method.
 
@@ -157,55 +221,27 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1):
     (method, iter, mse1, mse2, failures).
     """
 
-    def one_rep(rep):
+    def start(rep):
         ds = _rep_dataset(cfg, rep)
         lam = cfg.lambda_rule.resolve(ds.x)
-        shared0 = None
+        beta0 = None
         if cfg.init_policy == "aopt-for-all":
-            shared0 = aopt_cs_estimate(ds.x, ds.y, cfg.m)[0]
-        out = {}
-        for method in cfg.methods:
-            try:
-                trace = _run_method(method, cfg, ds, lam, rep, beta0=shared0)
-                if trace.status == "diverge":
-                    out[method] = ("diverge", None, 0)
-                    continue
-                curves = _sq_error_curves(trace, ds.beta_star, cfg.n_iter)
-                viol = (
-                    _descent_violations(trace.objective)
-                    if method == "aopt-ihs"
-                    else 0
-                )
-                out[method] = ("ok", curves, viol)
-            except (NotPositiveDefinite, SingularMatrix) as err:
-                out[method] = (f"error: {err}", None, 0)
-        return out
+            beta0 = aopt_cs_estimate(ds.x, ds.y, cfg.m)[0]
 
-    per_rep = _map_reps(one_rep, cfg.reps, threads)
-    rows = []
-    meta = {"descent_violations": 0, "failures": {}}
-    for method in cfg.methods:
-        oks = [r[method][1] for r in per_rep if r[method][0] == "ok"]
-        meta["descent_violations"] += sum(
-            r[method][2] for r in per_rep if r[method][0] == "ok"
-        )
-        failures = cfg.reps - len(oks)
-        meta["failures"][method] = failures
-        if not oks:
-            continue
-        mse1 = np.stack([c[0] for c in oks])
-        mse2 = np.stack([c[1] for c in oks])
-        for it in range(cfg.n_iter + 1):
-            rows.append(
-                {
-                    "method": method,
-                    "iter": it,
-                    "mse1": trimmed_mean(mse1[:, it], cfg.trim),
-                    "mse2": trimmed_mean(mse2[:, it], cfg.trim),
-                    "failures": failures,
-                }
+        def measure(method):
+            trace = SOLVERS[method](
+                ds.x, ds.y, cfg.m, cfg.n_iter, _rep_rng(cfg, rep, method), lam,
+                beta0=beta0, beta_ls=ds.beta_ls,
             )
-    return rows, meta
+            if trace.status == "diverge":
+                return None
+            viol = _descent_violations(trace.objective) if method == "aopt-ihs" else 0
+            return _sq_error_curves(trace, ds.beta_star, cfg.n_iter), viol
+
+        return measure
+
+    per_rep = _replicate(start, cfg.methods, cfg.reps, threads)
+    return _curve_rows("method", cfg.methods, per_rep, cfg)
 
 
 def run_init_comparison(
@@ -232,27 +268,25 @@ def run_init_comparison(
             raise ValueError(f"n={n} is smaller than the sketch budget {budget}")
         spec = DataSpec(dist, int(n), d, seed, sigma_noise)
 
-        def one_rep(rep, spec=spec, n=n):
+        def start(rep):
             ds = make_dataset(replace(spec, seed=spec.seed ^ rep))
-            out = {}
-            for est in INITIALIZERS:
-                try:
-                    if est == "full":
-                        beta = ds.beta_ls
-                    elif est == "srht-cs":
-                        rng = derive_rng(seed, n, rep, _STREAMS["srht-cs"])
-                        beta = cs_estimate(*srht_apply(ds.x, ds.y, budget, rng))
-                    elif est == "lev-cs":
-                        rng = derive_rng(seed, n, rep, _STREAMS["lev-cs"])
-                        beta = cs_estimate(*leverage_sample(ds.x, ds.y, budget, rng))
-                    else:
-                        beta = aopt_cs_estimate(ds.x, ds.y, budget)[0]
-                    out[est] = float(((beta - ds.beta_star) ** 2).sum())
-                except (NotPositiveDefinite, SingularMatrix):
-                    out[est] = None
-            return out
 
-        per_rep = _map_reps(one_rep, reps, threads)
+            def measure(est):
+                if est == "full":
+                    beta = ds.beta_ls
+                elif est == "srht-cs":
+                    rng = derive_rng(seed, n, rep, _STREAMS["srht-cs"])
+                    beta = cs_estimate(*srht_apply(ds.x, ds.y, budget, rng))
+                elif est == "lev-cs":
+                    rng = derive_rng(seed, n, rep, _STREAMS["lev-cs"])
+                    beta = cs_estimate(*leverage_sample(ds.x, ds.y, budget, rng))
+                else:
+                    beta = aopt_cs_estimate(ds.x, ds.y, budget)[0]
+                return float(((beta - ds.beta_star) ** 2).sum())
+
+            return measure
+
+        per_rep = _replicate(start, INITIALIZERS, reps, threads)
         for est in INITIALIZERS:
             vals = [r[est] for r in per_rep if r[est] is not None]
             failures = reps - len(vals)
@@ -278,44 +312,28 @@ def run_delta_table(cfg: ExperimentConfig, variants=DELTA_VARIANTS, threads: int
     follow (dist, d, variant, delta_mean, failures).
     """
 
-    def one_rep(rep):
+    def start(rep):
         ds = _rep_dataset(cfg, rep)
         q = gram(ds.x)
         mask = aopt_cs_estimate(ds.x, ds.y, cfg.m)[1]
         lam = cfg.lambda_rule.resolve(ds.x)
-        out = {}
-        for variant in variants:
-            try:
-                if variant == "zero":
-                    out[variant] = delta_measure(build_m(ds.x, mask, 0.0), q)
-                elif variant == "rule":
-                    out[variant] = delta_measure(build_m(ds.x, mask, lam), q)
-                elif variant == "srht":
-                    rng = derive_rng(cfg.data.seed, rep, _STREAMS["delta-srht"])
-                    sx, _ = srht_apply(ds.x, ds.y, cfg.m, rng)
-                    out[variant] = delta_from_matrix(gram(sx), q)
-                elif variant == "identity":
-                    out[variant] = delta_from_matrix(lam * np.eye(ds.x.shape[1]), q)
-                else:
-                    raise ValueError(f"unknown delta variant {variant!r}")
-            except (NotPositiveDefinite, SingularMatrix):
-                out[variant] = None
-        return out
 
-    per_rep = _map_reps(one_rep, cfg.reps, threads)
-    rows = []
-    for variant in variants:
-        vals = [r[variant] for r in per_rep if r[variant] is not None]
-        failures = cfg.reps - len(vals)
-        rows.append(
-            {
-                "dist": cfg.data.dist,
-                "d": cfg.data.d,
-                "variant": variant,
-                "delta_mean": float(np.mean(vals)) if vals else None,
-                "failures": failures,
-            }
-        )
+        def measure(variant):
+            if variant == "zero":
+                return delta_measure(build_m(ds.x, mask, 0.0), q)
+            if variant == "rule":
+                return delta_measure(build_m(ds.x, mask, lam), q)
+            if variant == "srht":
+                sx, _ = srht_apply(ds.x, ds.y, cfg.m, _rep_rng(cfg, rep, "delta-srht"))
+                return delta_from_matrix(gram(sx), q)
+            if variant == "identity":
+                return delta_from_matrix(lam * np.eye(ds.x.shape[1]), q)
+            raise ValueError(f"unknown delta variant {variant!r}")
+
+        return measure
+
+    per_rep = _replicate(start, variants, cfg.reps, threads)
+    rows = _mean_rows("variant", variants, per_rep, cfg)
     return rows, {"lambda_profile": cfg.lambda_rule.profile}
 
 
@@ -325,45 +343,34 @@ def run_time_to_precision(cfg: ExperimentConfig, threads: int = 1):
 
     Rows follow (method, dist, d, mean_seconds, mean_iters, status) with
     status ``ok`` when every replication reached the target, ``diverge`` when
-    any diverged, else ``cap`` when any hit the iteration cap.  Divergent and
-    capped replications contribute no time.  Timing covers per-iteration work
-    plus sketch/preconditioner setup; dataset generation and the exact
-    solve are excluded.
+    any diverged or failed, else ``cap`` when any hit the iteration cap.
+    Divergent, failed and capped replications contribute no time.  Timing
+    covers per-iteration work plus sketch/preconditioner setup; dataset
+    generation and the exact solve are excluded.
     """
 
-    def one_rep(rep):
+    def start(rep):
         ds = _rep_dataset(cfg, rep)
         lam = cfg.lambda_rule.resolve(ds.x)
-        kind = SketchKind("srht", cfg.m)
-        out = {}
-        for method in cfg.methods:
-            rng = derive_rng(cfg.data.seed, rep, _STREAMS.get(method, 0))
-            run = dict(beta_ls=ds.beta_ls, stop_at_dist=cfg.tol)
-            try:
-                if method == "ihs":
-                    trace = ihs_solve(ds.x, ds.y, kind, cfg.iter_cap, rng, **run)
-                elif method == "acc-ihs":
-                    trace = acc_ihs_solve(ds.x, ds.y, kind, cfg.iter_cap, rng, **run)
-                elif method == "pw-gradient":
-                    trace = pw_gradient_solve(ds.x, ds.y, kind, cfg.iter_cap, rng, **run)
-                else:
-                    trace = aopt_ihs_solve(ds.x, ds.y, cfg.m, cfg.iter_cap, lam, **run)
-            except (NotPositiveDefinite, SingularMatrix):
-                out[method] = ("diverge", None, None)
-                continue
-            if trace.status == "diverge":
-                out[method] = ("diverge", None, None)
-            elif trace.dist_to_ls[-1] <= cfg.tol:
-                secs = trace.setup_seconds + float(np.sum(trace.elapsed))
-                out[method] = ("ok", trace.iterations, secs)
-            else:
-                out[method] = ("cap", None, None)
-        return out
 
-    per_rep = _map_reps(one_rep, cfg.reps, threads)
+        def measure(method):
+            trace = SOLVERS[method](
+                ds.x, ds.y, cfg.m, cfg.iter_cap, _rep_rng(cfg, rep, method), lam,
+                beta_ls=ds.beta_ls, stop_at_dist=cfg.tol,
+            )
+            if trace.status == "diverge":
+                return None
+            if trace.dist_to_ls[-1] <= cfg.tol:
+                secs = trace.setup_seconds + float(np.sum(trace.elapsed))
+                return ("ok", trace.iterations, secs)
+            return ("cap", None, None)
+
+        return measure
+
+    per_rep = _replicate(start, cfg.methods, cfg.reps, threads)
     rows = []
     for method in cfg.methods:
-        results = [r[method] for r in per_rep]
+        results = [r[method] or ("diverge", None, None) for r in per_rep]
         iters = [r[1] for r in results if r[0] == "ok"]
         secs = [r[2] for r in results if r[0] == "ok"]
         statuses = {r[0] for r in results}
@@ -389,53 +396,28 @@ def run_ridge_ablation(cfg: ExperimentConfig, threads: int = 1):
     (variant, iter, mse1, mse2, failures).
     """
 
-    def one_rep(rep):
+    def start(rep):
         ds = _rep_dataset(cfg, rep)
         lam = cfg.lambda_rule.resolve(ds.x)
         beta0, mask = aopt_cs_estimate(ds.x, ds.y, cfg.m)
-        out = {}
-        for variant in RIDGE_VARIANTS:
-            try:
-                if variant == "ridged":
-                    apply_inv = build_m(ds.x, mask, lam).solve
-                elif variant == "raw":
-                    apply_inv = build_m(ds.x, mask, 0.0).solve
-                else:
-                    apply_inv = lambda v: v
-                trace = preconditioned_descent(
-                    ds.x, ds.y, beta0, apply_inv, cfg.n_iter, beta_ls=ds.beta_ls
-                )
-                out[variant] = (
-                    _sq_error_curves(trace, ds.beta_star, cfg.n_iter),
-                    _descent_violations(trace.objective),
-                )
-            except (NotPositiveDefinite, SingularMatrix):
-                out[variant] = None
-        return out
 
-    per_rep = _map_reps(one_rep, cfg.reps, threads)
-    rows = []
-    meta = {"descent_violations": 0, "failures": {}}
-    for variant in RIDGE_VARIANTS:
-        oks = [r[variant] for r in per_rep if r[variant] is not None]
-        failures = cfg.reps - len(oks)
-        meta["failures"][variant] = failures
-        meta["descent_violations"] += sum(v for _, v in oks)
-        if not oks:
-            continue
-        mse1 = np.stack([c[0] for c, _ in oks])
-        mse2 = np.stack([c[1] for c, _ in oks])
-        for it in range(cfg.n_iter + 1):
-            rows.append(
-                {
-                    "variant": variant,
-                    "iter": it,
-                    "mse1": trimmed_mean(mse1[:, it], cfg.trim),
-                    "mse2": trimmed_mean(mse2[:, it], cfg.trim),
-                    "failures": failures,
-                }
+        def measure(variant):
+            if variant == "ridged":
+                apply_inv = build_m(ds.x, mask, lam).solve
+            elif variant == "raw":
+                apply_inv = build_m(ds.x, mask, 0.0).solve
+            else:
+                apply_inv = lambda v: v
+            trace = preconditioned_descent(
+                ds.x, ds.y, beta0, apply_inv, cfg.n_iter, beta_ls=ds.beta_ls
             )
-    return rows, meta
+            curves = _sq_error_curves(trace, ds.beta_star, cfg.n_iter)
+            return curves, _descent_violations(trace.objective)
+
+        return measure
+
+    per_rep = _replicate(start, RIDGE_VARIANTS, cfg.reps, threads)
+    return _curve_rows("variant", RIDGE_VARIANTS, per_rep, cfg)
 
 
 def lambda_sweep(cfg: ExperimentConfig, proportions, threads: int = 1):
@@ -447,33 +429,12 @@ def lambda_sweep(cfg: ExperimentConfig, proportions, threads: int = 1):
     if any(p <= 0 for p in proportions):
         raise ValueError("proportions must be positive")
 
-    def one_rep(rep):
+    def start(rep):
         ds = _rep_dataset(cfg, rep)
         q = gram(ds.x)
         mask = aopt_cs_estimate(ds.x, ds.y, cfg.m)[1]
         total = float(row_sq_norms(ds.x).sum())
-        n, d = ds.x.shape
-        base = (n / cfg.m) * gram(ds.x[mask.indices])
-        out = {}
-        for prop in proportions:
-            try:
-                m_matrix = base + prop * total * np.eye(d)
-                out[prop] = delta_from_matrix(m_matrix, q)
-            except (NotPositiveDefinite, SingularMatrix):
-                out[prop] = None
-        return out
+        return lambda prop: delta_measure(build_m(ds.x, mask, prop * total), q)
 
-    per_rep = _map_reps(one_rep, cfg.reps, threads)
-    rows = []
-    for prop in proportions:
-        vals = [r[prop] for r in per_rep if r[prop] is not None]
-        rows.append(
-            {
-                "dist": cfg.data.dist,
-                "d": cfg.data.d,
-                "proportion": prop,
-                "delta_mean": float(np.mean(vals)) if vals else None,
-                "failures": cfg.reps - len(vals),
-            }
-        )
-    return rows, {}
+    per_rep = _replicate(start, proportions, cfg.reps, threads)
+    return _mean_rows("proportion", proportions, per_rep, cfg), {}

@@ -41,17 +41,12 @@ from .bench import (
 from .datagen import DISTRIBUTIONS, DataSpec, center, make_dataset
 from .errors import ConfigError, ParseError, SketchlsError
 from .precond import LambdaRule
-from .sketch import SketchKind, derive_rng
-from .solvers import (
-    acc_ihs_solve,
-    aopt_ihs_solve,
-    full_ls,
-    ihs_solve,
-    pw_gradient_solve,
-)
+from .sketch import derive_rng
+from .solvers import METHODS as SOLVERS
+from .solvers import full_ls
 
 PRNG_ALGORITHM = "numpy-pcg64"
-SOLVE_METHODS = ("full", "ihs", "acc-ihs", "pw-gradient", "aopt-ihs")
+SOLVE_METHODS = ("full", *SOLVERS)
 
 
 def _fmt(value) -> str:
@@ -190,7 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="concentrated",
         help="ridge rule when --lam is not given",
     )
-    solve.add_argument("--tol", type=float, default=0.0, help="early-stop displacement")
+    solve.add_argument(
+        "--tol",
+        type=float,
+        default=0.0,
+        help="early-stop displacement (aopt-ihs only; 0 disables it)",
+    )
     solve.add_argument(
         "--no-center", action="store_true", help="skip centering the data"
     )
@@ -275,23 +275,15 @@ def cmd_solve(args) -> int:
         ]
         beta = beta_ls
     else:
-        rng = derive_rng(args.seed)
-        kind = SketchKind("srht", args.m)
-        if method == "aopt-ihs":
-            lam = (
-                float(args.lam)
-                if args.lam is not None
-                else LambdaRule(args.lam_rule.replace("-", "_")).resolve(x)
-            )
-            trace = aopt_ihs_solve(
-                x, y, args.m, args.n_iter, lam, tol=args.tol, beta_ls=beta_ls
-            )
-        elif method == "ihs":
-            trace = ihs_solve(x, y, kind, args.n_iter, rng, beta_ls=beta_ls)
-        elif method == "acc-ihs":
-            trace = acc_ihs_solve(x, y, kind, args.n_iter, rng, beta_ls=beta_ls)
-        else:
-            trace = pw_gradient_solve(x, y, kind, args.n_iter, rng, beta_ls=beta_ls)
+        lam = (
+            float(args.lam)
+            if args.lam is not None
+            else LambdaRule(args.lam_rule.replace("-", "_")).resolve(x)
+        )
+        trace = SOLVERS[method](
+            x, y, args.m, args.n_iter, derive_rng(args.seed), lam,
+            beta_ls=beta_ls, tol=args.tol,
+        )
         alphas = [None] + [float(a) for a in trace.alphas]
         if len(alphas) < len(trace.betas):
             alphas += [None] * (len(trace.betas) - len(alphas))
@@ -425,14 +417,13 @@ def cmd_bench(args) -> int:
     os.makedirs(out, exist_ok=True)
     threads = max(1, args.threads)
 
+    cfg = parse_experiment_config(raw, exp, args.seed if "seed" not in raw else None)
     if exp == "init":
-        cfg = parse_experiment_config(raw, exp, args.seed if "seed" not in raw else None)
         rows, meta = run_init_comparison(threads=threads, **cfg)
         name, header = "init_mse.csv", ["n", "estimator", "mse1", "failures"]
         meta = {"failures": {f"{k[0]}/{k[1]}": v for k, v in meta["failures"].items()},
                 "budget": meta["budget"]}
     else:
-        cfg = parse_experiment_config(raw, exp, args.seed if "seed" not in raw else None)
         if getattr(args, "init", None):
             cfg = replace(cfg, init_policy=args.init)
         if exp == "converge":

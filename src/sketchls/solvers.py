@@ -13,6 +13,9 @@ differ in how they precondition the gradient:
   ridged preconditioner from the same rows, and takes exact-line-search
   steps, which makes the objective sequence non-increasing by construction.
 
+:data:`METHODS` maps each solver's name to an adapter with one call
+signature; the benchmark harness and the CLI dispatch through it only.
+
 Each solver returns a :class:`SolveTrace` holding the full iterate history,
 so correctness oracles (the closed-form trajectory, isometry reports, the
 geometric contraction bound) can audit a run after the fact.  Gradients and
@@ -40,6 +43,7 @@ from .precond import build_m
 from .sketch import SketchKind, aopt_select, draw_sketch
 
 __all__ = [
+    "METHODS",
     "SolveTrace",
     "IsometryReport",
     "full_ls",
@@ -73,7 +77,8 @@ class SolveTrace:
     initializer); ``alphas`` is empty for unit-step methods.  ``dist_to_ls``
     is filled only when the exact solution was supplied.  ``elapsed`` holds
     per-iteration wall-clock seconds; one-time work (sketching, factoring,
-    initial estimate) is in ``setup_seconds``.
+    initial estimate) is in ``setup_seconds``.  ``sketches`` holds the
+    sketched matrices when :func:`ihs_solve` is asked to record them.
     """
 
     betas: list = field(default_factory=list)
@@ -83,6 +88,7 @@ class SolveTrace:
     elapsed: list = field(default_factory=list)
     setup_seconds: float = 0.0
     status: str = "ok"  # ok | converged | diverge
+    sketches: list | None = None
 
     @property
     def iterations(self) -> int:
@@ -116,14 +122,12 @@ def _objective(x, y, beta) -> float:
 class _Recorder:
     """Shared trace bookkeeping for the iterative solvers."""
 
-    def __init__(self, x, y, beta0, beta_ls, setup_seconds, with_alphas):
+    def __init__(self, x, y, beta0, beta_ls, setup_seconds=0.0):
         self.x, self.y, self.beta_ls = x, y, beta_ls
         self.trace = SolveTrace(
             dist_to_ls=None if beta_ls is None else [],
             setup_seconds=setup_seconds,
         )
-        if not with_alphas:
-            self.trace.alphas = []
         self.record(beta0)
 
     def record(self, beta, alpha=None, seconds=None):
@@ -202,8 +206,8 @@ def ihs_solve(
     x = as_matrix(x)
     y = as_vector(y)
     beta = np.zeros(x.shape[1]) if beta0 is None else as_vector(beta0).copy()
-    rec = _Recorder(x, y, beta, beta_ls, 0.0, with_alphas=False)
-    sketches = []
+    rec = _Recorder(x, y, beta, beta_ls)
+    sketches = rec.trace.sketches = [] if record_sketches else None
     for t in range(1, n_iter + 1):
         tic = time.perf_counter()
         sx, _ = draw_sketch(x, y, kind, rng)
@@ -215,14 +219,12 @@ def ihs_solve(
             )
             err.iteration = t
             raise err from None
-        if record_sketches:
+        if sketches is not None:
             sketches.append(sx)
         beta = beta + solve_spd(fac, x.T @ (y - x @ beta))
         rec.record(beta, seconds=time.perf_counter() - tic)
         if rec.hit_target(stop_at_dist):
             break
-    if record_sketches:
-        rec.trace.sketches = sketches
     return rec.trace
 
 
@@ -331,7 +333,7 @@ def preconditioned_descent(
     x = as_matrix(x)
     y = as_vector(y)
     beta = as_vector(beta0).copy()
-    rec = _Recorder(x, y, beta, beta_ls, setup_seconds, with_alphas=True)
+    rec = _Recorder(x, y, beta, beta_ls, setup_seconds)
     for _ in range(n_iter):
         tic = time.perf_counter()
         v = x.T @ (y - x @ beta)
@@ -390,6 +392,20 @@ def aopt_ihs_solve(
     )
 
 
+def _frozen_sketch(x, y, kind, rng, beta0, beta_ls):
+    """Shared setup of the frozen-sketch solvers: one sketch and the Cholesky
+    factor of its Gram matrix (timed as setup), then a recorder started at
+    the initializer."""
+    x = as_matrix(x)
+    y = as_vector(y)
+    tic = time.perf_counter()
+    sx, _ = draw_sketch(x, y, kind, rng)
+    fac = cholesky(gram(sx))
+    setup = time.perf_counter() - tic
+    beta = np.zeros(x.shape[1]) if beta0 is None else as_vector(beta0).copy()
+    return x, y, fac, beta, _Recorder(x, y, beta, beta_ls, setup)
+
+
 def pw_gradient_solve(
     x,
     y,
@@ -407,14 +423,7 @@ def pw_gradient_solve(
     instead of crashing.  The error metric is the distance to the exact
     solution when available, the gradient norm otherwise.
     """
-    x = as_matrix(x)
-    y = as_vector(y)
-    tic = time.perf_counter()
-    sx, _ = draw_sketch(x, y, kind, rng)
-    fac = cholesky(gram(sx))
-    setup = time.perf_counter() - tic
-    beta = np.zeros(x.shape[1]) if beta0 is None else as_vector(beta0).copy()
-    rec = _Recorder(x, y, beta, beta_ls, setup, with_alphas=False)
+    x, y, fac, beta, rec = _frozen_sketch(x, y, kind, rng, beta0, beta_ls)
 
     def metric(b):
         if beta_ls is not None:
@@ -457,14 +466,7 @@ def acc_ihs_solve(
     Polak-Ribiere update, which coincides with Fletcher-Reeves on an exact
     quadratic.  Terminates in at most d steps in exact arithmetic.
     """
-    x = as_matrix(x)
-    y = as_vector(y)
-    tic = time.perf_counter()
-    sx, _ = draw_sketch(x, y, kind, rng)
-    fac = cholesky(gram(sx))
-    setup = time.perf_counter() - tic
-    beta = np.zeros(x.shape[1]) if beta0 is None else as_vector(beta0).copy()
-    rec = _Recorder(x, y, beta, beta_ls, setup, with_alphas=True)
+    x, y, fac, beta, rec = _frozen_sketch(x, y, kind, rng, beta0, beta_ls)
     r = x.T @ (y - x @ beta)
     z = solve_spd(fac, r)
     p = z.copy()
@@ -491,3 +493,33 @@ def acc_ihs_solve(
         if rec.hit_target(stop_at_dist):
             break
     return rec.trace
+
+
+def _sketched(solve):
+    """Registry adapter for a randomized solver on SRHT sketches of size m."""
+
+    def run(x, y, m, n_iter, rng, lam, beta0=None, beta_ls=None,
+            stop_at_dist=0.0, tol=0.0):
+        return solve(x, y, SketchKind("srht", m), n_iter, rng, beta0=beta0,
+                     beta_ls=beta_ls, stop_at_dist=stop_at_dist)
+
+    return run
+
+
+def _aopt_ihs(x, y, m, n_iter, rng, lam, beta0=None, beta_ls=None,
+              stop_at_dist=0.0, tol=0.0):
+    return aopt_ihs_solve(x, y, m, n_iter, lam, tol=tol, beta_ls=beta_ls,
+                          stop_at_dist=stop_at_dist)
+
+
+#: The one table of iterative methods, by name.  Every entry is called as
+#: ``METHODS[name](x, y, m, n_iter, rng, lam, beta0=None, beta_ls=None,
+#: stop_at_dist=0.0, tol=0.0)``.  The randomized methods read ``rng`` and
+#: ``beta0`` and sketch with an SRHT of ``m`` rows; ``aopt-ihs`` reads
+#: ``lam`` and ``tol`` and starts from its own largest-norm-rows estimate.
+METHODS: dict[str, Callable[..., SolveTrace]] = {
+    "ihs": _sketched(ihs_solve),
+    "acc-ihs": _sketched(acc_ihs_solve),
+    "pw-gradient": _sketched(pw_gradient_solve),
+    "aopt-ihs": _aopt_ihs,
+}

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sketchls.bench
 from sketchls import (
     DataSpec,
     EmptyInput,
     ExperimentConfig,
     LambdaRule,
+    RankDeficient,
     aopt_cs_estimate,
     lambda_sweep,
     make_dataset,
@@ -19,6 +21,19 @@ from sketchls import (
     run_time_to_precision,
     trimmed_mean,
 )
+
+
+def fail_on_call(fn, k):
+    """Wrap ``fn`` so that its ``k``-th call (0-based) raises RankDeficient."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == k + 1:
+            raise RankDeficient("injected")
+        return fn(*args, **kwargs)
+
+    return wrapped
 
 
 def small_cfg(**kw):
@@ -134,6 +149,21 @@ class TestRunInitComparison:
         with pytest.raises(ValueError):
             run_init_comparison([100], 4, 32, 4, reps=2)
 
+    def test_library_error_fails_one_replication(self, monkeypatch):
+        args = ([512], 4, 32, 4)
+        kw = dict(reps=6, dist="normal", seed=3)
+        before, _ = run_init_comparison(*args, **kw)
+        monkeypatch.setattr(
+            sketchls.bench, "leverage_sample", fail_on_call(sketchls.bench.leverage_sample, 2)
+        )
+        after, meta = run_init_comparison(*args, **kw)
+        assert meta["failures"][(512, "lev-cs")] == 1
+        assert [r for r in after if r["estimator"] != "lev-cs"] == [
+            r for r in before if r["estimator"] != "lev-cs"
+        ]
+        for est in ("full", "srht-cs", "aopt-cs"):
+            assert meta["failures"][(512, est)] == 0
+
     def test_schema(self):
         rows, meta = run_init_comparison([256, 512], 3, 16, 4, reps=3, dist="t2", seed=4)
         assert {r["n"] for r in rows} == {256, 512}
@@ -203,6 +233,15 @@ class TestRunRidgeAblation:
         for row, dist in zip(ident, direct.dist_to_ls):
             assert row["mse2"] == pytest.approx(dist**2, rel=1e-12, abs=1e-300)
 
+    def test_setup_error_fails_every_variant_of_one_replication(self, monkeypatch):
+        cfg = small_cfg(reps=3, n_iter=4)
+        monkeypatch.setattr(
+            sketchls.bench, "aopt_cs_estimate", fail_on_call(sketchls.bench.aopt_cs_estimate, 1)
+        )
+        rows, meta = run_ridge_ablation(cfg)
+        assert meta["failures"] == {"ridged": 1, "raw": 1, "identity": 1}
+        assert {r["failures"] for r in rows} == {1}
+
     def test_all_variants_monotone(self):
         cfg = small_cfg(reps=4, n_iter=10, data=DataSpec("t2", 512, 6, seed=8),
                         m=128, lambda_rule=LambdaRule("heavy_tailed"))
@@ -234,6 +273,11 @@ class TestConfigValidation:
     def test_trim_range(self):
         with pytest.raises(ValueError):
             small_cfg(trim=0.5)
+
+    def test_m_above_n(self):
+        with pytest.raises(ValueError):
+            small_cfg(m=513)
+        assert small_cfg(m=512).m == 512
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
