@@ -81,6 +81,10 @@ class ExperimentConfig:
             raise ValueError("trim must lie in [0, 0.5)")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.n_iter < 0:
+            raise ValueError(f"n_iter must be >= 0, got {self.n_iter}")
+        if self.iter_cap < 1:
+            raise ValueError(f"iter_cap must be >= 1, got {self.iter_cap}")
         if not 1 <= self.m <= self.data.n:
             raise ValueError(f"m must lie in [1, n = {self.data.n}], got {self.m}")
         unknown = set(self.methods) - set(METHODS)

@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__
 from .bench import (
     DELTA_VARIANTS,
-    METHODS,
     ExperimentConfig,
     lambda_sweep,
     run_convergence,
@@ -156,7 +155,7 @@ def _add_common(parser):
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("SKETCHLS_THREADS", "1")),
+        default=os.environ.get("SKETCHLS_THREADS", "1"),
         help="replication worker threads (env SKETCHLS_THREADS)",
     )
 
@@ -345,6 +344,13 @@ _CONFIG_KEYS = {
 }
 
 
+#: optional ExperimentConfig keys and their parsers; an absent key takes the
+#: dataclass default
+_OPTIONAL_KEYS = {
+    "methods": tuple, "trim": float, "tol": float, "init_policy": str, "iter_cap": int,
+}
+
+
 def _lambda_rule_from(raw, dist: str) -> LambdaRule:
     if raw is None:
         return LambdaRule.for_distribution(dist)
@@ -379,26 +385,19 @@ def parse_experiment_config(raw: dict, experiment: str, seed_override=None):
             "reps": int(raw["reps"]),
             "dist": raw["dist"],
             "seed": seed,
-            "sigma_noise": float(raw.get("sigma_noise", 3.0)),
-            "trim": float(raw.get("trim", 0.025)),
+            "sigma_noise": float(raw.get("sigma_noise", DataSpec.sigma_noise)),
+            "trim": float(raw.get("trim", ExperimentConfig.trim)),
         }
-    spec = DataSpec(
-        raw["dist"], int(raw["n"]), int(raw["d"]), seed,
-        float(raw.get("sigma_noise", 3.0)),
-    )
-    cfg = ExperimentConfig(
+    noise = {"sigma_noise": float(raw["sigma_noise"])} if "sigma_noise" in raw else {}
+    spec = DataSpec(raw["dist"], int(raw["n"]), int(raw["d"]), seed, **noise)
+    return ExperimentConfig(
         data=spec,
         m=int(raw["m"]),
         n_iter=int(raw["n_iter"]),
         reps=int(raw["reps"]),
         lambda_rule=_lambda_rule_from(raw.get("lambda_rule"), spec.dist),
-        methods=tuple(raw.get("methods", METHODS)),
-        trim=float(raw.get("trim", 0.025)),
-        tol=float(raw.get("tol", 1e-10)),
-        init_policy=raw.get("init_policy", "default"),
-        iter_cap=int(raw.get("iter_cap", 500)),
+        **{key: parse(raw[key]) for key, parse in _OPTIONAL_KEYS.items() if key in raw},
     )
-    return cfg
 
 
 def _config_for_manifest(cfg) -> dict:

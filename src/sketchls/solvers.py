@@ -16,6 +16,10 @@ differ in how they precondition the gradient:
 :data:`METHODS` maps each solver's name to an adapter with one call
 signature; the benchmark harness and the CLI dispatch through it only.
 
+All four run in one loop, :func:`_iterate`, which owns the trace and
+computes each iterate's residual ``y - X beta`` once; a solver supplies only
+its step ``step(t, beta, resid) -> (beta_next, alpha, status)``.
+
 Each solver returns a :class:`SolveTrace` holding the full iterate history,
 so correctness oracles (the closed-form trajectory, isometry reports, the
 geometric contraction bound) can audit a run after the fact.  Gradients and
@@ -114,42 +118,44 @@ class IsometryReport:
     satisfies: bool
 
 
-def _objective(x, y, beta) -> float:
-    r = x @ beta - y
-    return 0.5 * float(r @ r)
+def _iterate(x, y, beta0, beta_ls, n_iter, step, stop_at_dist, setup_seconds):
+    """The one iteration loop of the iterative solvers.  It records each
+    iterate, its residual ``r = y - X beta`` (computed only here), its
+    objective ``0.5 r.r`` and its distance to ``beta_ls``, and stops at the
+    first iterate within ``stop_at_dist`` of ``beta_ls``.
 
+    ``step(t, beta, resid)`` returns ``(beta_next, alpha, status)``.  A
+    ``beta_next`` of None ends the run with ``status`` and records nothing;
+    otherwise ``beta_next`` (and ``alpha`` unless None) is recorded, and a
+    ``status`` other than ``"ok"`` then ends the run.  Per-iteration seconds
+    cover the step plus the new iterate's residual, objective and distance.
+    """
+    trace = SolveTrace(dist_to_ls=None if beta_ls is None else [],
+                       setup_seconds=setup_seconds)
 
-class _Recorder:
-    """Shared trace bookkeeping for the iterative solvers."""
+    def record(beta):
+        resid = y - x @ beta
+        trace.betas.append(beta.copy())
+        trace.objective.append(0.5 * float(resid @ resid))
+        if beta_ls is not None:
+            trace.dist_to_ls.append(float(np.linalg.norm(beta - beta_ls)))
+        return resid
 
-    def __init__(self, x, y, beta0, beta_ls, setup_seconds=0.0):
-        self.x, self.y, self.beta_ls = x, y, beta_ls
-        self.trace = SolveTrace(
-            dist_to_ls=None if beta_ls is None else [],
-            setup_seconds=setup_seconds,
-        )
-        self.record(beta0)
-
-    def record(self, beta, alpha=None, seconds=None):
-        self.trace.betas.append(beta.copy())
-        self.trace.objective.append(_objective(self.x, self.y, beta))
-        if self.beta_ls is not None:
-            self.trace.dist_to_ls.append(float(np.linalg.norm(beta - self.beta_ls)))
+    targeted = stop_at_dist > 0.0 and beta_ls is not None
+    beta, resid = beta0, record(beta0)
+    for t in range(1, n_iter + 1):
+        tic = time.perf_counter()
+        beta, alpha, trace.status = step(t, beta, resid)
+        if beta is None:
+            break
+        resid = record(beta)
         if alpha is not None:
-            self.trace.alphas.append(float(alpha))
-        if seconds is not None:
-            self.trace.elapsed.append(seconds)
-
-    @property
-    def last_dist(self):
-        return self.trace.dist_to_ls[-1] if self.beta_ls is not None else None
-
-    def hit_target(self, stop_at_dist) -> bool:
-        return (
-            stop_at_dist > 0.0
-            and self.beta_ls is not None
-            and self.trace.dist_to_ls[-1] <= stop_at_dist
-        )
+            trace.alphas.append(float(alpha))
+        trace.elapsed.append(time.perf_counter() - tic)
+        reached = targeted and trace.dist_to_ls[-1] <= stop_at_dist
+        if trace.status != "ok" or reached:
+            break
+    return trace
 
 
 def full_ls(x, y) -> np.ndarray:
@@ -205,11 +211,10 @@ def ihs_solve(
     """
     x = as_matrix(x)
     y = as_vector(y)
-    beta = np.zeros(x.shape[1]) if beta0 is None else as_vector(beta0).copy()
-    rec = _Recorder(x, y, beta, beta_ls)
-    sketches = rec.trace.sketches = [] if record_sketches else None
-    for t in range(1, n_iter + 1):
-        tic = time.perf_counter()
+    beta = np.zeros(x.shape[1]) if beta0 is None else as_vector(beta0)
+    sketches = [] if record_sketches else None
+
+    def step(t, beta, resid):
         sx, _ = draw_sketch(x, y, kind, rng)
         try:
             fac = cholesky(gram(sx))
@@ -221,11 +226,11 @@ def ihs_solve(
             raise err from None
         if sketches is not None:
             sketches.append(sx)
-        beta = beta + solve_spd(fac, x.T @ (y - x @ beta))
-        rec.record(beta, seconds=time.perf_counter() - tic)
-        if rec.hit_target(stop_at_dist):
-            break
-    return rec.trace
+        return beta + solve_spd(fac, x.T @ resid), None, "ok"
+
+    trace = _iterate(x, y, beta, beta_ls, n_iter, step, stop_at_dist, 0.0)
+    trace.sketches = sketches
+    return trace
 
 
 def closed_form_trajectory(x, y, beta0, sketches) -> np.ndarray:
@@ -338,26 +343,19 @@ def preconditioned_descent(
     """
     x = as_matrix(x)
     y = as_vector(y)
-    beta = as_vector(beta0).copy()
-    rec = _Recorder(x, y, beta, beta_ls, setup_seconds)
-    for _ in range(n_iter):
-        tic = time.perf_counter()
-        v = x.T @ (y - x @ beta)
+
+    def step(t, beta, resid):
+        v = x.T @ resid
         u = apply_inv(v)
-        p = x @ u
         try:
-            alpha = exact_alpha(v, u, p)
+            alpha = exact_alpha(v, u, x @ u)
         except ZeroDirection:
-            rec.trace.status = "converged"
-            break
-        beta = beta + alpha * u
-        rec.record(beta, alpha=alpha, seconds=time.perf_counter() - tic)
-        if tol > 0.0 and abs(alpha) * float(np.linalg.norm(u)) <= tol:
-            rec.trace.status = "converged"
-            break
-        if rec.hit_target(stop_at_dist):
-            break
-    return rec.trace
+            return None, None, "converged"
+        done = tol > 0.0 and abs(alpha) * float(np.linalg.norm(u)) <= tol
+        return beta + alpha * u, alpha, "converged" if done else "ok"
+
+    return _iterate(x, y, as_vector(beta0), beta_ls, n_iter, step,
+                    stop_at_dist, setup_seconds)
 
 
 def aopt_ihs_solve(
@@ -398,18 +396,17 @@ def aopt_ihs_solve(
     )
 
 
-def _frozen_sketch(x, y, kind, rng, beta0, beta_ls):
+def _frozen_sketch(x, y, kind, rng, beta0):
     """Shared setup of the frozen-sketch solvers: one sketch and the Cholesky
-    factor of its Gram matrix (timed as setup), then a recorder started at
-    the initializer."""
+    factor of its Gram matrix, timed as setup, and the initializer."""
     x = as_matrix(x)
     y = as_vector(y)
     tic = time.perf_counter()
     sx, _ = draw_sketch(x, y, kind, rng)
     fac = cholesky(gram(sx))
     setup = time.perf_counter() - tic
-    beta = np.zeros(x.shape[1]) if beta0 is None else as_vector(beta0).copy()
-    return x, y, fac, beta, _Recorder(x, y, beta, beta_ls, setup)
+    beta = np.zeros(x.shape[1]) if beta0 is None else as_vector(beta0)
+    return x, y, fac, beta, setup
 
 
 def pw_gradient_solve(
@@ -429,30 +426,28 @@ def pw_gradient_solve(
     instead of crashing.  The error metric is the distance to the exact
     solution when available, the gradient norm otherwise.
     """
-    x, y, fac, beta, rec = _frozen_sketch(x, y, kind, rng, beta0, beta_ls)
+    x, y, fac, beta, setup = _frozen_sketch(x, y, kind, rng, beta0)
 
     def metric(b):
         if beta_ls is not None:
-            return rec.trace.dist_to_ls[-1]
+            return float(np.linalg.norm(b - beta_ls))
         return float(np.linalg.norm(x.T @ (y - x @ b)))
 
     best = metric(beta)
-    for _ in range(n_iter):
-        t0 = time.perf_counter()
+
+    def step(t, beta, resid):
+        nonlocal best
         with np.errstate(over="ignore", invalid="ignore"):
-            beta = beta + solve_spd(fac, x.T @ (y - x @ beta))
+            beta = beta + solve_spd(fac, x.T @ resid)
         if not np.isfinite(beta).all():
-            rec.trace.status = "diverge"
-            break
-        rec.record(beta, seconds=time.perf_counter() - t0)
+            return None, None, "diverge"
         err = metric(beta)
         if not np.isfinite(err) or err > DIVERGENCE_GROWTH * best:
-            rec.trace.status = "diverge"
-            break
+            return beta, None, "diverge"
         best = min(best, err)
-        if rec.hit_target(stop_at_dist):
-            break
-    return rec.trace
+        return beta, None, "ok"
+
+    return _iterate(x, y, beta, beta_ls, n_iter, step, stop_at_dist, setup)
 
 
 def acc_ihs_solve(
@@ -472,33 +467,32 @@ def acc_ihs_solve(
     Polak-Ribiere update, which coincides with Fletcher-Reeves on an exact
     quadratic.  Terminates in at most d steps in exact arithmetic.
     """
-    x, y, fac, beta, rec = _frozen_sketch(x, y, kind, rng, beta0, beta_ls)
-    r = x.T @ (y - x @ beta)
-    z = solve_spd(fac, r)
-    p = z.copy()
-    rz = float(r @ z)
-    for _ in range(n_iter):
-        t0 = time.perf_counter()
+    x, y, fac, beta, setup = _frozen_sketch(x, y, kind, rng, beta0)
+    r = p = rz = None
+
+    def step(t, beta, resid):
+        nonlocal r, p, rz
+        if t == 1:  # later gradients are updated recursively, not from resid
+            r = x.T @ resid
+            p = solve_spd(fac, r)
+            rz = float(r @ p)
         if np.linalg.norm(r) <= ZERO_DIRECTION_FLOOR or rz <= 0.0:
-            rec.trace.status = "converged"
-            break
+            return None, None, "converged"
         w = x.T @ (x @ p)
         pw = float(p @ w)
         if pw <= 0.0:
-            rec.trace.status = "converged"
-            break
+            return None, None, "converged"
         alpha = rz / pw
-        beta = beta + alpha * p
         r_next = r - alpha * w
         z_next = solve_spd(fac, r_next)
         rz_next = float(r_next @ z_next)
         mix = float(z_next @ (r_next - r)) / rz
+        beta_next = beta + alpha * p
         p = z_next + mix * p
-        r, z, rz = r_next, z_next, rz_next
-        rec.record(beta, alpha=alpha, seconds=time.perf_counter() - t0)
-        if rec.hit_target(stop_at_dist):
-            break
-    return rec.trace
+        r, rz = r_next, rz_next
+        return beta_next, alpha, "ok"
+
+    return _iterate(x, y, beta, beta_ls, n_iter, step, stop_at_dist, setup)
 
 
 def _sketched(solve):

@@ -279,6 +279,17 @@ class TestConfigValidation:
             small_cfg(m=513)
         assert small_cfg(m=512).m == 512
 
+    def test_negative_n_iter(self):
+        with pytest.raises(ValueError, match="n_iter"):
+            small_cfg(n_iter=-1)
+        assert small_cfg(n_iter=0).n_iter == 0  # the initializer-only curve
+
+    def test_iter_cap_below_one(self):
+        with pytest.raises(ValueError, match="iter_cap"):
+            small_cfg(iter_cap=0)
+        with pytest.raises(ValueError, match="iter_cap"):
+            small_cfg(iter_cap=-5)
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             small_cfg(methods=("newton",))

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sketchls import DataSpec, full_ls, make_dataset
 from sketchls.cli import main, read_matrix_csv, read_vector_csv
@@ -254,3 +255,12 @@ class TestBench:
             ["bench", "converge", "--config", "x.json"]
         )
         assert args.threads == 3
+
+    def test_threads_env_not_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("SKETCHLS_THREADS", "two")
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "converge", "--config", "x.json"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --threads: invalid int value: 'two'" in err
+        assert "Traceback" not in err

@@ -28,6 +28,7 @@ from sketchls import (
     cholesky,
     solve_spd,
 )
+from sketchls.solvers import METHODS
 
 IDENTITY = lambda n: SketchKind("uniform", n)  # m = n keeps every row
 
@@ -152,16 +153,46 @@ class TestIhs:
             ihs_solve(x, y, SketchKind("uniform", 1), 3, derive_rng(2))
         assert exc.value.iteration == 1
 
-    def test_trace_shape(self):
-        ds = make_dataset(DataSpec("normal", 128, 3, seed=1))
-        trace = ihs_solve(
-            ds.x, ds.y, SketchKind("srht", 32), 4, derive_rng(3), beta_ls=ds.beta_ls
-        )
-        assert len(trace.betas) == 5
-        assert len(trace.objective) == 5
-        assert len(trace.dist_to_ls) == 5
-        assert len(trace.elapsed) == 4
-        assert trace.alphas == []
+
+def _gradient_descent(x, y, m, n_iter, rng, lam, beta_ls=None, stop_at_dist=0.0):
+    """Unpreconditioned exact-line-search descent from zero."""
+    return preconditioned_descent(
+        x, y, np.zeros(x.shape[1]), lambda v: v, n_iter,
+        beta_ls=beta_ls, stop_at_dist=stop_at_dist,
+    )
+
+
+TRACED = {**METHODS, "descent": _gradient_descent}
+LINE_SEARCH = {"aopt-ihs", "acc-ihs", "descent"}
+
+
+class TestTraceContract:
+    """Every iterative solver shares one trace layout and one stop rule."""
+
+    @pytest.mark.parametrize("name", sorted(TRACED))
+    def test_trace_shape(self, name):
+        ds = make_dataset(DataSpec("normal", 256, 4, seed=1))
+
+        def run(n_iter, stop_at_dist=0.0):
+            return TRACED[name](
+                ds.x, ds.y, 128, n_iter, derive_rng(3), 0.1,
+                beta_ls=ds.beta_ls, stop_at_dist=stop_at_dist,
+            )
+
+        trace = run(4)
+        assert trace.iterations == 4
+        assert len(trace.objective) == len(trace.betas) == len(trace.dist_to_ls)
+        assert len(trace.betas) == len(trace.elapsed) + 1
+        for beta, objective in zip(trace.betas, trace.objective):
+            r = ds.x @ beta - ds.y
+            assert objective == pytest.approx(0.5 * float(r @ r), rel=1e-12)
+        assert len(trace.alphas) == (trace.iterations if name in LINE_SEARCH else 0)
+
+        # same seed, so the target is reached by iteration 2 at the latest
+        target = trace.dist_to_ls[2]
+        dist = run(50, stop_at_dist=target).dist_to_ls
+        assert dist[-1] <= target
+        assert all(d > target for d in dist[1:-1])
 
 
 class TestClosedFormTrajectory:
