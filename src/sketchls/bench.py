@@ -264,6 +264,11 @@ def run_init_comparison(
     sketch budget ``M = n_iter * m`` rows (the budget an iterative run would
     consume).  Rows follow (n, estimator, mse1, failures).
     """
+    for name, value in (("m", m), ("n_iter", n_iter), ("reps", reps)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if len(n_grid) == 0:
+        raise ValueError("n_grid must list at least one row count")
     budget = n_iter * m
     rows = []
     meta = {"budget": budget, "failures": {}}

@@ -13,9 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .errors import BadSubsampleSize, DimensionMismatch, NotEnoughRows, NotPowerOfTwo
-from .linalg import as_matrix, as_vector, orthonormal_colbasis, row_sq_norms
+from .errors import (
+    BadSubsampleSize,
+    DimensionMismatch,
+    NotEnoughRows,
+    NotPositiveDefinite,
+    NotPowerOfTwo,
+    RankDeficient,
+)
+from .linalg import as_matrix, as_vector, cholesky, gram, row_sq_norms
 
 __all__ = [
     "SketchKind",
@@ -90,29 +98,66 @@ class SubsampleMask:
         return cls(delta, int(delta.sum()))
 
 
-def _hadamard_columns(a: np.ndarray) -> np.ndarray:
-    # unnormalized Walsh-Hadamard butterfly down axis 0; a.shape[0] must be 2**p
+#: largest dense factor, and the final factor formed for sampled rows only
+_BLOCK, _LAST = 128, 16
+
+
+def _sylvester(f: int) -> np.ndarray:
+    h = scipy.linalg.hadamard(f).astype(np.float64)
+    h.flags.writeable = False
+    return h
+
+
+#: dense +-1 Sylvester-Hadamard blocks, built once per size 1, 2, ..., 128
+_HADAMARD = {1 << p: _sylvester(1 << p) for p in range(_BLOCK.bit_length())}
+
+
+def _hadamard_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of ``H_n @ a`` for the unnormalized Sylvester-Hadamard
+    matrix H_n, n = a.shape[0] a power of two.  ``a`` is overwritten.
+
+    H_n is a Kronecker product of Sylvester factors of at most 128, each
+    applied as one batched dense product on a reshaped view (BLAS-3),
+    ping-ponging between ``a`` and one scratch buffer.  When fewer than
+    n / 16 rows are wanted, the last factor, H_16, is formed for those rows
+    only: output row i combines the 16 rows sharing its high index, weighted
+    by row ``i mod 16`` of H_16.  With more rows that gather would read every
+    row anyway, and the last factor is one more dense product.
+    """
     n, k = a.shape
-    h = 1
-    while h < n:
-        a = a.reshape(n // (2 * h), 2, h, k)
-        x, y = a[:, 0], a[:, 1]
-        a = np.concatenate((x + y, x - y), axis=1).reshape(n, k)
-        h *= 2
-    return a
+    tail = _LAST if rows.size * _LAST < n else 1
+    src, buf = a, (np.empty_like(a) if n > tail else None)
+    pre = 1
+    while pre * tail < n:
+        f = min(n // (pre * tail), _BLOCK)
+        shape = (pre, f, n // (pre * f) * k)
+        np.matmul(_HADAMARD[f], src.reshape(shape), out=buf.reshape(shape))
+        src, buf = buf, src
+        pre *= f
+    if tail == 1:
+        return src[rows]
+    low = rows % tail
+    base = rows - low
+    weights = _HADAMARD[tail][low]
+    out = weights[:, :1] * src[base]
+    for j in range(1, tail):
+        out += weights[:, j : j + 1] * src[base + j]
+    return out
 
 
 def fwht(v) -> np.ndarray:
-    """Orthonormal fast Walsh-Hadamard transform, O(n log n).
+    """Orthonormal Walsh-Hadamard transform, O(n log n).
 
     The transform matrix is the 1/sqrt(n)-scaled Walsh-Hadamard matrix, so
-    ``fwht`` is an involution and an isometry.
+    ``fwht`` is an involution and an isometry.  It is the blocked kernel of
+    :func:`srht_apply` with every row kept: Kronecker factors of at most 128
+    of the Sylvester matrix, each applied as a dense +-1 matrix product.
     """
     v = as_vector(v)
     n = v.size
     if n < 1 or (n & (n - 1)) != 0:
         raise NotPowerOfTwo(f"length {n} is not a power of two")
-    return _hadamard_columns(v[:, None].copy())[:, 0] / np.sqrt(n)
+    return _hadamard_rows(v[:, None].copy(), np.arange(n))[:, 0] / np.sqrt(n)
 
 
 def _next_pow2(n: int) -> int:
@@ -125,10 +170,9 @@ def rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _srht_from_parts(xy_pad: np.ndarray, signs: np.ndarray, rows: np.ndarray, m: int):
-    # core of the SRHT given the sign diagonal and sampled row indices
-    n_pad = xy_pad.shape[0]
-    w = _hadamard_columns(signs[:, None] * xy_pad) / np.sqrt(n_pad)
-    return np.sqrt(n_pad / m) * w[rows]
+    # the SRHT by its definition, given the sign diagonal and sampled row
+    # indices: sqrt(n_pad/m) * (H / sqrt(n_pad)) = H / sqrt(m)
+    return _hadamard_rows(signs[:, None] * xy_pad, rows) / np.sqrt(m)
 
 
 def srht_apply(x, y, m: int, rng: np.random.Generator):
@@ -139,6 +183,12 @@ def srht_apply(x, y, m: int, rng: np.random.Generator):
     transform, then ``m`` distinct rows are kept uniformly at random and
     scaled by sqrt(n_pad / m).  The scale uses n_pad, not n, so the full
     sketch m = n_pad is an exact isometry on the padded space.
+
+    The transform is blocked: the Sylvester matrix H_n splits into Kronecker
+    factors of at most 128, each applied as a dense +-1 matrix product; when
+    m < n_pad / 16 the last factor, of 16, is formed for the ``m`` kept rows
+    only.  It costs O(n_pad (d + 1) (f1 + f2 + ...)) flops on BLAS-3 and
+    needs one scratch copy of the padded data beside it.
 
     Returns ``(SX, Sy)``.  Draw order is fixed (signs, then rows) so a seeded
     generator reproduces the sketch exactly.
@@ -151,20 +201,36 @@ def srht_apply(x, y, m: int, rng: np.random.Generator):
     n_pad = _next_pow2(n)
     if not 1 <= m <= n_pad:
         raise NotEnoughRows(f"sketch size {m} not in 1..{n_pad} (padded rows)")
-    xy = np.zeros((n_pad, d + 1))
-    xy[:n, :d] = x
-    xy[:n, d] = y
     signs = rademacher(rng, n_pad)
     rows = rng.choice(n_pad, size=m, replace=False)
-    s = _srht_from_parts(xy, signs, rows, m)
+    # _srht_from_parts with the sign flip folded into the padding copy, which
+    # the transform then uses as scratch
+    sxy = np.zeros((n_pad, d + 1))
+    np.multiply(x, signs[:n, None], out=sxy[:n, :d])
+    np.multiply(y, signs[:n], out=sxy[:n, d])
+    s = _hadamard_rows(sxy, rows) / np.sqrt(m)
     return np.ascontiguousarray(s[:, :d]), np.ascontiguousarray(s[:, d])
 
 
 def leverage_scores(x) -> np.ndarray:
     """Statistical leverage of each row: squared row norms of an orthonormal
-    column basis.  Scores lie in [0, 1] and sum to the column count."""
-    u = orthonormal_colbasis(x)
-    return row_sq_norms(u)
+    column basis.  Scores lie in [0, 1] and sum to the column count.
+
+    With X'X = L L' (Cholesky), X L^{-T} is such a basis, so the scores are
+    the squared column norms of L^{-1} X', one triangular solve against the
+    Gram factor; no Q is formed.  Raises :class:`RankDeficient` when X has
+    fewer rows than columns or its Gram matrix is not positive definite.
+    """
+    x = as_matrix(x)
+    n, d = x.shape
+    if n < d:
+        raise RankDeficient(f"need rows >= cols for leverage scores, got {n} x {d}")
+    try:
+        fac = cholesky(gram(x))
+    except NotPositiveDefinite:
+        raise RankDeficient("X does not have full column rank") from None
+    w = scipy.linalg.solve_triangular(fac.lower, x.T, lower=True, check_finite=False)
+    return np.einsum("ij,ij->j", w, w)
 
 
 def leverage_sample(x, y, m: int, rng: np.random.Generator):

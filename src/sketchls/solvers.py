@@ -424,21 +424,29 @@ def pw_gradient_solve(
     Convergence is not guaranteed: when the error grows by 10x over the best
     seen so far (or turns non-finite), the run stops with status ``diverge``
     instead of crashing.  The error metric is the distance to the exact
-    solution when available, the gradient norm otherwise.
+    solution when available, the gradient norm otherwise; that gradient is
+    reused as the next step's, so either way an iteration reads X twice
+    (three times with the gradient-norm metric).
     """
     x, y, fac, beta, setup = _frozen_sketch(x, y, kind, rng, beta0)
+    grad = None  # X'(y - X b) of the last iterate the gradient-norm metric saw
 
     def metric(b):
+        nonlocal grad
         if beta_ls is not None:
             return float(np.linalg.norm(b - beta_ls))
-        return float(np.linalg.norm(x.T @ (y - x @ b)))
+        grad = x.T @ (y - x @ b)
+        return float(np.linalg.norm(grad))
 
     best = metric(beta)
 
     def step(t, beta, resid):
         nonlocal best
+        # the metric's gradient is bit-identical to X' resid: same iterate,
+        # same expression
+        g = x.T @ resid if grad is None else grad
         with np.errstate(over="ignore", invalid="ignore"):
-            beta = beta + solve_spd(fac, x.T @ resid)
+            beta = beta + solve_spd(fac, g)
         if not np.isfinite(beta).all():
             return None, None, "diverge"
         err = metric(beta)

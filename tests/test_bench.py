@@ -149,6 +149,18 @@ class TestRunInitComparison:
         with pytest.raises(ValueError):
             run_init_comparison([100], 4, 32, 4, reps=2)
 
+    @pytest.mark.parametrize("field", ["m", "n_iter", "reps"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_sizes_below_one_rejected(self, field, value):
+        kw = dict(n_grid=[512], d=4, m=32, n_iter=4, reps=2)
+        kw[field] = value
+        with pytest.raises(ValueError, match=field):
+            run_init_comparison(**kw)
+
+    def test_empty_n_grid_rejected(self):
+        with pytest.raises(ValueError, match="n_grid"):
+            run_init_comparison([], 4, 32, 4, reps=2)
+
     def test_library_error_fails_one_replication(self, monkeypatch):
         args = ([512], 4, 32, 4)
         kw = dict(reps=6, dist="normal", seed=3)

@@ -234,6 +234,16 @@ class TestBench:
             "full", "srht-cs", "lev-cs", "aopt-cs",
         }
 
+    @pytest.mark.parametrize("field, value", [("n_iter", -1), ("reps", 0)])
+    def test_init_sizes_below_one_rejected(self, tmp_path, capsys, field, value):
+        cfg = self.write_cfg(tmp_path, **{"n_grid": [256], "m": 32, "n_iter": 4, field: value})
+        out = tmp_path / "out"
+        code = run_cli("bench", "init", "--config", str(cfg), "--out-dir", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not (out / "init_mse.csv").exists()
+
     def test_aopt_for_all_flag(self, tmp_path):
         cfg = self.write_cfg(tmp_path, methods=["ihs", "aopt-ihs"])
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

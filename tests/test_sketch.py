@@ -1,14 +1,20 @@
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sketchls import (
     BadSubsampleSize,
+    DataSpec,
     DimensionMismatch,
     NotEnoughRows,
     NotPowerOfTwo,
+    RankDeficient,
     SketchKind,
     SubsampleMask,
     aopt_select,
@@ -19,10 +25,32 @@ from sketchls import (
     leverage_sample,
     leverage_scores,
     mask_to_sketch,
+    make_dataset,
+    orthonormal_colbasis,
+    row_sq_norms,
     srht_apply,
     uniform_sample,
 )
-from sketchls.sketch import _srht_from_parts
+from sketchls.sketch import _hadamard_rows, _srht_from_parts, rademacher
+
+
+def dense_hadamard_rows(n, rows, a):
+    """Rows of scipy's dense Sylvester matrix H_n times ``a``, in row chunks
+    (H_8192 is 512 MB in float64; kept as int8 here)."""
+    h = scipy.linalg.hadamard(n, dtype=np.int8)
+    chunks = np.array_split(rows, max(1, rows.size // 512))
+    return np.concatenate([h[c].astype(np.float64) @ a for c in chunks])
+
+
+def peak_traced_bytes(fn):
+    """Peak bytes traced by ``tracemalloc`` while ``fn()`` runs (numpy
+    registers its data buffers with tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestFwht:
@@ -59,6 +87,63 @@ class TestFwht:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(n)
         np.testing.assert_allclose(fwht(v), h @ v, atol=1e-12)
+
+
+class TestBlockedHadamard:
+    # n = 2**0 .. 2**13 covers every factor split: n below the last factor
+    # (16), one and two dense factors, and a dense factor below 128.  Every
+    # row and a third of them take the all-dense path; n/64 rows (for n >= 32)
+    # take the path that forms the last factor for the sampled rows only.
+    @pytest.mark.parametrize("p", range(14))
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_matches_dense_sylvester(self, p, k):
+        n = 1 << p
+        rng = np.random.default_rng(100 * p + k)
+        a = rng.standard_normal((n, k))
+        every = np.arange(n)
+        third, few = (rng.permutation(n)[: max(1, n // c)] for c in (3, 64))  # unsorted
+        for rows in (every, third, few):
+            ref = dense_hadamard_rows(n, rows, a)
+            got = _hadamard_rows(a.copy(), rows)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("m", [200, 300])  # m * 16 below / above n_pad
+    def test_srht_matches_dense_definition_with_padding(self, m):
+        n, d, n_pad = 3000, 6, 4096
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((n, d))
+        y = rng.standard_normal(n)
+        stream = derive_rng(18)
+        mirror = copy.deepcopy(stream)
+        sx, sy = srht_apply(x, y, m, stream)
+        signs = rademacher(mirror, n_pad)  # draw order: signs, then rows
+        rows = mirror.choice(n_pad, size=m, replace=False)
+        xy = np.zeros((n_pad, d + 1))
+        xy[:n] = np.column_stack([x, y])
+        ref = np.sqrt(n_pad / m) * dense_hadamard_rows(
+            n_pad, rows, signs[:, None] * xy
+        ) / np.sqrt(n_pad)
+        scale = np.abs(ref).max()
+        np.testing.assert_allclose(sx, ref[:, :d], rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(sy, ref[:, d], rtol=0, atol=1e-13 * scale)
+
+
+class TestSketchMemory:
+    # peaks traced by tracemalloc; they guard the benchmark's peak_rss_mb
+    def test_srht_needs_one_scratch_copy(self):
+        n, d, m = 1 << 14, 50, 1000
+        ds = make_dataset(DataSpec("normal", n, d, seed=0))
+        srht_apply(ds.x, ds.y, m, derive_rng(1))  # warm
+        peak = peak_traced_bytes(lambda: srht_apply(ds.x, ds.y, m, derive_rng(1)))
+        # 2.24x measured: the signed padding plus one scratch buffer; one more
+        # full copy of the padded data (3.24x) fails
+        assert peak <= 2.75 * n * (d + 1) * 8
+
+    def test_leverage_needs_one_copy_of_x(self):
+        ds = make_dataset(DataSpec("normal", 1 << 14, 50, seed=0))
+        leverage_scores(ds.x)  # warm
+        peak = peak_traced_bytes(lambda: leverage_scores(ds.x))
+        assert peak <= 1.25 * ds.x.nbytes
 
 
 class TestSrht:
@@ -152,6 +237,32 @@ class TestLeverage:
             sx, _ = leverage_sample(x, y, 16, stream)
             acc += gram(sx)
         assert np.linalg.norm(acc / draws - q) / np.linalg.norm(q) <= 0.05
+
+
+class TestLeverageFromCholesky:
+    # the scores come from the Gram Cholesky factor; the Householder basis is
+    # the reference
+    def test_lognormal_design(self):
+        x = make_dataset(DataSpec("lognormal", 1 << 12, 10, seed=2)).x
+        ref = row_sq_norms(orthonormal_colbasis(x))
+        np.testing.assert_allclose(leverage_scores(x), ref, rtol=1e-10)
+
+    def test_column_scaled_design(self):
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((1 << 12, 10)) * np.logspace(0, 4, 10)
+        assert 5e3 <= np.linalg.cond(x) <= 5e4
+        ref = row_sq_norms(orthonormal_colbasis(x))
+        np.testing.assert_allclose(leverage_scores(x), ref, rtol=1e-10)
+
+    def test_duplicated_column_rank_deficient(self):
+        x = np.random.default_rng(20).standard_normal((64, 4))
+        x[:, 3] = x[:, 1]
+        with pytest.raises(RankDeficient):
+            leverage_scores(x)
+
+    def test_fewer_rows_than_columns(self):
+        with pytest.raises(RankDeficient):
+            leverage_scores(np.random.default_rng(21).standard_normal((3, 5)))
 
 
 class TestAoptSelect:

@@ -194,6 +194,22 @@ class TestTraceContract:
         assert dist[-1] <= target
         assert all(d > target for d in dist[1:-1])
 
+    @pytest.mark.parametrize("name", sorted(TRACED))
+    def test_beta_ls_only_adds_distances(self, name):
+        # without beta_ls, pw-gradient measures divergence by the gradient
+        # norm and reuses that gradient in its next step: iterates must match
+        ds = make_dataset(DataSpec("normal", 256, 4, seed=1))
+        with_ls, without = (
+            TRACED[name](ds.x, ds.y, 128, 6, derive_rng(3), 0.1, beta_ls=beta_ls)
+            for beta_ls in (ds.beta_ls, None)
+        )
+        assert without.dist_to_ls is None
+        assert with_ls.iterations == without.iterations == 6
+        for a, b in zip(with_ls.betas, without.betas):
+            np.testing.assert_array_equal(a, b)
+        assert with_ls.objective == without.objective
+        assert with_ls.status == without.status
+
 
 class TestClosedFormTrajectory:
     def test_no_sketches_returns_initializer(self):
