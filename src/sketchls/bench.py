@@ -13,10 +13,12 @@ replication fails that replication only, for the affected method or variant
 (for all of them when it is raised while the replication is prepared), and
 never aborts the run.  Failed or divergent replications are excluded from the
 means and surfaced in a ``failures`` column (a ``diverge`` status in the time
-table).  An invalid :class:`ExperimentConfig`, such as ``m > n``, raises
-``ValueError`` when it is built.  Wall-clock columns include sketch
-construction and preconditioner build but exclude dataset generation; they
-are the only non-deterministic outputs.
+table).  An invalid :class:`ExperimentConfig`, such as ``m > n`` or
+``tol <= 0``, raises ``ValueError`` when it is built, as does an empty,
+repeated or unknown method, variant or proportion list before the first
+replication.  Wall-clock columns include sketch construction and
+preconditioner build but exclude dataset generation; they are the only
+non-deterministic outputs.
 """
 
 from __future__ import annotations
@@ -87,12 +89,25 @@ class ExperimentConfig:
             raise ValueError(f"iter_cap must be >= 1, got {self.iter_cap}")
         if not 1 <= self.m <= self.data.n:
             raise ValueError(f"m must lie in [1, n = {self.data.n}], got {self.m}")
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
+        if not self.tol > 0.0:
+            raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.init_policy not in ("default", "aopt-for-all"):
             raise ValueError(f"unknown init policy {self.init_policy!r}")
-        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "methods", _distinct("methods", self.methods, METHODS))
+
+
+def _distinct(name: str, keys, allowed=None) -> tuple:
+    """``keys`` as a non-empty tuple without repeats, each one of ``allowed``
+    when that is given.  A string is not a list of keys."""
+    if isinstance(keys, str):
+        raise ValueError(f"{name} must be a list, got {keys!r}")
+    keys = tuple(keys)
+    if not keys or len(set(keys)) < len(keys):
+        raise ValueError(f"{name} must list distinct entries, got {list(keys)}")
+    unknown = set(keys) - set(keys if allowed is None else allowed)
+    if unknown:
+        raise ValueError(f"unknown {name}: {sorted(unknown)}")
+    return keys
 
 
 def trimmed_mean(values, frac: float) -> float:
@@ -122,9 +137,9 @@ def _or_failure(fn, arg):
         return None
 
 
-def _replicate(start, keys, reps: int, threads: int):
-    """Run every replication; each yields a dict ``key -> value`` in which
-    None marks a failure.
+def _replicate(start, keys, reps: int, threads: int) -> dict:
+    """Run every replication and return, for each key, its successful values
+    in replication order; ``reps`` minus their count is the key's failures.
 
     ``start(rep)`` prepares replication ``rep`` and returns ``measure(key)``,
     which computes one entry.  A library error in ``measure`` fails that
@@ -136,19 +151,19 @@ def _replicate(start, keys, reps: int, threads: int):
         return {key: None if measure is None else _or_failure(measure, key)
                 for key in keys}
 
-    return _map_reps(one_rep, reps, threads)
+    per_rep = _map_reps(one_rep, reps, threads)
+    return {key: [r[key] for r in per_rep if r[key] is not None] for key in keys}
 
 
-def _curve_rows(label: str, keys, per_rep, cfg: ExperimentConfig):
+def _curve_rows(label: str, per_key: dict, cfg: ExperimentConfig):
     """Per-iteration trimmed means of the squared-error curves of each key.
 
-    Each replication entry is ``((mse1, mse2), descent_violations)`` or None.
-    Rows follow (label, iter, mse1, mse2, failures).
+    Each value is ``((mse1, mse2), descent_violations)``.  Rows follow
+    (label, iter, mse1, mse2, failures).
     """
     rows = []
     meta = {"descent_violations": 0, "failures": {}}
-    for key in keys:
-        oks = [r[key] for r in per_rep if r[key] is not None]
+    for key, oks in per_key.items():
         failures = cfg.reps - len(oks)
         meta["failures"][key] = failures
         meta["descent_violations"] += sum(v for _, v in oks)
@@ -169,14 +184,13 @@ def _curve_rows(label: str, keys, per_rep, cfg: ExperimentConfig):
     return rows, meta
 
 
-def _mean_rows(label: str, keys, per_rep, cfg: ExperimentConfig):
+def _mean_rows(label: str, per_key: dict, cfg: ExperimentConfig):
     """Mean of each key's delta over the replications where it succeeded.
 
     Rows follow (dist, d, label, delta_mean, failures).
     """
     rows = []
-    for key in keys:
-        vals = [r[key] for r in per_rep if r[key] is not None]
+    for key, vals in per_key.items():
         rows.append(
             {
                 "dist": cfg.data.dist,
@@ -189,12 +203,26 @@ def _mean_rows(label: str, keys, per_rep, cfg: ExperimentConfig):
     return rows
 
 
-def _rep_dataset(cfg: ExperimentConfig, rep: int) -> Dataset:
-    return make_dataset(replace(cfg.data, seed=cfg.data.seed ^ rep))
+def _rep_dataset(spec: DataSpec, rep: int) -> Dataset:
+    return make_dataset(replace(spec, seed=spec.seed ^ rep))
 
 
 def _rep_rng(cfg: ExperimentConfig, rep: int, stream: str):
     return derive_rng(cfg.data.seed, rep, _STREAMS[stream])
+
+
+class _Diverged(SketchlsError):
+    """A divergent solve, which fails its replication."""
+
+
+def _rep_solve(cfg: ExperimentConfig, rep: int, ds: Dataset, lam: float, method: str,
+               n_iter: int, **kwargs) -> SolveTrace:
+    """One configured method on one replication, on the method's own stream."""
+    trace = SOLVERS[method](ds.x, ds.y, cfg.m, n_iter, _rep_rng(cfg, rep, method), lam,
+                            beta_ls=ds.beta_ls, **kwargs)
+    if trace.status == "diverge":
+        raise _Diverged(method)
+    return trace
 
 
 def _descent_violations(objective) -> int:
@@ -226,26 +254,20 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1):
     """
 
     def start(rep):
-        ds = _rep_dataset(cfg, rep)
+        ds = _rep_dataset(cfg.data, rep)
         lam = cfg.lambda_rule.resolve(ds.x)
         beta0 = None
         if cfg.init_policy == "aopt-for-all":
             beta0 = aopt_cs_estimate(ds.x, ds.y, cfg.m)[0]
 
         def measure(method):
-            trace = SOLVERS[method](
-                ds.x, ds.y, cfg.m, cfg.n_iter, _rep_rng(cfg, rep, method), lam,
-                beta0=beta0, beta_ls=ds.beta_ls,
-            )
-            if trace.status == "diverge":
-                return None
+            trace = _rep_solve(cfg, rep, ds, lam, method, cfg.n_iter, beta0=beta0)
             viol = _descent_violations(trace.objective) if method == "aopt-ihs" else 0
             return _sq_error_curves(trace, ds.beta_star, cfg.n_iter), viol
 
         return measure
 
-    per_rep = _replicate(start, cfg.methods, cfg.reps, threads)
-    return _curve_rows("method", cfg.methods, per_rep, cfg)
+    return _curve_rows("method", _replicate(start, cfg.methods, cfg.reps, threads), cfg)
 
 
 def run_init_comparison(
@@ -278,7 +300,7 @@ def run_init_comparison(
         spec = DataSpec(dist, int(n), d, seed, sigma_noise)
 
         def start(rep):
-            ds = make_dataset(replace(spec, seed=spec.seed ^ rep))
+            ds = _rep_dataset(spec, rep)
 
             def measure(est):
                 if est == "full":
@@ -295,9 +317,7 @@ def run_init_comparison(
 
             return measure
 
-        per_rep = _replicate(start, INITIALIZERS, reps, threads)
-        for est in INITIALIZERS:
-            vals = [r[est] for r in per_rep if r[est] is not None]
+        for est, vals in _replicate(start, INITIALIZERS, reps, threads).items():
             failures = reps - len(vals)
             meta["failures"][(int(n), est)] = failures
             if vals:
@@ -320,9 +340,10 @@ def run_delta_table(cfg: ExperimentConfig, variants=DELTA_VARIANTS, threads: int
     ``identity`` (scaled identity control, exactly 0 up to roundoff).  Rows
     follow (dist, d, variant, delta_mean, failures).
     """
+    variants = _distinct("variants", variants, DELTA_VARIANTS + ("identity",))
 
     def start(rep):
-        ds = _rep_dataset(cfg, rep)
+        ds = _rep_dataset(cfg.data, rep)
         q = gram(ds.x)
         mask = aopt_cs_estimate(ds.x, ds.y, cfg.m)[1]
         lam = cfg.lambda_rule.resolve(ds.x)
@@ -335,14 +356,11 @@ def run_delta_table(cfg: ExperimentConfig, variants=DELTA_VARIANTS, threads: int
             if variant == "srht":
                 sx, _ = srht_apply(ds.x, ds.y, cfg.m, _rep_rng(cfg, rep, "delta-srht"))
                 return delta_from_matrix(gram(sx), q)
-            if variant == "identity":
-                return delta_from_matrix(lam * np.eye(ds.x.shape[1]), q)
-            raise ValueError(f"unknown delta variant {variant!r}")
+            return delta_from_matrix(lam * np.eye(ds.x.shape[1]), q)
 
         return measure
 
-    per_rep = _replicate(start, variants, cfg.reps, threads)
-    rows = _mean_rows("variant", variants, per_rep, cfg)
+    rows = _mean_rows("variant", _replicate(start, variants, cfg.reps, threads), cfg)
     return rows, {"lambda_profile": cfg.lambda_rule.profile}
 
 
@@ -359,38 +377,28 @@ def run_time_to_precision(cfg: ExperimentConfig, threads: int = 1):
     """
 
     def start(rep):
-        ds = _rep_dataset(cfg, rep)
+        ds = _rep_dataset(cfg.data, rep)
         lam = cfg.lambda_rule.resolve(ds.x)
 
         def measure(method):
-            trace = SOLVERS[method](
-                ds.x, ds.y, cfg.m, cfg.iter_cap, _rep_rng(cfg, rep, method), lam,
-                beta_ls=ds.beta_ls, stop_at_dist=cfg.tol,
-            )
-            if trace.status == "diverge":
-                return None
-            if trace.dist_to_ls[-1] <= cfg.tol:
-                secs = trace.setup_seconds + float(np.sum(trace.elapsed))
-                return ("ok", trace.iterations, secs)
-            return ("cap", None, None)
+            trace = _rep_solve(cfg, rep, ds, lam, method, cfg.iter_cap, stop_at_dist=cfg.tol)
+            secs = trace.setup_seconds + float(np.sum(trace.elapsed))
+            return trace.dist_to_ls[-1] <= cfg.tol, trace.iterations, secs
 
         return measure
 
-    per_rep = _replicate(start, cfg.methods, cfg.reps, threads)
     rows = []
-    for method in cfg.methods:
-        results = [r[method] or ("diverge", None, None) for r in per_rep]
-        iters = [r[1] for r in results if r[0] == "ok"]
-        secs = [r[2] for r in results if r[0] == "ok"]
-        statuses = {r[0] for r in results}
-        status = "diverge" if "diverge" in statuses else ("cap" if "cap" in statuses else "ok")
+    for method, results in _replicate(start, cfg.methods, cfg.reps, threads).items():
+        reached = [r for r in results if r[0]]
+        failed, capped = len(results) < cfg.reps, len(reached) < len(results)
+        status = "diverge" if failed else "cap" if capped else "ok"
         rows.append(
             {
                 "method": method,
                 "dist": cfg.data.dist,
                 "d": cfg.data.d,
-                "mean_seconds": float(np.mean(secs)) if secs else None,
-                "mean_iters": float(np.mean(iters)) if iters else None,
+                "mean_seconds": float(np.mean([r[2] for r in reached])) if reached else None,
+                "mean_iters": float(np.mean([r[1] for r in reached])) if reached else None,
                 "status": status,
             }
         )
@@ -406,7 +414,7 @@ def run_ridge_ablation(cfg: ExperimentConfig, threads: int = 1):
     """
 
     def start(rep):
-        ds = _rep_dataset(cfg, rep)
+        ds = _rep_dataset(cfg.data, rep)
         lam = cfg.lambda_rule.resolve(ds.x)
         beta0, mask = aopt_cs_estimate(ds.x, ds.y, cfg.m)
 
@@ -425,8 +433,7 @@ def run_ridge_ablation(cfg: ExperimentConfig, threads: int = 1):
 
         return measure
 
-    per_rep = _replicate(start, RIDGE_VARIANTS, cfg.reps, threads)
-    return _curve_rows("variant", RIDGE_VARIANTS, per_rep, cfg)
+    return _curve_rows("variant", _replicate(start, RIDGE_VARIANTS, cfg.reps, threads), cfg)
 
 
 def lambda_sweep(cfg: ExperimentConfig, proportions, threads: int = 1):
@@ -434,16 +441,15 @@ def lambda_sweep(cfg: ExperimentConfig, proportions, threads: int = 1):
     as the ridge weight sweeps over proportions of the total squared row
     norm.  Rows follow (dist, d, proportion, delta_mean, failures).
     """
-    proportions = [float(p) for p in proportions]
+    proportions = [float(p) for p in _distinct("proportions", proportions)]
     if any(p <= 0 for p in proportions):
         raise ValueError("proportions must be positive")
 
     def start(rep):
-        ds = _rep_dataset(cfg, rep)
+        ds = _rep_dataset(cfg.data, rep)
         q = gram(ds.x)
         mask = aopt_cs_estimate(ds.x, ds.y, cfg.m)[1]
         total = float(row_sq_norms(ds.x).sum())
         return lambda prop: delta_measure(build_m(ds.x, mask, prop * total), q)
 
-    per_rep = _replicate(start, proportions, cfg.reps, threads)
-    return _mean_rows("proportion", proportions, per_rep, cfg), {}
+    return _mean_rows("proportion", _replicate(start, proportions, cfg.reps, threads), cfg), {}

@@ -23,6 +23,7 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .errors import ConfigError, ParseError, SketchlsError
 from .precond import LambdaRule
 from .sketch import derive_rng
 from .solvers import METHODS as SOLVERS
-from .solvers import full_ls
+from .solvers import SolveTrace, full_ls
 
 PRNG_ALGORITHM = "numpy-pcg64"
 SOLVE_METHODS = ("full", *SOLVERS)
@@ -264,15 +265,11 @@ def cmd_solve(args) -> int:
         raise ConfigError("m", f"--m is required for method {method!r}")
 
     if method == "full":
-        trace_rows = [
-            {
-                "iter": 0,
-                "alpha": None,
-                "objective": 0.5 * float(((x @ beta_ls - y) ** 2).sum()),
-                "dist_to_ls": 0.0,
-            }
-        ]
-        beta = beta_ls
+        trace = SolveTrace(
+            betas=[beta_ls],
+            objective=[0.5 * float(((x @ beta_ls - y) ** 2).sum())],
+            dist_to_ls=[0.0],
+        )
     else:
         lam = (
             float(args.lam)
@@ -283,29 +280,22 @@ def cmd_solve(args) -> int:
             x, y, args.m, args.n_iter, derive_rng(args.seed), lam,
             beta_ls=beta_ls, tol=args.tol,
         )
-        alphas = [None] + [float(a) for a in trace.alphas]
-        if len(alphas) < len(trace.betas):
-            alphas += [None] * (len(trace.betas) - len(alphas))
-        trace_rows = [
-            {
-                "iter": it,
-                "alpha": alphas[it],
-                "objective": trace.objective[it],
-                "dist_to_ls": trace.dist_to_ls[it],
-            }
-            for it in range(len(trace.betas))
-        ]
-        beta = trace.final
 
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
+    # alphas[t - 1] is the step to iterate t; unit-step methods record none
+    trace_rows = [
+        {"iter": it, "alpha": alpha, "objective": trace.objective[it],
+         "dist_to_ls": trace.dist_to_ls[it]}
+        for it, alpha in zip_longest(range(len(trace.betas)), [None, *trace.alphas])
+    ]
     write_csv_atomic(
         os.path.join(out, "trace.csv"),
         ["iter", "alpha", "objective", "dist_to_ls"],
         trace_rows,
     )
     write_csv_atomic(
-        os.path.join(out, "beta.csv"), ["beta"], [{"beta": float(v)} for v in beta]
+        os.path.join(out, "beta.csv"), ["beta"], [{"beta": float(v)} for v in trace.final]
     )
     config = {
         "x": args.x,
@@ -400,14 +390,6 @@ def parse_experiment_config(raw: dict, experiment: str, seed_override=None):
     )
 
 
-def _config_for_manifest(cfg) -> dict:
-    if isinstance(cfg, dict):
-        return cfg
-    out = asdict(cfg)
-    out["data"] = asdict(cfg.data)
-    return out
-
-
 def cmd_bench(args) -> int:
     started = time.time()
     raw = load_config(args.config)
@@ -429,7 +411,7 @@ def cmd_bench(args) -> int:
             rows, meta = run_convergence(cfg, threads=threads)
             name, header = "converge_mse.csv", ["method", "iter", "mse1", "mse2", "failures"]
         elif exp == "delta":
-            variants = tuple(raw.get("variants", DELTA_VARIANTS))
+            variants = raw.get("variants", DELTA_VARIANTS)
             rows, meta = run_delta_table(cfg, variants=variants, threads=threads)
             name, header = "delta.csv", ["dist", "d", "variant", "delta_mean", "failures"]
         elif exp == "time":
@@ -447,7 +429,7 @@ def cmd_bench(args) -> int:
     write_manifest(
         os.path.join(out, f"bench_{exp.replace('-', '_')}_manifest.json"),
         f"bench {exp}",
-        _config_for_manifest(cfg),
+        cfg if isinstance(cfg, dict) else asdict(cfg),
         started,
         extra={
             "threads": threads,

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .linalg import as_matrix, as_vector
+from .linalg import _check_coef, _check_xy, as_matrix
+from .linalg import as_vector  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .sketch import derive_rng
 
 __all__ = [
@@ -106,24 +106,17 @@ def gen_covariates(spec: DataSpec) -> np.ndarray:
 
 def gen_response(x, beta_star, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Linear response ``X @ beta_star`` plus sigma-scaled Gaussian noise."""
-    x = as_matrix(x)
-    beta_star = as_vector(beta_star)
-    if beta_star.size != x.shape[1]:
-        raise DimensionMismatch(
-            f"beta_star has length {beta_star.size}, X has {x.shape[1]} columns"
-        )
+    x = as_matrix(x, "X")
+    beta_star = _check_coef(x, beta_star, "beta_star")
     return x @ beta_star + sigma * rng.standard_normal(x.shape[0])
 
 
 def center(x, y):
     """Subtract column means from X and the mean from y (removes the
     intercept).  Idempotent."""
-    x = as_matrix(x)
-    y = as_vector(y)
+    x, y = _check_xy(x, y)
     if x.shape[0] < 2:
         raise ValueError("centering needs at least two rows")
-    if y.size != x.shape[0]:
-        raise DimensionMismatch(f"y has length {y.size}, X has {x.shape[0]} rows")
     return x - x.mean(axis=0), y - y.mean()
 
 

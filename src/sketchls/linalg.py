@@ -54,12 +54,32 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return a
 
 
-def _require_symmetric(a: np.ndarray, name: str, rtol: float = 1e-12) -> None:
+def _check_xy(x, y):
+    """The problem ``(X, y)``: X a finite float64 2-D array and y a finite
+    float64 1-D array with one entry per row of X."""
+    x = as_matrix(x, "X")
+    y = as_vector(y, "y")
+    if y.size != x.shape[0]:
+        raise DimensionMismatch(f"y has length {y.size}, X has {x.shape[0]} rows")
+    return x, y
+
+
+def _check_coef(x: np.ndarray, v, name: str) -> np.ndarray:
+    """A coefficient vector ``name`` for a checked X (a start vector, a
+    reference solution, a ground truth): finite float64 1-D of length
+    X.shape[1]."""
+    v = as_vector(v, name)
+    if v.size != x.shape[1]:
+        raise DimensionMismatch(f"{name} has length {v.size}, X has {x.shape[1]} columns")
+    return v
+
+
+def _require_symmetric(a: np.ndarray) -> None:
     if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
+        raise DimensionMismatch(f"matrix must be square, got shape {a.shape}")
     scale = np.abs(a).max() if a.size else 0.0
-    if scale and np.abs(a - a.T).max() > rtol * scale:
-        raise ValueError(f"{name} is not symmetric to relative tolerance {rtol:g}")
+    if scale and np.abs(a - a.T).max() > 1e-12 * scale:
+        raise ValueError("matrix is not symmetric to relative tolerance 1e-12")
 
 
 @dataclass(frozen=True)
@@ -88,7 +108,7 @@ def cholesky(a) -> CholeskyFactor:
     which signals a rank-deficient Gram matrix or preconditioner.
     """
     a = as_matrix(a)
-    _require_symmetric(a, "matrix")
+    _require_symmetric(a)
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -118,7 +138,7 @@ def solve_spd(fac: CholeskyFactor, b):
 def sym_eigvals(a) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, sorted ascending."""
     a = as_matrix(a)
-    _require_symmetric(a, "matrix")
+    _require_symmetric(a)
     return np.linalg.eigvalsh(a)
 
 

@@ -30,7 +30,7 @@ from .linalg import (
     solve_spd,
     sym_eigvals,
 )
-from .sketch import SubsampleMask
+from .sketch import SubsampleMask, _check_mask
 
 __all__ = [
     "LambdaRule",
@@ -100,7 +100,7 @@ def build_m(x, mask: SubsampleMask, lam: float) -> Preconditioner:
     Raises :class:`NotPositiveDefinite` when ``lam == 0`` and the selected
     rows are rank deficient.
     """
-    x = as_matrix(x)
+    x = _check_mask(x, mask)
     if lam < 0:
         raise ValueError(f"ridge weight must be >= 0, got {lam}")
     n, d = x.shape
@@ -145,7 +145,7 @@ def delta_measure(pre: Preconditioner, q) -> float:
 def _bound_pieces(x, mask: SubsampleMask, c_lower: float):
     if c_lower <= 0:
         raise ValueError(f"c_lower must be > 0, got {c_lower}")
-    x = as_matrix(x)
+    x = _check_mask(x, mask)
     ev = sym_eigvals(gram(x))
     if ev[-1] <= 0.0 or ev[0] <= SINGULAR_RTOL * ev[-1]:
         raise SingularMatrix("Gram matrix is numerically singular")

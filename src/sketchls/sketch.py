@@ -23,7 +23,7 @@ from .errors import (
     NotPowerOfTwo,
     RankDeficient,
 )
-from .linalg import as_matrix, as_vector, cholesky, gram, row_sq_norms
+from .linalg import _check_xy, as_matrix, as_vector, cholesky, gram, row_sq_norms
 
 __all__ = [
     "SketchKind",
@@ -98,6 +98,14 @@ class SubsampleMask:
         return cls(delta, int(delta.sum()))
 
 
+def _check_mask(x, mask: SubsampleMask) -> np.ndarray:
+    """X as a finite float64 2-D array, with one mask entry per row."""
+    x = as_matrix(x, "X")
+    if mask.n != x.shape[0]:
+        raise DimensionMismatch(f"mask length {mask.n} != row count {x.shape[0]}")
+    return x
+
+
 #: largest dense factor, and the final factor formed for sampled rows only
 _BLOCK, _LAST = 128, 16
 
@@ -169,10 +177,17 @@ def rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
 
 
-def _srht_from_parts(xy_pad: np.ndarray, signs: np.ndarray, rows: np.ndarray, m: int):
-    # the SRHT by its definition, given the sign diagonal and sampled row
-    # indices: sqrt(n_pad/m) * (H / sqrt(n_pad)) = H / sqrt(m)
-    return _hadamard_rows(signs[:, None] * xy_pad, rows) / np.sqrt(m)
+def _srht_from_parts(x, y, signs: np.ndarray, rows: np.ndarray, m: int):
+    """The SRHT of ``(X, y)`` given the sign diagonal (one sign per padded
+    row) and the kept row indices: sqrt(n_pad/m) * (H / sqrt(n_pad)) =
+    H / sqrt(m).  The signs are folded into the zero-padding copy, which the
+    transform then uses as scratch."""
+    n, d = x.shape
+    sxy = np.zeros((signs.size, d + 1))
+    np.multiply(x, signs[:n, None], out=sxy[:n, :d])
+    np.multiply(y, signs[:n], out=sxy[:n, d])
+    s = _hadamard_rows(sxy, rows) / np.sqrt(m)
+    return np.ascontiguousarray(s[:, :d]), np.ascontiguousarray(s[:, d])
 
 
 def srht_apply(x, y, m: int, rng: np.random.Generator):
@@ -193,23 +208,13 @@ def srht_apply(x, y, m: int, rng: np.random.Generator):
     Returns ``(SX, Sy)``.  Draw order is fixed (signs, then rows) so a seeded
     generator reproduces the sketch exactly.
     """
-    x = as_matrix(x)
-    y = as_vector(y)
-    n, d = x.shape
-    if y.size != n:
-        raise DimensionMismatch(f"y has length {y.size}, X has {n} rows")
-    n_pad = _next_pow2(n)
+    x, y = _check_xy(x, y)
+    n_pad = _next_pow2(x.shape[0])
     if not 1 <= m <= n_pad:
         raise NotEnoughRows(f"sketch size {m} not in 1..{n_pad} (padded rows)")
     signs = rademacher(rng, n_pad)
     rows = rng.choice(n_pad, size=m, replace=False)
-    # _srht_from_parts with the sign flip folded into the padding copy, which
-    # the transform then uses as scratch
-    sxy = np.zeros((n_pad, d + 1))
-    np.multiply(x, signs[:n, None], out=sxy[:n, :d])
-    np.multiply(y, signs[:n], out=sxy[:n, d])
-    s = _hadamard_rows(sxy, rows) / np.sqrt(m)
-    return np.ascontiguousarray(s[:, :d]), np.ascontiguousarray(s[:, d])
+    return _srht_from_parts(x, y, signs, rows, m)
 
 
 def leverage_scores(x) -> np.ndarray:
@@ -239,10 +244,7 @@ def leverage_sample(x, y, m: int, rng: np.random.Generator):
     Row i is drawn with probability p_i proportional to its leverage score
     and rescaled by 1/sqrt(m p_i), making S.T @ S unbiased for the identity.
     """
-    x = as_matrix(x)
-    y = as_vector(y)
-    if y.size != x.shape[0]:
-        raise DimensionMismatch(f"y has length {y.size}, X has {x.shape[0]} rows")
+    x, y = _check_xy(x, y)
     if m < 1:
         raise BadSubsampleSize(f"sketch size must be >= 1, got {m}")
     scores = leverage_scores(x)
@@ -254,11 +256,8 @@ def leverage_sample(x, y, m: int, rng: np.random.Generator):
 
 def uniform_sample(x, y, m: int, rng: np.random.Generator):
     """Uniform row sampling without replacement, scaled by sqrt(n/m)."""
-    x = as_matrix(x)
-    y = as_vector(y)
+    x, y = _check_xy(x, y)
     n = x.shape[0]
-    if y.size != n:
-        raise DimensionMismatch(f"y has length {y.size}, X has {n} rows")
     if not 1 <= m <= n:
         raise NotEnoughRows(f"sketch size {m} not in 1..{n}")
     idx = rng.choice(n, size=m, replace=False)
@@ -297,9 +296,7 @@ def mask_to_sketch(x, mask: SubsampleMask) -> np.ndarray:
     The selected rows are scaled by 1/sqrt(m) so the sketched Gram matrix is
     the masked row-outer-product sum divided by m.
     """
-    x = as_matrix(x)
-    if mask.n != x.shape[0]:
-        raise DimensionMismatch(f"mask length {mask.n} != row count {x.shape[0]}")
+    x = _check_mask(x, mask)
     return x[mask.indices] / np.sqrt(mask.m)
 
 
@@ -318,8 +315,7 @@ def draw_sketch(x, y, kind: SketchKind, rng: np.random.Generator | None):
         return leverage_sample(x, y, kind.m, rng)
     if kind.variant == "uniform":
         return uniform_sample(x, y, kind.m, rng)
-    x = as_matrix(x)
-    y = as_vector(y)
+    x, y = _check_xy(x, y)
     mask = aopt_select(x, kind.m)
     scale = np.sqrt(x.shape[0] / mask.m)
     return scale * x[mask.indices], scale * y[mask.indices]

@@ -42,7 +42,8 @@ from .errors import (
     RankDeficient,
     ZeroDirection,
 )
-from .linalg import as_matrix, as_vector, cholesky, gram, solve_spd, sym_eigvals
+from .linalg import (_check_coef, _check_xy, as_matrix, as_vector, cholesky, gram,
+                     solve_spd, sym_eigvals)
 from .precond import build_m
 from .sketch import SketchKind, aopt_select, draw_sketch
 
@@ -118,6 +119,13 @@ class IsometryReport:
     satisfies: bool
 
 
+def _check_betas(x, beta0, beta_ls):
+    """The start vector ``beta0`` (zero when None) and the reference
+    ``beta_ls`` (None allowed), checked as coefficient vectors of X."""
+    beta0 = np.zeros(x.shape[1]) if beta0 is None else _check_coef(x, beta0, "beta0")
+    return beta0, None if beta_ls is None else _check_coef(x, beta_ls, "beta_ls")
+
+
 def _iterate(x, y, beta0, beta_ls, n_iter, step, stop_at_dist, setup_seconds):
     """The one iteration loop of the iterative solvers.  It records each
     iterate, its residual ``r = y - X beta`` (computed only here), its
@@ -160,8 +168,7 @@ def _iterate(x, y, beta0, beta_ls, n_iter, step, stop_at_dist, setup_seconds):
 
 def full_ls(x, y) -> np.ndarray:
     """Exact least-squares solution via Cholesky of the Gram matrix."""
-    x = as_matrix(x)
-    y = as_vector(y)
+    x, y = _check_xy(x, y)
     return solve_spd(cholesky(gram(x)), x.T @ y)
 
 
@@ -183,8 +190,7 @@ def aopt_cs_estimate(x, y, m: int):
     preconditioner from the same rows.  The 1/m sketch scaling cancels in the
     normal equations, so the fit runs on the raw selected rows.
     """
-    x = as_matrix(x)
-    y = as_vector(y)
+    x, y = _check_xy(x, y)
     mask = aopt_select(x, m)
     idx = mask.indices
     return full_ls(x[idx], y[idx]), mask
@@ -209,9 +215,8 @@ def ihs_solve(
     the sketched matrices are attached to the trace (``trace.sketches``) for
     the closed-form oracle.
     """
-    x = as_matrix(x)
-    y = as_vector(y)
-    beta = np.zeros(x.shape[1]) if beta0 is None else as_vector(beta0)
+    x, y = _check_xy(x, y)
+    beta0, beta_ls = _check_betas(x, beta0, beta_ls)
     sketches = [] if record_sketches else None
 
     def step(t, beta, resid):
@@ -228,7 +233,7 @@ def ihs_solve(
             sketches.append(sx)
         return beta + solve_spd(fac, x.T @ resid), None, "ok"
 
-    trace = _iterate(x, y, beta, beta_ls, n_iter, step, stop_at_dist, 0.0)
+    trace = _iterate(x, y, beta0, beta_ls, n_iter, step, stop_at_dist, 0.0)
     trace.sketches = sketches
     return trace
 
@@ -244,9 +249,8 @@ def closed_form_trajectory(x, y, beta0, sketches) -> np.ndarray:
 
     This is an audit oracle for :func:`ihs_solve`, not a production path.
     """
-    x = as_matrix(x)
-    y = as_vector(y)
-    beta0 = as_vector(beta0)
+    x, y = _check_xy(x, y)
+    beta0 = _check_coef(x, beta0, "beta0")
     q = gram(x)
     beta_ls = full_ls(x, y)
     d = x.shape[1]
@@ -341,8 +345,8 @@ def preconditioned_descent(
     a fixed point).  When ``tol`` > 0 the run also stops once the iterate
     moves by at most ``tol`` in Euclidean norm.
     """
-    x = as_matrix(x)
-    y = as_vector(y)
+    x, y = _check_xy(x, y)
+    beta0, beta_ls = _check_betas(x, beta0, beta_ls)
 
     def step(t, beta, resid):
         v = x.T @ resid
@@ -354,8 +358,7 @@ def preconditioned_descent(
         done = tol > 0.0 and abs(alpha) * float(np.linalg.norm(u)) <= tol
         return beta + alpha * u, alpha, "converged" if done else "ok"
 
-    return _iterate(x, y, as_vector(beta0), beta_ls, n_iter, step,
-                    stop_at_dist, setup_seconds)
+    return _iterate(x, y, beta0, beta_ls, n_iter, step, stop_at_dist, setup_seconds)
 
 
 def aopt_ihs_solve(
@@ -377,8 +380,8 @@ def aopt_ihs_solve(
     length, so the objective never increases.  ``tol`` enables early stopping
     on the iterate displacement (0 disables it).
     """
-    x = as_matrix(x)
-    y = as_vector(y)
+    x, y = _check_xy(x, y)
+    _, beta_ls = _check_betas(x, None, beta_ls)
     tic = time.perf_counter()
     beta0, mask = aopt_cs_estimate(x, y, m)
     pre = build_m(x, mask, lam)
@@ -396,17 +399,16 @@ def aopt_ihs_solve(
     )
 
 
-def _frozen_sketch(x, y, kind, rng, beta0):
-    """Shared setup of the frozen-sketch solvers: one sketch and the Cholesky
-    factor of its Gram matrix, timed as setup, and the initializer."""
-    x = as_matrix(x)
-    y = as_vector(y)
+def _frozen_sketch(x, y, kind, rng, beta0, beta_ls):
+    """Shared setup of the frozen-sketch solvers: the checked inputs, then one
+    sketch and the Cholesky factor of its Gram matrix, timed as setup."""
+    x, y = _check_xy(x, y)
+    beta0, beta_ls = _check_betas(x, beta0, beta_ls)
     tic = time.perf_counter()
     sx, _ = draw_sketch(x, y, kind, rng)
     fac = cholesky(gram(sx))
     setup = time.perf_counter() - tic
-    beta = np.zeros(x.shape[1]) if beta0 is None else as_vector(beta0)
-    return x, y, fac, beta, setup
+    return x, y, beta0, beta_ls, fac, setup
 
 
 def pw_gradient_solve(
@@ -428,7 +430,7 @@ def pw_gradient_solve(
     reused as the next step's, so either way an iteration reads X twice
     (three times with the gradient-norm metric).
     """
-    x, y, fac, beta, setup = _frozen_sketch(x, y, kind, rng, beta0)
+    x, y, beta, beta_ls, fac, setup = _frozen_sketch(x, y, kind, rng, beta0, beta_ls)
     grad = None  # X'(y - X b) of the last iterate the gradient-norm metric saw
 
     def metric(b):
@@ -475,7 +477,7 @@ def acc_ihs_solve(
     Polak-Ribiere update, which coincides with Fletcher-Reeves on an exact
     quadratic.  Terminates in at most d steps in exact arithmetic.
     """
-    x, y, fac, beta, setup = _frozen_sketch(x, y, kind, rng, beta0)
+    x, y, beta, beta_ls, fac, setup = _frozen_sketch(x, y, kind, rng, beta0, beta_ls)
     r = p = rz = None
 
     def step(t, beta, resid):

@@ -309,3 +309,41 @@ class TestConfigValidation:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             small_cfg(init_policy="warm")
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_tol_must_be_positive(self, tol):
+        # a non-positive tol used to run every method to iter_cap
+        with pytest.raises(ValueError, match="tol"):
+            small_cfg(tol=tol)
+
+    @pytest.mark.parametrize("methods", [(), ("ihs", "ihs")])
+    def test_methods_empty_or_repeated(self, methods):
+        with pytest.raises(ValueError, match="methods"):
+            small_cfg(methods=methods)
+
+
+def _no_replication(*args, **kwargs):
+    raise AssertionError("a replication started before the keys were checked")
+
+
+class TestKeysCheckedUpFront:
+    @pytest.mark.parametrize(
+        "variants", [(), ("zero", "zero"), ("zero", "gaussian"), "zero"]
+    )
+    def test_bad_delta_variants(self, variants, monkeypatch):
+        monkeypatch.setattr(sketchls.bench, "make_dataset", _no_replication)
+        with pytest.raises(ValueError, match="variants"):
+            run_delta_table(small_cfg(reps=1), variants=variants)
+
+    @pytest.mark.parametrize("proportions", [[], [0.1, 0.1], "12"])
+    def test_bad_proportions(self, proportions, monkeypatch):
+        monkeypatch.setattr(sketchls.bench, "make_dataset", _no_replication)
+        with pytest.raises(ValueError, match="proportions"):
+            lambda_sweep(small_cfg(reps=1), proportions)
+
+
+def test_every_method_has_its_own_stream():
+    # a method without a tag used to abort the run with a KeyError
+    tags = sketchls.bench._STREAMS
+    assert set(sketchls.bench.METHODS) <= set(tags)
+    assert len(set(tags.values())) == len(tags)

@@ -244,6 +244,29 @@ class TestBench:
         assert err.startswith("error:") and field in err
         assert not (out / "init_mse.csv").exists()
 
+    @pytest.mark.parametrize("experiment, field, value", [
+        ("time", "tol", 0),
+        ("time", "tol", -1),
+        ("time", "tol", float("nan")),
+        ("converge", "methods", []),
+        ("converge", "methods", ["ihs", "ihs"]),
+        ("delta", "variants", []),
+        ("delta", "variants", ["zero", "zero"]),
+        ("delta", "variants", ["gaussian"]),
+        ("delta", "variants", "zero"),
+        ("lambda-sweep", "proportions", []),
+        ("lambda-sweep", "proportions", [0.1, 0.1]),
+        ("lambda-sweep", "proportions", "12"),
+    ])
+    def test_bad_config_value_writes_nothing(self, tmp_path, capsys, experiment, field, value):
+        cfg = self.write_cfg(tmp_path, **{field: value})
+        out = tmp_path / "out"
+        code = run_cli("bench", experiment, "--config", str(cfg), "--out-dir", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not list(out.glob("*.csv"))
+
     def test_aopt_for_all_flag(self, tmp_path):
         cfg = self.write_cfg(tmp_path, methods=["ihs", "aopt-ihs"])
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

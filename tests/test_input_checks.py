@@ -1,0 +1,172 @@
+"""Every public entry checks its inputs where they enter: the problem
+``(X, y)``, a row mask against X, and the coefficient vectors ``beta0`` and
+``beta_ls`` against X's columns.  A mismatch raises DimensionMismatch and a
+non-finite vector raises ValueError, before any numerical work."""
+
+import numpy as np
+import pytest
+
+import sketchls.solvers
+from sketchls import (
+    DimensionMismatch,
+    SketchKind,
+    acc_ihs_solve,
+    aopt_cs_estimate,
+    aopt_ihs_solve,
+    aopt_select,
+    build_m,
+    center,
+    closed_form_trajectory,
+    cs_estimate,
+    derive_rng,
+    draw_sketch,
+    full_ls,
+    hs_covariance_trace_bound,
+    ihs_solve,
+    leverage_sample,
+    preconditioned_descent,
+    pw_gradient_solve,
+    srht_apply,
+    trace_inverse_bound,
+    uniform_sample,
+)
+from sketchls.solvers import METHODS
+
+N, D, M = 64, 3, 16
+SRHT = SketchKind("srht", M)
+
+
+@pytest.fixture
+def xy():
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((N, D)), rng.standard_normal(N)
+
+
+@pytest.fixture
+def no_numerics(monkeypatch):
+    """Make every sketch, factorization and estimate in the solvers fail the
+    test, so a check that runs after them cannot pass."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numerical work before the input check")
+
+    for name in ("draw_sketch", "aopt_cs_estimate", "gram", "cholesky", "build_m"):
+        monkeypatch.setattr(sketchls.solvers, name, forbidden)
+
+
+XY_ENTRIES = {
+    "full_ls": lambda x, y: full_ls(x, y),
+    "cs_estimate": lambda x, y: cs_estimate(x, y),
+    "aopt_cs_estimate": lambda x, y: aopt_cs_estimate(x, y, M),
+    "closed_form_trajectory": lambda x, y: closed_form_trajectory(x, y, np.zeros(D), []),
+    "ihs_solve": lambda x, y: ihs_solve(x, y, SRHT, 2, derive_rng(1)),
+    "preconditioned_descent": lambda x, y: preconditioned_descent(
+        x, y, np.zeros(D), lambda v: v, 2
+    ),
+    "aopt_ihs_solve": lambda x, y: aopt_ihs_solve(x, y, M, 2, 0.1),
+    "pw_gradient_solve": lambda x, y: pw_gradient_solve(x, y, SRHT, 2, derive_rng(1)),
+    "acc_ihs_solve": lambda x, y: acc_ihs_solve(x, y, SRHT, 2, derive_rng(1)),
+    "srht_apply": lambda x, y: srht_apply(x, y, M, derive_rng(1)),
+    "leverage_sample": lambda x, y: leverage_sample(x, y, M, derive_rng(1)),
+    "uniform_sample": lambda x, y: uniform_sample(x, y, M, derive_rng(1)),
+    **{
+        f"draw_sketch-{variant}": (
+            lambda x, y, v=variant: draw_sketch(x, y, SketchKind(v, M), derive_rng(1))
+        )
+        for variant in ("srht", "leverage", "uniform", "aopt")
+    },
+    "center": lambda x, y: center(x, y),
+}
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["y-short", "y-long"])
+@pytest.mark.parametrize("entry", sorted(XY_ENTRIES))
+def test_xy_length_mismatch(entry, extra, xy):
+    x, y = xy
+    y = np.concatenate([y, [1.0]]) if extra > 0 else y[:-1]
+    with pytest.raises(DimensionMismatch, match="y has length"):
+        XY_ENTRIES[entry](x, y)
+
+
+def test_longer_y_no_longer_fits_its_prefix(xy):
+    # the initializer used to fit y[:n] silently
+    x, y = xy
+    with pytest.raises(DimensionMismatch):
+        aopt_cs_estimate(x, np.concatenate([y, y]), M)
+
+
+def test_errors_name_the_input(xy):
+    x, y = xy
+    with pytest.raises(DimensionMismatch, match="X must be 2-D"):
+        full_ls(y, y)
+    with pytest.raises(ValueError, match="y contains non-finite"):
+        full_ls(x, np.full(N, np.nan))
+
+
+#: mask_to_sketch has its own test in test_sketch.py
+MASK_ENTRIES = {
+    "build_m": lambda x, mask: build_m(x, mask, 0.1),
+    "trace_inverse_bound": lambda x, mask: trace_inverse_bound(x, mask, 1.0),
+    "hs_covariance_trace_bound": lambda x, mask: hs_covariance_trace_bound(x, mask, 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MASK_ENTRIES))
+def test_mask_from_another_x(entry, xy):
+    x, _ = xy
+    other = np.random.default_rng(1).standard_normal((N - 8, D))
+    with pytest.raises(DimensionMismatch, match="mask length"):
+        MASK_ENTRIES[entry](x, aopt_select(other, M))
+
+
+def _run(name, x, y, **kw):
+    if name == "preconditioned_descent":
+        return preconditioned_descent(x, y, kw.pop("beta0", None), lambda v: v, 2, **kw)
+    return METHODS[name](x, y, M, 2, derive_rng(1), 0.1, **kw)
+
+
+#: aopt-ihs starts from its own estimate and ignores beta0 by the registry's
+#: contract, so only the other entries read (and check) it
+BETA0_READERS = sorted(set(METHODS) - {"aopt-ihs"}) + ["preconditioned_descent"]
+BETA_LS_READERS = sorted(METHODS) + ["preconditioned_descent"]
+
+
+@pytest.mark.parametrize("length", [1, D + 1])
+@pytest.mark.parametrize("name", BETA0_READERS)
+def test_beta0_wrong_length(name, length, xy, no_numerics):
+    with pytest.raises(DimensionMismatch, match="beta0 has length"):
+        _run(name, *xy, beta0=np.zeros(length))
+
+
+@pytest.mark.parametrize("name", BETA0_READERS)
+def test_beta0_not_finite(name, xy, no_numerics):
+    with pytest.raises(ValueError, match="beta0 contains non-finite"):
+        _run(name, *xy, beta0=np.full(D, np.inf))
+
+
+@pytest.mark.parametrize("length", [1, D + 1])
+@pytest.mark.parametrize("name", BETA_LS_READERS)
+def test_beta_ls_wrong_length(name, length, xy, no_numerics):
+    # a length-1 beta_ls used to broadcast into every distance
+    with pytest.raises(DimensionMismatch, match="beta_ls has length"):
+        _run(name, *xy, beta_ls=np.zeros(length))
+
+
+@pytest.mark.parametrize("name", BETA_LS_READERS)
+def test_beta_ls_not_finite(name, xy, no_numerics):
+    # a NaN beta_ls used to give NaN distances
+    with pytest.raises(ValueError, match="beta_ls contains non-finite"):
+        _run(name, *xy, beta_ls=np.full(D, np.nan))
+
+
+def test_closed_form_beta0_wrong_length(xy):
+    with pytest.raises(DimensionMismatch, match="beta0 has length"):
+        closed_form_trajectory(*xy, np.zeros(D + 1), [])
+
+
+def test_absent_beta0_is_the_zero_start(xy):
+    x, y = xy
+    beta_ls = full_ls(x, y)
+    trace = preconditioned_descent(x, y, None, lambda v: v, 1, beta_ls=beta_ls)
+    assert trace.dist_to_ls[0] == float(np.linalg.norm(beta_ls))
+    assert np.array_equal(trace.betas[0], np.zeros(D))

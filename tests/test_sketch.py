@@ -162,7 +162,9 @@ class TestSrht:
         # all-plus signs, rows {0, 1}, m=2 on the 4x4 identity: the sketch is
         # sqrt(4/2) times the first two rows of the normalized Hadamard matrix
         xy = np.column_stack([np.eye(4), np.zeros(4)])
-        s = _srht_from_parts(xy, np.ones(4), np.array([0, 1]), 2)
+        s = np.column_stack(
+            _srht_from_parts(xy[:, :4], xy[:, 4], np.ones(4), np.array([0, 1]), 2)
+        )
         expected = np.sqrt(2.0) * 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1]])
         np.testing.assert_allclose(s[:, :4], expected)
 
