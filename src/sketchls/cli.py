@@ -22,7 +22,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields
 from itertools import zip_longest
 
 import numpy as np
@@ -49,6 +49,39 @@ PRNG_ALGORITHM = "numpy-pcg64"
 SOLVE_METHODS = ("full", *SOLVERS)
 
 
+def _run_init(cfg: dict, values: dict, threads: int):
+    """``bench init`` with the manifest's failure counts keyed ``n/estimator``."""
+    rows, meta = run_init_comparison(threads=threads, **cfg)
+    failures = {f"{n}/{est}": count for (n, est), count in meta["failures"].items()}
+    return rows, {"failures": failures, "budget": meta["budget"]}
+
+
+_PROPORTIONS = tuple(round(0.1 * k, 1) for k in range(1, 11))
+
+#: each bench experiment: its CSV file and header, and the call giving its
+#: (rows, meta) from (config, config values, threads).  The calls look the
+#: library runners up in this module when they run, so a wrapper patched
+#: onto one of those names sees the call.
+BENCH_CSV = {
+    "init": ("init_mse.csv", ["n", "estimator", "mse1", "failures"], _run_init),
+    "converge": ("converge_mse.csv", ["method", "iter", "mse1", "mse2", "failures"],
+                 lambda cfg, values, threads: run_convergence(cfg, threads)),
+    "delta": ("delta.csv", ["dist", "d", "variant", "delta_mean", "failures"],
+              lambda cfg, values, threads: run_delta_table(
+                  cfg, values.get("variants", DELTA_VARIANTS), threads)),
+    "time": ("time.csv", ["method", "dist", "d", "mean_seconds", "mean_iters", "status"],
+             lambda cfg, values, threads: run_time_to_precision(cfg, threads)),
+    "ridge": ("ridge_mse.csv", ["variant", "iter", "mse1", "mse2", "failures"],
+              lambda cfg, values, threads: run_ridge_ablation(cfg, threads)),
+    "lambda-sweep": ("lambda_sweep.csv", ["dist", "d", "proportion", "delta_mean", "failures"],
+                     lambda cfg, values, threads: lambda_sweep(
+                         cfg, values.get("proportions", _PROPORTIONS), threads)),
+}
+
+_TIMING_NOTE = ("wall-clock columns include sketch and preconditioner setup, "
+                "exclude dataset generation, and are not byte-reproducible")
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -57,18 +90,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv_atomic(path: str, header, rows) -> None:
-    """Write an RFC 4180 CSV via a temp file + rename so readers never see a
-    partial file."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(row[key]) for key in header])
-    _atomic_write_text(path, buf.getvalue())
-
-
 def _atomic_write_text(path: str, text: str) -> None:
+    """Write via a temp file + rename so readers never see a partial file."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
@@ -81,18 +104,28 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_manifest(path: str, command: str, config: dict, started: float, extra=None):
-    manifest = {
+def _write_outputs(out: str, tables: dict, manifest: str, command: str, config: dict,
+                   started: float, extra=None) -> None:
+    """Write each ``{file: (header, rows)}`` table as an RFC 4180 CSV into
+    ``out`` (created when missing), then the manifest file ``manifest``."""
+    os.makedirs(out, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(row[key]) for key in header] for row in rows)
+        _atomic_write_text(os.path.join(out, name), buf.getvalue())
+    record = {
         "command": command,
         "config": config,
         "library_version": __version__,
         "prng_algorithm": PRNG_ALGORITHM,
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
         "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        **(extra or {}),
     }
-    if extra:
-        manifest.update(extra)
-    _atomic_write_text(path, json.dumps(manifest, indent=2, default=str) + "\n")
+    _atomic_write_text(os.path.join(out, manifest),
+                       json.dumps(record, indent=2, default=str) + "\n")
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
@@ -203,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a benchmark from a JSON config")
     bench_sub = bench.add_subparsers(dest="experiment", required=True)
-    for name in ("init", "converge", "delta", "time", "ridge", "lambda-sweep"):
+    for name in BENCH_CSV:
         b = bench_sub.add_parser(name)
         b.add_argument("--config", required=True, help="JSON config path")
         if name == "converge":
@@ -221,30 +254,21 @@ def cmd_gen(args) -> int:
     started = time.time()
     spec = DataSpec(args.dist, args.n, args.d, args.seed, args.sigma_noise)
     ds = make_dataset(spec)
-    out = args.out_dir
-    os.makedirs(out, exist_ok=True)
-    d = ds.x.shape[1]
-    write_csv_atomic(
-        os.path.join(out, "X.csv"),
-        [f"x{j}" for j in range(d)],
-        [{f"x{j}": float(row[j]) for j in range(d)} for row in ds.x],
-    )
-    write_csv_atomic(
-        os.path.join(out, "y.csv"), ["y"], [{"y": float(v)} for v in ds.y]
-    )
-    write_csv_atomic(
-        os.path.join(out, "beta_star.csv"),
-        ["beta_star"],
-        [{"beta_star": float(v)} for v in ds.beta_star],
-    )
-    write_manifest(
-        os.path.join(out, "gen_manifest.json"), "gen", asdict(spec), started
-    )
+    columns = [f"x{j}" for j in range(ds.x.shape[1])]
+    tables = {
+        "X.csv": (columns, [dict(zip(columns, row)) for row in ds.x.tolist()]),
+        "y.csv": (["y"], [{"y": v} for v in ds.y.tolist()]),
+        "beta_star.csv": (["beta_star"], [{"beta_star": v} for v in ds.beta_star.tolist()]),
+    }
+    _write_outputs(args.out_dir, tables, "gen_manifest.json", "gen", asdict(spec), started)
     return 0
 
 
 def cmd_solve(args) -> int:
     started = time.time()
+    for flag, value in (("--n-iter", args.n_iter), ("--tol", args.tol)):
+        if not value >= 0:
+            raise ConfigError(flag, f"{flag} must be >= 0, got {value}")
     x = read_matrix_csv(args.x)
     y = read_vector_csv(args.y)
     if y.size != x.shape[0]:
@@ -281,22 +305,16 @@ def cmd_solve(args) -> int:
             beta_ls=beta_ls, tol=args.tol,
         )
 
-    out = args.out_dir
-    os.makedirs(out, exist_ok=True)
     # alphas[t - 1] is the step to iterate t; unit-step methods record none
     trace_rows = [
         {"iter": it, "alpha": alpha, "objective": trace.objective[it],
          "dist_to_ls": trace.dist_to_ls[it]}
         for it, alpha in zip_longest(range(len(trace.betas)), [None, *trace.alphas])
     ]
-    write_csv_atomic(
-        os.path.join(out, "trace.csv"),
-        ["iter", "alpha", "objective", "dist_to_ls"],
-        trace_rows,
-    )
-    write_csv_atomic(
-        os.path.join(out, "beta.csv"), ["beta"], [{"beta": float(v)} for v in trace.final]
-    )
+    tables = {
+        "trace.csv": (["iter", "alpha", "objective", "dist_to_ls"], trace_rows),
+        "beta.csv": (["beta"], [{"beta": v} for v in trace.final.tolist()]),
+    }
     config = {
         "x": args.x,
         "y": args.y,
@@ -310,11 +328,54 @@ def cmd_solve(args) -> int:
         "scale": args.scale,
         "seed": args.seed,
     }
-    write_manifest(os.path.join(out, "solve_manifest.json"), "solve", config, started)
+    _write_outputs(args.out_dir, tables, "solve_manifest.json", "solve", config, started)
     return 0
 
 
-def load_config(path: str) -> dict:
+def _json(types, convert=None):
+    """Parser of a JSON value of one of ``types`` (never a boolean), passed
+    through ``convert`` when that is given."""
+
+    def parse(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError(value)
+        return value if convert is None else convert(value)
+
+    return parse
+
+
+_INT, _REAL, _STR = _json((int, float), int), _json((int, float), float), _json(str)
+
+
+def _list_of(item):
+    return _json(list, lambda value: tuple(map(item, value)))
+
+
+def _lambda_rule(value) -> LambdaRule | None:
+    """A ridge weight or a profile name; null keeps the distribution's default."""
+    if value is None:
+        return None
+    if not isinstance(value, str):
+        return LambdaRule("explicit", _REAL(value))
+    if value.replace("-", "_") not in ("concentrated", "heavy_tailed"):
+        raise ValueError(value)
+    return LambdaRule(value.replace("-", "_"))
+
+
+#: every config key and the parser of its JSON value
+_CONFIG_KEYS = {
+    "dist": _STR, "n": _INT, "d": _INT, "m": _INT, "n_iter": _INT, "reps": _INT,
+    "seed": _INT, "sigma_noise": _REAL, "lambda_rule": _lambda_rule,
+    "methods": _list_of(_STR), "trim": _REAL, "tol": _REAL, "init_policy": _STR,
+    "iter_cap": _INT, "n_grid": _list_of(_INT), "proportions": _list_of(_REAL),
+    "variants": _list_of(_STR),
+}
+
+
+def _read_config(path: str, experiment: str) -> dict:
+    """The values of the JSON config file ``path``, each parsed by its
+    ``_CONFIG_KEYS`` entry.  An unknown or missing key, or a value its parser
+    rejects, raises ConfigError naming the key."""
     try:
         with open(path) as handle:
             raw = json.load(handle)
@@ -324,122 +385,56 @@ def load_config(path: str) -> dict:
         raise ConfigError("config", f"config file is not valid JSON: {err}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config", "config root must be a JSON object")
-    return raw
-
-
-_CONFIG_KEYS = {
-    "dist", "n", "d", "m", "n_iter", "reps", "seed", "sigma_noise",
-    "lambda_rule", "methods", "trim", "tol", "init_policy", "iter_cap",
-    "n_grid", "proportions", "variants",
-}
-
-
-#: optional ExperimentConfig keys and their parsers; an absent key takes the
-#: dataclass default
-_OPTIONAL_KEYS = {
-    "methods": tuple, "trim": float, "tol": float, "init_policy": str, "iter_cap": int,
-}
-
-
-def _lambda_rule_from(raw, dist: str) -> LambdaRule:
-    if raw is None:
-        return LambdaRule.for_distribution(dist)
-    if isinstance(raw, (int, float)):
-        return LambdaRule("explicit", float(raw))
-    if isinstance(raw, str) and raw.replace("-", "_") in ("concentrated", "heavy_tailed"):
-        return LambdaRule(raw.replace("-", "_"))
-    raise ConfigError("lambda_rule", f"invalid lambda_rule: {raw!r}")
-
-
-def parse_experiment_config(raw: dict, experiment: str, seed_override=None):
-    """Validate a JSON config dict; missing/unknown keys raise ConfigError
-    naming the offending key."""
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
     if unknown:
-        raise ConfigError(sorted(unknown)[0], f"unknown config key {sorted(unknown)[0]!r}")
-    required = ["dist", "d", "m", "n_iter", "reps"]
-    if experiment == "init":
-        required.append("n_grid")
-    else:
-        required.append("n")
-    for key in required:
+        raise ConfigError(unknown[0], f"unknown config key {unknown[0]!r}")
+    for key in ("dist", "d", "m", "n_iter", "reps", "n_grid" if experiment == "init" else "n"):
         if key not in raw:
             raise ConfigError(key)
-    seed = seed_override if seed_override is not None else int(raw.get("seed", 0))
+    values = {}
+    for key, value in raw.items():
+        try:
+            values[key] = _CONFIG_KEYS[key](value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(key, f"invalid {key}: {json.dumps(value)}") from None
+    return values
+
+
+def _experiment_config(values: dict, experiment: str):
+    """The resolved run configuration of ``experiment`` from parsed config
+    values: run_init_comparison's keyword arguments for ``init``, else an
+    ExperimentConfig.  An absent optional key takes the library default."""
+    seed = values.get("seed", 0)
+    sigma_noise = values.get("sigma_noise", DataSpec.sigma_noise)
     if experiment == "init":
         return {
-            "n_grid": [int(v) for v in raw["n_grid"]],
-            "d": int(raw["d"]),
-            "m": int(raw["m"]),
-            "n_iter": int(raw["n_iter"]),
-            "reps": int(raw["reps"]),
-            "dist": raw["dist"],
+            **{key: values[key] for key in ("n_grid", "d", "m", "n_iter", "reps", "dist")},
             "seed": seed,
-            "sigma_noise": float(raw.get("sigma_noise", DataSpec.sigma_noise)),
-            "trim": float(raw.get("trim", ExperimentConfig.trim)),
+            "sigma_noise": sigma_noise,
+            "trim": values.get("trim", ExperimentConfig.trim),
         }
-    noise = {"sigma_noise": float(raw["sigma_noise"])} if "sigma_noise" in raw else {}
-    spec = DataSpec(raw["dist"], int(raw["n"]), int(raw["d"]), seed, **noise)
-    return ExperimentConfig(
-        data=spec,
-        m=int(raw["m"]),
-        n_iter=int(raw["n_iter"]),
-        reps=int(raw["reps"]),
-        lambda_rule=_lambda_rule_from(raw.get("lambda_rule"), spec.dist),
-        **{key: parse(raw[key]) for key, parse in _OPTIONAL_KEYS.items() if key in raw},
-    )
+    spec = DataSpec(values["dist"], values["n"], values["d"], seed, sigma_noise)
+    rule = values.get("lambda_rule") or LambdaRule.for_distribution(spec.dist)
+    values = {**values, "data": spec, "lambda_rule": rule}
+    return ExperimentConfig(**{f.name: values[f.name] for f in fields(ExperimentConfig)
+                               if f.name in values})
 
 
 def cmd_bench(args) -> int:
     started = time.time()
-    raw = load_config(args.config)
     exp = args.experiment
-    out = args.out_dir
-    os.makedirs(out, exist_ok=True)
+    values = _read_config(args.config, exp)
+    values.setdefault("seed", args.seed)
+    if getattr(args, "init", None):
+        values["init_policy"] = args.init
+    cfg = _experiment_config(values, exp)
     threads = max(1, args.threads)
-
-    cfg = parse_experiment_config(raw, exp, args.seed if "seed" not in raw else None)
-    if exp == "init":
-        rows, meta = run_init_comparison(threads=threads, **cfg)
-        name, header = "init_mse.csv", ["n", "estimator", "mse1", "failures"]
-        meta = {"failures": {f"{k[0]}/{k[1]}": v for k, v in meta["failures"].items()},
-                "budget": meta["budget"]}
-    else:
-        if getattr(args, "init", None):
-            cfg = replace(cfg, init_policy=args.init)
-        if exp == "converge":
-            rows, meta = run_convergence(cfg, threads=threads)
-            name, header = "converge_mse.csv", ["method", "iter", "mse1", "mse2", "failures"]
-        elif exp == "delta":
-            variants = raw.get("variants", DELTA_VARIANTS)
-            rows, meta = run_delta_table(cfg, variants=variants, threads=threads)
-            name, header = "delta.csv", ["dist", "d", "variant", "delta_mean", "failures"]
-        elif exp == "time":
-            rows, meta = run_time_to_precision(cfg, threads=threads)
-            name, header = "time.csv", ["method", "dist", "d", "mean_seconds", "mean_iters", "status"]
-        elif exp == "ridge":
-            rows, meta = run_ridge_ablation(cfg, threads=threads)
-            name, header = "ridge_mse.csv", ["variant", "iter", "mse1", "mse2", "failures"]
-        else:
-            proportions = raw.get("proportions", [round(0.1 * k, 1) for k in range(1, 11)])
-            rows, meta = lambda_sweep(cfg, proportions, threads=threads)
-            name, header = "lambda_sweep.csv", ["dist", "d", "proportion", "delta_mean", "failures"]
-
-    write_csv_atomic(os.path.join(out, name), header, rows)
-    write_manifest(
-        os.path.join(out, f"bench_{exp.replace('-', '_')}_manifest.json"),
-        f"bench {exp}",
-        cfg if isinstance(cfg, dict) else asdict(cfg),
-        started,
-        extra={
-            "threads": threads,
-            "meta": meta,
-            "timing_note": (
-                "wall-clock columns include sketch and preconditioner setup, "
-                "exclude dataset generation, and are not byte-reproducible"
-            ),
-        },
-    )
+    name, header, run = BENCH_CSV[exp]
+    rows, meta = run(cfg, values, threads)
+    _write_outputs(args.out_dir, {name: (header, rows)},
+                   f"bench_{exp.replace('-', '_')}_manifest.json", f"bench {exp}",
+                   cfg if isinstance(cfg, dict) else asdict(cfg), started,
+                   {"threads": threads, "meta": meta, "timing_note": _TIMING_NOTE})
     return 0
 
 

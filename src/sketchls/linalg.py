@@ -144,10 +144,15 @@ def sym_eigvals(a) -> np.ndarray:
 
 def cond_spd(a) -> float:
     """Condition number max-eig / min-eig of a symmetric positive definite matrix."""
-    ev = sym_eigvals(a)
+    return _spectrum_cond(sym_eigvals(a), "matrix")
+
+
+def _spectrum_cond(ev: np.ndarray, what: str) -> float:
+    """max-eig / min-eig of the ascending spectrum ``ev`` of ``what``; raises
+    :class:`SingularMatrix` when the smallest eigenvalue is negligible."""
     if ev[-1] <= 0.0 or ev[0] <= SINGULAR_RTOL * ev[-1]:
         raise SingularMatrix(
-            f"matrix is numerically singular (eigenvalue range [{ev[0]:.3e}, {ev[-1]:.3e}])"
+            f"{what} is numerically singular (eigenvalue range [{ev[0]:.3e}, {ev[-1]:.3e}])"
         )
     return float(ev[-1] / ev[0])
 

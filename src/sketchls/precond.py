@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularMatrix
 from .linalg import (
-    SINGULAR_RTOL,
     CholeskyFactor,
+    _spectrum_cond,
     as_matrix,
     cholesky,
     cond_spd,
@@ -83,8 +82,6 @@ class LambdaRule:
 class Preconditioner:
     """Ridged masked-Gram preconditioner with its Cholesky factor."""
 
-    mask: SubsampleMask
-    lam: float
     m_matrix: np.ndarray
     factor: CholeskyFactor
 
@@ -106,7 +103,7 @@ def build_m(x, mask: SubsampleMask, lam: float) -> Preconditioner:
     n, d = x.shape
     selected = x[mask.indices]
     m_matrix = (n / mask.m) * gram(selected) + lam * np.eye(d)
-    return Preconditioner(mask, float(lam), m_matrix, cholesky(m_matrix))
+    return Preconditioner(m_matrix, cholesky(m_matrix))
 
 
 def pencil_eigvals(m_matrix, q, factor: CholeskyFactor | None = None) -> np.ndarray:
@@ -125,10 +122,7 @@ def pencil_eigvals(m_matrix, q, factor: CholeskyFactor | None = None) -> np.ndar
 
 def pencil_cond(m_matrix, q, factor: CholeskyFactor | None = None) -> float:
     """Condition number of the pencil (Q, M)."""
-    ev = pencil_eigvals(m_matrix, q, factor)
-    if ev[-1] <= 0.0 or ev[0] <= SINGULAR_RTOL * ev[-1]:
-        raise SingularMatrix("preconditioned Gram pencil is numerically singular")
-    return float(ev[-1] / ev[0])
+    return _spectrum_cond(pencil_eigvals(m_matrix, q, factor), "preconditioned Gram pencil")
 
 
 def delta_from_matrix(m_matrix, q, factor: CholeskyFactor | None = None) -> float:
@@ -147,9 +141,7 @@ def _bound_pieces(x, mask: SubsampleMask, c_lower: float):
         raise ValueError(f"c_lower must be > 0, got {c_lower}")
     x = _check_mask(x, mask)
     ev = sym_eigvals(gram(x))
-    if ev[-1] <= 0.0 or ev[0] <= SINGULAR_RTOL * ev[-1]:
-        raise SingularMatrix("Gram matrix is numerically singular")
-    kappa = float(ev[-1] / ev[0])
+    kappa = _spectrum_cond(ev, "Gram matrix")
     excluded = float(row_sq_norms(x)[mask.delta == 0].sum())
     d = x.shape[1]
     return float(ev[0]), kappa, d + kappa / c_lower * excluded

@@ -161,6 +161,11 @@ class TestRunInitComparison:
         with pytest.raises(ValueError, match="n_grid"):
             run_init_comparison([], 4, 32, 4, reps=2)
 
+    @pytest.mark.parametrize("n_grid", [[256, 256], "256"])
+    def test_repeated_or_string_n_grid_rejected(self, n_grid):
+        with pytest.raises(ValueError, match="n_grid"):
+            run_init_comparison(n_grid, 4, 32, 4, reps=2)
+
     def test_library_error_fails_one_replication(self, monkeypatch):
         args = ([512], 4, 32, 4)
         kw = dict(reps=6, dist="normal", seed=3)

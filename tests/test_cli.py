@@ -8,8 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sketchls import DataSpec, full_ls, make_dataset
-from sketchls.cli import main, read_matrix_csv, read_vector_csv
+from sketchls import (
+    DataSpec,
+    ExperimentConfig,
+    LambdaRule,
+    full_ls,
+    lambda_sweep,
+    make_dataset,
+    run_convergence,
+    run_delta_table,
+    run_init_comparison,
+    run_ridge_ablation,
+    run_time_to_precision,
+)
+from sketchls.cli import _fmt, main, read_matrix_csv, read_vector_csv
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -166,6 +178,37 @@ class TestSolve:
         assert "--m is required" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("n_iter, tol, code", [
+        ("-1", "0", 1), ("20", "-0.5", 1), ("20", "nan", 1), ("0", "0", 0),
+    ])
+    def test_n_iter_and_tol_must_not_be_negative(self, tmp_path, capsys, n_iter, tol, code):
+        data = tmp_path / "data"
+        run_cli("gen", "--dist", "normal", "--n", "128", "--d", "3", "--out-dir", str(data))
+        out = tmp_path / "r"
+        assert run_cli("solve", "--x", str(data / "X.csv"), "--y", str(data / "y.csv"),
+                       "--method", "aopt-ihs", "--m", "32", "--n-iter", n_iter, "--tol", tol,
+                       "--out-dir", str(out)) == code
+        if code:
+            assert capsys.readouterr().err.startswith("error: --")
+            assert not out.exists()
+        else:
+            assert len(read_rows(out / "trace.csv")) == 1
+
+
+#: each bench experiment's CSV and the library call it must reproduce, for the
+#: config written by TestBench.test_csv_matches_library_rows
+_DATA = DataSpec("normal", 256, 3, seed=5)
+_LIBRARY_RUNS = {
+    "init": ("init_mse.csv", lambda cfg: run_init_comparison(
+        [128, 256], 3, 16, 3, 3, dist="normal", seed=5)),
+    "converge": ("converge_mse.csv", run_convergence),
+    "delta": ("delta.csv", lambda cfg: run_delta_table(cfg, ["rule", "srht", "identity"])),
+    "time": ("time.csv", run_time_to_precision),
+    "ridge": ("ridge_mse.csv", run_ridge_ablation),
+    "lambda-sweep": ("lambda_sweep.csv", lambda cfg: lambda_sweep(cfg, [0.05, 0.5])),
+}
+
+
 class TestBench:
     def write_cfg(self, tmp_path, **overrides):
         cfg = {"dist": "normal", "n": 512, "d": 4, "m": 128, "n_iter": 5,
@@ -266,6 +309,48 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("experiment", ["converge", "init"])
+    @pytest.mark.parametrize("field, value", [
+        ("dist", 5), ("n", "512"), ("d", [4]), ("m", None), ("n_iter", True),
+        ("reps", "x"), ("seed", {}), ("sigma_noise", "3"), ("lambda_rule", [0.1]),
+        ("lambda_rule", "explicit"), ("methods", 5), ("methods", "ihs"),
+        ("methods", [["ihs"]]), ("trim", None), ("tol", "1e-10"), ("init_policy", 1),
+        ("iter_cap", "500"), ("n_grid", 64), ("n_grid", "64"), ("n_grid", ["256"]),
+        ("proportions", 0.5), ("variants", [0]),
+    ])
+    def test_wrong_json_type_names_key(self, tmp_path, capsys, experiment, field, value):
+        cfg = self.write_cfg(tmp_path, **{"n_grid": [256], "m": 32, "n_iter": 4, field: value})
+        out = tmp_path / "out"
+        code = run_cli("bench", experiment, "--config", str(cfg), "--out-dir", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: invalid {field}: {json.dumps(value)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", list(_LIBRARY_RUNS))
+    def test_csv_matches_library_rows(self, tmp_path, experiment):
+        cfg = self.write_cfg(
+            tmp_path, n=_DATA.n, d=_DATA.d, seed=_DATA.seed, m=16 if experiment == "init" else 32,
+            n_iter=3, reps=3, methods=["ihs", "aopt-ihs"], iter_cap=40,
+            variants=["rule", "srht", "identity"], proportions=[0.05, 0.5], n_grid=[128, 256],
+        )
+        out = tmp_path / "out"
+        assert run_cli("bench", experiment, "--config", str(cfg), "--out-dir", str(out)) == 0
+        name, run = _LIBRARY_RUNS[experiment]
+        rows, _ = run(ExperimentConfig(
+            _DATA, 32, 3, 3, LambdaRule("concentrated"), methods=("ihs", "aopt-ihs"),
+            iter_cap=40,
+        ))
+        with open(out / name, newline="") as handle:
+            header, *body = csv.reader(handle)
+        expected = [[_fmt(row[key]) for key in header] for row in rows]
+        assert header == list(rows[0])
+        if experiment == "time":  # wall-clock seconds are not reproducible
+            col = header.index("mean_seconds")
+            for row in body + expected:
+                row[col] = row[col] != ""
+        assert body == expected
 
     def test_aopt_for_all_flag(self, tmp_path):
         cfg = self.write_cfg(tmp_path, methods=["ihs", "aopt-ihs"])
