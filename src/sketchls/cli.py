@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -58,6 +59,11 @@ def _run_init(cfg: dict, values: dict, threads: int):
 
 _PROPORTIONS = tuple(round(0.1 * k, 1) for k in range(1, 11))
 
+#: the list key an experiment runs over besides its ExperimentConfig, with
+#: its default; the manifest records the list that ran
+_RUN_LISTS = {"delta": ("variants", DELTA_VARIANTS),
+              "lambda-sweep": ("proportions", _PROPORTIONS)}
+
 #: each bench experiment: its CSV file and header, and the call giving its
 #: (rows, meta) from (config, config values, threads).  The calls look the
 #: library runners up in this module when they run, so a wrapper patched
@@ -67,15 +73,14 @@ BENCH_CSV = {
     "converge": ("converge_mse.csv", ["method", "iter", "mse1", "mse2", "failures"],
                  lambda cfg, values, threads: run_convergence(cfg, threads)),
     "delta": ("delta.csv", ["dist", "d", "variant", "delta_mean", "failures"],
-              lambda cfg, values, threads: run_delta_table(
-                  cfg, values.get("variants", DELTA_VARIANTS), threads)),
+              lambda cfg, values, threads: run_delta_table(cfg, values["variants"], threads)),
     "time": ("time.csv", ["method", "dist", "d", "mean_seconds", "mean_iters", "status"],
              lambda cfg, values, threads: run_time_to_precision(cfg, threads)),
     "ridge": ("ridge_mse.csv", ["variant", "iter", "mse1", "mse2", "failures"],
               lambda cfg, values, threads: run_ridge_ablation(cfg, threads)),
     "lambda-sweep": ("lambda_sweep.csv", ["dist", "d", "proportion", "delta_mean", "failures"],
                      lambda cfg, values, threads: lambda_sweep(
-                         cfg, values.get("proportions", _PROPORTIONS), threads)),
+                         cfg, values["proportions"], threads)),
 }
 
 _TIMING_NOTE = ("wall-clock columns include sketch and preconditioner setup, "
@@ -344,7 +349,14 @@ def _json(types, convert=None):
     return parse
 
 
-_INT, _REAL, _STR = _json((int, float), int), _json((int, float), float), _json(str)
+def _finite(value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(value)
+    return value
+
+
+_INT, _REAL, _STR = _json((int, float), int), _json((int, float), _finite), _json(str)
 
 
 def _list_of(item):
@@ -428,12 +440,16 @@ def cmd_bench(args) -> int:
     if getattr(args, "init", None):
         values["init_policy"] = args.init
     cfg = _experiment_config(values, exp)
+    config = cfg if isinstance(cfg, dict) else asdict(cfg)
+    if exp in _RUN_LISTS:
+        key, default = _RUN_LISTS[exp]
+        config[key] = values.setdefault(key, default)
     threads = max(1, args.threads)
     name, header, run = BENCH_CSV[exp]
     rows, meta = run(cfg, values, threads)
     _write_outputs(args.out_dir, {name: (header, rows)},
                    f"bench_{exp.replace('-', '_')}_manifest.json", f"bench {exp}",
-                   cfg if isinstance(cfg, dict) else asdict(cfg), started,
+                   config, started,
                    {"threads": threads, "meta": meta, "timing_note": _TIMING_NOTE})
     return 0
 

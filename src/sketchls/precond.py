@@ -60,6 +60,8 @@ class LambdaRule:
     def __post_init__(self):
         if self.profile not in ("concentrated", "heavy_tailed", "explicit"):
             raise ValueError(f"unknown lambda profile {self.profile!r}")
+        if not 0.0 <= self.explicit < np.inf:
+            raise ValueError(f"ridge weight must be finite and >= 0, got {self.explicit}")
 
     @property
     def coefficient(self) -> float:

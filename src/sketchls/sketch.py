@@ -106,8 +106,11 @@ def _check_mask(x, mask: SubsampleMask) -> np.ndarray:
     return x
 
 
-#: largest dense factor, and the final factor formed for sampled rows only
-_BLOCK, _LAST = 128, 16
+#: largest dense factor; when m * _SPARSE < n the factors stop at a low part
+#: of at most _LOW rows, whose kept rows are formed directly
+_BLOCK, _LOW, _SPARSE = 128, 1024, 16
+#: columns per SRHT panel, and rows of X per leverage-score block
+_PANEL, _LEV_ROWS = 64, 1024
 
 
 def _sylvester(f: int) -> np.ndarray:
@@ -120,36 +123,64 @@ def _sylvester(f: int) -> np.ndarray:
 _HADAMARD = {1 << p: _sylvester(1 << p) for p in range(_BLOCK.bit_length())}
 
 
-def _hadamard_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _plan_rows(n: int, rows: np.ndarray):
+    """How :func:`_hadamard_rows` forms rows ``rows`` of H_n: the dense
+    factor sizes, high index digits first, and, for the kept-row stage, the
+    rows sorted by high index, the group bounds, and each sorted row's rows
+    of the two Sylvester blocks whose Kronecker product is the low part,
+    H_lo = H_q (x) H_r with q = min(lo, 128) (None on the all-dense path).
+    One plan serves every panel."""
+    dense = rows.size * _SPARSE >= n
+    factors, lo = [], n
+    while lo > (1 if dense else _LOW):
+        factors.append(min(lo, _BLOCK))
+        lo //= factors[-1]
+    if dense:
+        return factors, None
+    groups, low = np.divmod(rows, lo)
+    order = np.argsort(groups, kind="stable")
+    bounds = np.searchsorted(groups[order], np.arange(n // lo + 1))
+    q = min(lo, _BLOCK)
+    i_q, i_r = np.divmod(low[order], lo // q)
+    return factors, (order, bounds, _HADAMARD[q][i_q], _HADAMARD[lo // q][i_r])
+
+
+def _hadamard_rows(a: np.ndarray, rows: np.ndarray, buf=None, plan=None) -> np.ndarray:
     """Rows ``rows`` of ``H_n @ a`` for the unnormalized Sylvester-Hadamard
-    matrix H_n, n = a.shape[0] a power of two.  ``a`` is overwritten.
+    matrix H_n, n = a.shape[0] a power of two.  ``a`` is overwritten, and so
+    is ``buf``, a scratch array shaped like ``a`` (allocated when None).
 
     H_n is a Kronecker product of Sylvester factors of at most 128, each
     applied as one batched dense product on a reshaped view (BLAS-3),
-    ping-ponging between ``a`` and one scratch buffer.  When fewer than
-    n / 16 rows are wanted, the last factor, H_16, is formed for those rows
-    only: output row i combines the 16 rows sharing its high index, weighted
-    by row ``i mod 16`` of H_16.  With more rows that gather would read every
-    row anyway, and the last factor is one more dense product.
+    ping-ponging between ``a`` and ``buf``.  When fewer than n / 16 rows are
+    wanted, the factors stop at a low part H_lo = H_q (x) H_r of at most
+    1024 rows, and each high-index group forms its kept rows from its lo x k
+    block: one product with the group's rows of H_q, then the r-term sums
+    weighted by their rows of H_r.  No row of H_lo is formed.  With more
+    rows every factor is applied and the rows are gathered.  ``plan`` is
+    :func:`_plan_rows` ``(n, rows)``, computed when None.
     """
     n, k = a.shape
-    tail = _LAST if rows.size * _LAST < n else 1
-    src, buf = a, (np.empty_like(a) if n > tail else None)
+    factors, kept = plan or _plan_rows(n, rows)
+    src = a
+    if factors and buf is None:
+        buf = np.empty_like(a)
     pre = 1
-    while pre * tail < n:
-        f = min(n // (pre * tail), _BLOCK)
+    for f in factors:
         shape = (pre, f, n // (pre * f) * k)
         np.matmul(_HADAMARD[f], src.reshape(shape), out=buf.reshape(shape))
         src, buf = buf, src
         pre *= f
-    if tail == 1:
+    if kept is None:
         return src[rows]
-    low = rows % tail
-    base = rows - low
-    weights = _HADAMARD[tail][low]
-    out = weights[:, :1] * src[base]
-    for j in range(1, tail):
-        out += weights[:, j : j + 1] * src[base + j]
+    order, bounds, h_q, h_r = kept
+    r = h_r.shape[1]
+    blocks = src.reshape(pre, h_q.shape[1], r * k)
+    out = np.empty((rows.size, k))
+    for g in np.flatnonzero(bounds[1:] > bounds[:-1]):
+        lo, hi = bounds[g], bounds[g + 1]
+        part = (h_q[lo:hi] @ blocks[g]).reshape(hi - lo, r, k)
+        out[order[lo:hi]] = np.einsum("ij,ijk->ik", h_r[lo:hi], part)
     return out
 
 
@@ -177,17 +208,62 @@ def rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
 
 
-def _srht_from_parts(x, y, signs: np.ndarray, rows: np.ndarray, m: int):
+def _panels(n_pad: int, d: int):
+    """The two panel buffers of an SRHT of n_pad x (d + 1) padded data,
+    n_pad * min(64, d + 1) doubles each.  They are two allocations, not
+    one: once an allocation below 32 MiB is freed, glibc serves later ones
+    up to its size from the heap, and one double-size buffer raised the
+    benchmark's desk-scale peak RSS from 94 to 100 MiB."""
+    return tuple(np.empty(n_pad * min(_PANEL, d + 1)) for _ in range(2))
+
+
+def _srht_from_parts(x, y, signs: np.ndarray, rows: np.ndarray, m: int, panels=None):
     """The SRHT of ``(X, y)`` given the sign diagonal (one sign per padded
     row) and the kept row indices: sqrt(n_pad/m) * (H / sqrt(n_pad)) =
-    H / sqrt(m).  The signs are folded into the zero-padding copy, which the
-    transform then uses as scratch."""
+    H / sqrt(m).
+
+    The padded data are transformed in column panels of at most 64: each
+    panel's signed, zero-padded columns are copied into one of two panel
+    buffers, which the transform then uses as scratch.  ``panels`` is a
+    pair of :func:`_panels` to reuse across calls (allocated when None).
+    """
     n, d = x.shape
-    sxy = np.zeros((signs.size, d + 1))
-    np.multiply(x, signs[:n, None], out=sxy[:n, :d])
-    np.multiply(y, signs[:n], out=sxy[:n, d])
-    s = _hadamard_rows(sxy, rows) / np.sqrt(m)
-    return np.ascontiguousarray(s[:, :d]), np.ascontiguousarray(s[:, d])
+    n_pad = signs.size
+    width = min(_PANEL, d + 1)
+    if panels is None:
+        panels = _panels(n_pad, d)
+    plan = _plan_rows(n_pad, rows)
+    out = np.empty((rows.size, d + 1))
+    for j in range(0, d + 1, width):
+        c = min(width, d + 1 - j)
+        a, buf = (p[: n_pad * c].reshape(n_pad, c) for p in panels)
+        xc = min(c, d - j)
+        np.multiply(x[:, j : j + xc], signs[:n, None], out=a[:n, :xc])
+        if xc < c:
+            np.multiply(y, signs[:n], out=a[:n, xc])
+        a[n:] = 0.0
+        out[:, j : j + c] = _hadamard_rows(a, rows, buf, plan)
+    out /= np.sqrt(m)
+    return np.ascontiguousarray(out[:, :d]), out[:, d].copy()
+
+
+def _srht_sketcher(x, y, m: int, rng: np.random.Generator):
+    """Successive draws of :func:`srht_apply` ``(x, y, m, rng)`` for an
+    ``(X, y)`` already checked, sharing one pair of panel buffers: a call of
+    the returned function gives the next ``(SX, Sy)``.  Raises
+    :class:`NotEnoughRows` here when ``m`` is outside 1..n_pad."""
+    n, d = x.shape
+    n_pad = _next_pow2(n)
+    if not 1 <= m <= n_pad:
+        raise NotEnoughRows(f"sketch size {m} not in 1..{n_pad} (padded rows)")
+    panels = _panels(n_pad, d)
+
+    def draw():
+        signs = rademacher(rng, n_pad)
+        rows = rng.choice(n_pad, size=m, replace=False)
+        return _srht_from_parts(x, y, signs, rows, m, panels)
+
+    return draw
 
 
 def srht_apply(x, y, m: int, rng: np.random.Generator):
@@ -201,20 +277,16 @@ def srht_apply(x, y, m: int, rng: np.random.Generator):
 
     The transform is blocked: the Sylvester matrix H_n splits into Kronecker
     factors of at most 128, each applied as a dense +-1 matrix product; when
-    m < n_pad / 16 the last factor, of 16, is formed for the ``m`` kept rows
-    only.  It costs O(n_pad (d + 1) (f1 + f2 + ...)) flops on BLAS-3 and
-    needs one scratch copy of the padded data beside it.
+    m < n_pad / 16 the factors stop at a low part of at most 1024 rows,
+    whose kept rows are formed directly.  The padded data are transformed in
+    panels of at most 64 columns, so the working set is two n_pad x 64
+    panel buffers, not copies of the padded data.
 
     Returns ``(SX, Sy)``.  Draw order is fixed (signs, then rows) so a seeded
     generator reproduces the sketch exactly.
     """
     x, y = _check_xy(x, y)
-    n_pad = _next_pow2(x.shape[0])
-    if not 1 <= m <= n_pad:
-        raise NotEnoughRows(f"sketch size {m} not in 1..{n_pad} (padded rows)")
-    signs = rademacher(rng, n_pad)
-    rows = rng.choice(n_pad, size=m, replace=False)
-    return _srht_from_parts(x, y, signs, rows, m)
+    return _srht_sketcher(x, y, m, rng)()
 
 
 def leverage_scores(x) -> np.ndarray:
@@ -223,8 +295,9 @@ def leverage_scores(x) -> np.ndarray:
 
     With X'X = L L' (Cholesky), X L^{-T} is such a basis, so the scores are
     the squared column norms of L^{-1} X', one triangular solve against the
-    Gram factor; no Q is formed.  Raises :class:`RankDeficient` when X has
-    fewer rows than columns or its Gram matrix is not positive definite.
+    Gram factor, taken on blocks of 1024 rows of X; no Q is formed.  Raises
+    :class:`RankDeficient` when X has fewer rows than columns or its Gram
+    matrix is not positive definite.
     """
     x = as_matrix(x)
     n, d = x.shape
@@ -234,8 +307,12 @@ def leverage_scores(x) -> np.ndarray:
         fac = cholesky(gram(x))
     except NotPositiveDefinite:
         raise RankDeficient("X does not have full column rank") from None
-    w = scipy.linalg.solve_triangular(fac.lower, x.T, lower=True, check_finite=False)
-    return np.einsum("ij,ij->j", w, w)
+    scores = np.empty(n)
+    for s in range(0, n, _LEV_ROWS):
+        w = scipy.linalg.solve_triangular(fac.lower, x[s : s + _LEV_ROWS].T, lower=True,
+                                          check_finite=False)
+        scores[s : s + _LEV_ROWS] = np.einsum("ij,ij->j", w, w)
+    return scores
 
 
 def leverage_sample(x, y, m: int, rng: np.random.Generator):

@@ -45,7 +45,7 @@ from .errors import (
 from .linalg import (_check_coef, _check_xy, as_matrix, as_vector, cholesky, gram,
                      solve_spd, sym_eigvals)
 from .precond import build_m
-from .sketch import SketchKind, aopt_select, draw_sketch
+from .sketch import SketchKind, _srht_sketcher, aopt_select, draw_sketch
 
 __all__ = [
     "METHODS",
@@ -213,14 +213,21 @@ def ihs_solve(
     Newton-like update ``beta += ((S_t X)^T S_t X)^{-1} X^T (y - X beta)``.
     The default initializer is the zero vector.  With ``record_sketches``
     the sketched matrices are attached to the trace (``trace.sketches``) for
-    the closed-form oracle.
+    the closed-form oracle.  An SRHT solve draws its sketches as
+    :func:`srht_apply` would, from one pair of panel buffers kept for the
+    whole solve, on X checked once here.
     """
     x, y = _check_xy(x, y)
     beta0, beta_ls = _check_betas(x, beta0, beta_ls)
     sketches = [] if record_sketches else None
+    if kind.variant == "srht":
+        draw = _srht_sketcher(x, y, kind.m, rng)
+    else:
+        def draw():
+            return draw_sketch(x, y, kind, rng)
 
     def step(t, beta, resid):
-        sx, _ = draw_sketch(x, y, kind, rng)
+        sx, _ = draw()
         try:
             fac = cholesky(gram(sx))
         except NotPositiveDefinite:

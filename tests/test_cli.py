@@ -21,6 +21,7 @@ from sketchls import (
     run_ridge_ablation,
     run_time_to_precision,
 )
+from sketchls.bench import DELTA_VARIANTS
 from sketchls.cli import _fmt, main, read_matrix_csv, read_vector_csv
 
 FIXTURES = Path(__file__).parent / "data"
@@ -317,7 +318,9 @@ class TestBench:
         ("lambda_rule", "explicit"), ("methods", 5), ("methods", "ihs"),
         ("methods", [["ihs"]]), ("trim", None), ("tol", "1e-10"), ("init_policy", 1),
         ("iter_cap", "500"), ("n_grid", 64), ("n_grid", "64"), ("n_grid", ["256"]),
-        ("proportions", 0.5), ("variants", [0]),
+        ("proportions", 0.5), ("variants", [0]), ("sigma_noise", float("nan")),
+        ("lambda_rule", float("nan")), ("lambda_rule", -5), ("tol", float("inf")),
+        ("proportions", [float("nan")]),
     ])
     def test_wrong_json_type_names_key(self, tmp_path, capsys, experiment, field, value):
         cfg = self.write_cfg(tmp_path, **{"n_grid": [256], "m": 32, "n_iter": 4, field: value})
@@ -327,6 +330,29 @@ class TestBench:
         err = capsys.readouterr().err
         assert err == f"error: invalid {field}: {json.dumps(value)}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, key, listed, default", [
+        ("delta", "variants", ["zero", "srht", "identity"], list(DELTA_VARIANTS)),
+        ("lambda-sweep", "proportions", [0.05, 0.5], [round(0.1 * k, 1) for k in range(1, 11)]),
+    ])
+    def test_manifest_records_the_list_that_ran(self, tmp_path, experiment, key, listed,
+                                                 default):
+        manifest = f"bench_{experiment.replace('-', '_')}_manifest.json"
+        csv_name = _LIBRARY_RUNS[experiment][0]
+        base = {"n": 256, "n_iter": 2, "reps": 2, "m": 32}
+        first, again = tmp_path / "first", tmp_path / "again"
+        cfg = self.write_cfg(tmp_path, **base, **{key: listed})
+        assert run_cli("bench", experiment, "--config", str(cfg), "--out-dir", str(first)) == 0
+        recorded = json.loads((first / manifest).read_text())["config"][key]
+        assert recorded == listed
+        # a rerun with the manifest's list reproduces the CSV
+        cfg = self.write_cfg(tmp_path, **base, **{key: recorded})
+        assert run_cli("bench", experiment, "--config", str(cfg), "--out-dir", str(again)) == 0
+        assert (again / csv_name).read_bytes() == (first / csv_name).read_bytes()
+        # without the key the default list runs, and is recorded
+        cfg = self.write_cfg(tmp_path, **base)
+        assert run_cli("bench", experiment, "--config", str(cfg), "--out-dir", str(again)) == 0
+        assert json.loads((again / manifest).read_text())["config"][key] == default
 
     @pytest.mark.parametrize("experiment", list(_LIBRARY_RUNS))
     def test_csv_matches_library_rows(self, tmp_path, experiment):

@@ -136,3 +136,8 @@ class TestMakeDataset:
                 vals.append(np.linalg.norm(ds.beta_ls - ds.beta_star))
             errs[n] = float(np.median(vals))
         assert errs[2**14] < errs[2**11]
+
+    @pytest.mark.parametrize("sigma_noise", [-1.0, np.nan])
+    def test_sigma_noise_must_be_non_negative(self, sigma_noise):
+        with pytest.raises(ValueError, match="sigma_noise"):
+            DataSpec("normal", 16, 2, seed=0, sigma_noise=sigma_noise)

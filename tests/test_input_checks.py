@@ -50,7 +50,8 @@ def no_numerics(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("numerical work before the input check")
 
-    for name in ("draw_sketch", "aopt_cs_estimate", "gram", "cholesky", "build_m"):
+    for name in ("draw_sketch", "_srht_sketcher", "aopt_cs_estimate", "gram", "cholesky",
+                 "build_m"):
         monkeypatch.setattr(sketchls.solvers, name, forbidden)
 
 

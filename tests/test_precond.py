@@ -42,6 +42,11 @@ class TestLambdaRule:
         with pytest.raises(ValueError):
             LambdaRule("robust")
 
+    @pytest.mark.parametrize("weight", [-5.0, np.nan, np.inf])
+    def test_explicit_weight_finite_and_non_negative(self, weight):
+        with pytest.raises(ValueError, match="ridge weight"):
+            LambdaRule("explicit", weight)
+
 
 class TestBuildM:
     def test_identity_design_full_mask(self):

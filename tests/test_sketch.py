@@ -90,10 +90,12 @@ class TestFwht:
 
 
 class TestBlockedHadamard:
-    # n = 2**0 .. 2**13 covers every factor split: n below the last factor
-    # (16), one and two dense factors, and a dense factor below 128.  Every
-    # row and a third of them take the all-dense path; n/64 rows (for n >= 32)
-    # take the path that forms the last factor for the sampled rows only.
+    # n = 2**0 .. 2**13 covers every factor split: no factor, one and two
+    # dense factors, a dense factor below 128, and low parts H_lo = H_q (x)
+    # H_r with r = 1 and r > 1.  Every row and a third of them take the
+    # all-dense path; n/64 rows (for n >= 32) and one row take the kept-row
+    # path.  m * 16 = n is the threshold: n/16 - 1 rows take the kept-row
+    # path and n/16 rows the all-dense one.
     @pytest.mark.parametrize("p", range(14))
     @pytest.mark.parametrize("k", [1, 7])
     def test_matches_dense_sylvester(self, p, k):
@@ -102,7 +104,8 @@ class TestBlockedHadamard:
         a = rng.standard_normal((n, k))
         every = np.arange(n)
         third, few = (rng.permutation(n)[: max(1, n // c)] for c in (3, 64))  # unsorted
-        for rows in (every, third, few):
+        edges = [rng.permutation(n)[:m] for m in (1, max(1, n // 16 - 1), max(1, n // 16))]
+        for rows in (every, third, few, *edges):
             ref = dense_hadamard_rows(n, rows, a)
             got = _hadamard_rows(a.copy(), rows)
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
@@ -127,6 +130,23 @@ class TestBlockedHadamard:
         np.testing.assert_allclose(sx, ref[:, :d], rtol=0, atol=1e-13 * scale)
         np.testing.assert_allclose(sy, ref[:, d], rtol=0, atol=1e-13 * scale)
 
+    @pytest.mark.parametrize("m", [100, 600])  # kept-row and all-dense paths
+    def test_srht_panels_match_one_panel_at_a_time(self, m):
+        n, d, n_pad = 3000, 150, 4096  # d + 1 = 151 columns: panels of 64, 64, 23
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((n, d))
+        y = rng.standard_normal(n)
+        mirror = derive_rng(24)
+        sx, sy = srht_apply(x, y, m, derive_rng(24))
+        signs = rademacher(mirror, n_pad)
+        rows = mirror.choice(n_pad, size=m, replace=False)
+        for j in range(0, d, 50):  # each slice alone fits one panel
+            ref, _ = _srht_from_parts(x[:, j : j + 50], y, signs, rows, m)
+            np.testing.assert_allclose(sx[:, j : j + 50], ref, rtol=0,
+                                       atol=1e-12 * np.abs(ref).max())
+        _, ref_y = _srht_from_parts(x[:, :1], y, signs, rows, m)
+        np.testing.assert_allclose(sy, ref_y, rtol=0, atol=1e-12 * np.abs(ref_y).max())
+
 
 class TestSketchMemory:
     # peaks traced by tracemalloc; they guard the benchmark's peak_rss_mb
@@ -144,6 +164,22 @@ class TestSketchMemory:
         leverage_scores(ds.x)  # warm
         peak = peak_traced_bytes(lambda: leverage_scores(ds.x))
         assert peak <= 1.25 * ds.x.nbytes
+
+    def test_srht_works_in_panels(self):
+        # two n_pad x 64 panel buffers (0.64x here); a padded copy of the data
+        # plus one scratch copy would be 2.24x
+        n, d, m = 1 << 14, 200, 1000
+        ds = make_dataset(DataSpec("normal", n, d, seed=0))
+        srht_apply(ds.x, ds.y, m, derive_rng(1))  # warm
+        peak = peak_traced_bytes(lambda: srht_apply(ds.x, ds.y, m, derive_rng(1)))
+        assert peak <= 1.0 * n * (d + 1) * 8
+
+    def test_leverage_works_in_row_blocks(self):
+        # L^-1 X' one d x 1024 block at a time, not the full product: 0.15x measured
+        ds = make_dataset(DataSpec("normal", 1 << 14, 50, seed=0))
+        leverage_scores(ds.x)  # warm
+        peak = peak_traced_bytes(lambda: leverage_scores(ds.x))
+        assert peak <= 0.25 * ds.x.nbytes
 
 
 class TestSrht:

@@ -146,6 +146,16 @@ class TestIhs:
                 )
                 assert rel <= 1e-8
 
+    # d + 1 > 64 and m * 16 < n_pad: several panels and the kept-row path
+    @pytest.mark.parametrize("n, d, m", [(3000, 70, 100), (256, 5, 64)])
+    def test_srht_sketches_are_srht_apply_draws(self, n, d, m):
+        ds = make_dataset(DataSpec("lognormal", n, d, seed=3))
+        trace = ihs_solve(ds.x, ds.y, SketchKind("srht", m), 4, derive_rng(7),
+                          record_sketches=True)
+        stream = derive_rng(7)
+        for sx in trace.sketches:
+            np.testing.assert_array_equal(sx, srht_apply(ds.x, ds.y, m, stream)[0])
+
     def test_npd_reports_iteration(self):
         x = np.random.default_rng(7).standard_normal((8, 2))
         y = np.zeros(8)
