@@ -291,11 +291,11 @@ def run_init_comparison(
             raise ValueError(f"{name} must be >= 1, got {value}")
     n_grid = _distinct("n_grid", n_grid)
     budget = n_iter * m
+    if min(n_grid) < budget:
+        raise ValueError(f"n={min(n_grid)} is smaller than the sketch budget {budget}")
     rows = []
     meta = {"budget": budget, "failures": {}}
     for n in n_grid:
-        if n < budget:
-            raise ValueError(f"n={n} is smaller than the sketch budget {budget}")
         spec = DataSpec(dist, int(n), d, seed, sigma_noise)
 
         def start(rep):

@@ -274,6 +274,11 @@ def cmd_solve(args) -> int:
     for flag, value in (("--n-iter", args.n_iter), ("--tol", args.tol)):
         if not value >= 0:
             raise ConfigError(flag, f"{flag} must be >= 0, got {value}")
+    if args.lam is not None and not 0 <= args.lam < math.inf:
+        raise ConfigError("--lam", f"--lam must be finite and >= 0, got {args.lam}")
+    method = args.method
+    if method != "full" and args.m is None:
+        raise ConfigError("m", f"--m is required for method {method!r}")
     x = read_matrix_csv(args.x)
     y = read_vector_csv(args.y)
     if y.size != x.shape[0]:
@@ -289,9 +294,6 @@ def cmd_solve(args) -> int:
             raise ParseError(f"{args.x}: column {flat[0] + 1} is constant, cannot scale")
         x = x / stds
     beta_ls = full_ls(x, y)
-    method = args.method
-    if method != "full" and args.m is None:
-        raise ConfigError("m", f"--m is required for method {method!r}")
 
     if method == "full":
         trace = SolveTrace(
@@ -356,7 +358,13 @@ def _finite(value) -> float:
     return value
 
 
-_INT, _REAL, _STR = _json((int, float), int), _json((int, float), _finite), _json(str)
+def _integral(value) -> int:
+    if value != int(value):
+        raise ValueError(value)
+    return int(value)
+
+
+_INT, _REAL, _STR = _json((int, float), _integral), _json((int, float), _finite), _json(str)
 
 
 def _list_of(item):

@@ -44,8 +44,8 @@ class DataSpec:
             raise ValueError(f"unknown distribution {self.dist!r}")
         if not self.n >= self.d >= 1:
             raise ValueError(f"need n >= d >= 1, got n={self.n}, d={self.d}")
-        if not self.sigma_noise >= 0:
-            raise ValueError("sigma_noise must be >= 0")
+        if not 0 <= self.sigma_noise < np.inf:
+            raise ValueError("sigma_noise must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -349,13 +349,12 @@ def aopt_select(x, m: int) -> SubsampleMask:
     identical inputs always give identical masks regardless of thread count.
     Selection uses a partial partition (expected O(n)) rather than a full sort.
     """
-    x = as_matrix(x)
-    n = x.shape[0]
+    sq = row_sq_norms(x)
+    n = sq.size
     if not 1 <= m <= n:
         raise BadSubsampleSize(f"subsample size {m} not in 1..{n}")
     if m == n:
         return SubsampleMask(np.ones(n, dtype=np.uint8), n)
-    sq = row_sq_norms(x)
     threshold = np.partition(sq, n - m)[n - m]
     delta = np.zeros(n, dtype=np.uint8)
     above = sq > threshold

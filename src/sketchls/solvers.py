@@ -16,9 +16,9 @@ differ in how they precondition the gradient:
 :data:`METHODS` maps each solver's name to an adapter with one call
 signature; the benchmark harness and the CLI dispatch through it only.
 
-All four run in one loop, :func:`_iterate`, which owns the trace and
-computes each iterate's residual ``y - X beta`` once; a solver supplies only
-its step ``step(t, beta, resid) -> (beta_next, alpha, status)``.
+All four enter through one loop, :func:`_iterate`, which checks the inputs,
+times the solver's setup, owns the trace and computes each iterate's residual
+``y - X beta`` once; a solver supplies only its setup, giving start and step.
 
 Each solver returns a :class:`SolveTrace` holding the full iterate history,
 so correctness oracles (the closed-form trajectory, isometry reports, the
@@ -119,18 +119,13 @@ class IsometryReport:
     satisfies: bool
 
 
-def _check_betas(x, beta0, beta_ls):
-    """The start vector ``beta0`` (zero when None) and the reference
-    ``beta_ls`` (None allowed), checked as coefficient vectors of X."""
-    beta0 = np.zeros(x.shape[1]) if beta0 is None else _check_coef(x, beta0, "beta0")
-    return beta0, None if beta_ls is None else _check_coef(x, beta_ls, "beta_ls")
-
-
-def _iterate(x, y, beta0, beta_ls, n_iter, step, stop_at_dist, setup_seconds):
-    """The one iteration loop of the iterative solvers.  It records each
-    iterate, its residual ``r = y - X beta`` (computed only here), its
-    objective ``0.5 r.r`` and its distance to ``beta_ls``, and stops at the
-    first iterate within ``stop_at_dist`` of ``beta_ls``.
+def _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup):
+    """The one entry and loop of the iterative solvers.  It checks ``(X, y)``,
+    ``beta0`` (zero when None) and ``beta_ls`` (None allowed), times ``setup(x,
+    y, beta0, beta_ls) -> (start, step)`` as ``setup_seconds``, then records
+    each iterate, its residual ``r = y - X beta`` (computed only here), its
+    objective ``0.5 r.r`` and distance to ``beta_ls``, and stops at the first
+    iterate within ``stop_at_dist`` of ``beta_ls``.
 
     ``step(t, beta, resid)`` returns ``(beta_next, alpha, status)``.  A
     ``beta_next`` of None ends the run with ``status`` and records nothing;
@@ -138,8 +133,13 @@ def _iterate(x, y, beta0, beta_ls, n_iter, step, stop_at_dist, setup_seconds):
     ``status`` other than ``"ok"`` then ends the run.  Per-iteration seconds
     cover the step plus the new iterate's residual, objective and distance.
     """
+    x, y = _check_xy(x, y)
+    beta0 = np.zeros(x.shape[1]) if beta0 is None else _check_coef(x, beta0, "beta0")
+    beta_ls = None if beta_ls is None else _check_coef(x, beta_ls, "beta_ls")
+    tic = time.perf_counter()
+    beta, step = setup(x, y, beta0, beta_ls)
     trace = SolveTrace(dist_to_ls=None if beta_ls is None else [],
-                       setup_seconds=setup_seconds)
+                       setup_seconds=time.perf_counter() - tic)
 
     def record(beta):
         resid = y - x @ beta
@@ -150,7 +150,7 @@ def _iterate(x, y, beta0, beta_ls, n_iter, step, stop_at_dist, setup_seconds):
         return resid
 
     targeted = stop_at_dist > 0.0 and beta_ls is not None
-    beta, resid = beta0, record(beta0)
+    resid = record(beta)
     for t in range(1, n_iter + 1):
         tic = time.perf_counter()
         beta, alpha, trace.status = step(t, beta, resid)
@@ -179,7 +179,6 @@ def cs_estimate(sx, sy) -> np.ndarray:
 
 def hs_estimate(sx, xty) -> np.ndarray:
     """Hessian sketch: sketched Gram matrix against the exact gradient X^T y."""
-    sx = as_matrix(sx)
     return solve_spd(cholesky(gram(sx)), as_vector(xty))
 
 
@@ -215,32 +214,31 @@ def ihs_solve(
     the sketched matrices are attached to the trace (``trace.sketches``) for
     the closed-form oracle.  An SRHT solve draws its sketches as
     :func:`srht_apply` would, from one pair of panel buffers kept for the
-    whole solve, on X checked once here.
+    whole solve, on X checked once.
     """
-    x, y = _check_xy(x, y)
-    beta0, beta_ls = _check_betas(x, beta0, beta_ls)
     sketches = [] if record_sketches else None
-    if kind.variant == "srht":
-        draw = _srht_sketcher(x, y, kind.m, rng)
-    else:
-        def draw():
-            return draw_sketch(x, y, kind, rng)
 
-    def step(t, beta, resid):
-        sx, _ = draw()
-        try:
-            fac = cholesky(gram(sx))
-        except NotPositiveDefinite:
-            err = NotPositiveDefinite(
-                f"sketched Gram matrix not positive definite at iteration {t}"
-            )
-            err.iteration = t
-            raise err from None
-        if sketches is not None:
-            sketches.append(sx)
-        return beta + solve_spd(fac, x.T @ resid), None, "ok"
+    def setup(x, y, beta0, beta_ls):
+        draw = (_srht_sketcher(x, y, kind.m, rng) if kind.variant == "srht"
+                else lambda: draw_sketch(x, y, kind, rng))
 
-    trace = _iterate(x, y, beta0, beta_ls, n_iter, step, stop_at_dist, 0.0)
+        def step(t, beta, resid):
+            sx, _ = draw()
+            try:
+                fac = cholesky(gram(sx))
+            except NotPositiveDefinite:
+                err = NotPositiveDefinite(
+                    f"sketched Gram matrix not positive definite at iteration {t}"
+                )
+                err.iteration = t
+                raise err from None
+            if sketches is not None:
+                sketches.append(sx)
+            return beta + solve_spd(fac, x.T @ resid), None, "ok"
+
+        return beta0, step
+
+    trace = _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup)
     trace.sketches = sketches
     return trace
 
@@ -259,7 +257,7 @@ def closed_form_trajectory(x, y, beta0, sketches) -> np.ndarray:
     x, y = _check_xy(x, y)
     beta0 = _check_coef(x, beta0, "beta0")
     q = gram(x)
-    beta_ls = full_ls(x, y)
+    beta_ls = solve_spd(cholesky(q), x.T @ y)
     d = x.shape[1]
     prod = np.eye(d)
     for sx in sketches:
@@ -275,7 +273,6 @@ def isometry_check(x, sx) -> IsometryReport:
     factorization (triangular solves against the Cholesky factor of X^T X)
     and reports its eigenvalue defects around 1.
     """
-    x = as_matrix(x)
     sx = as_matrix(sx)
     try:
         fac = cholesky(gram(x))
@@ -334,26 +331,9 @@ def exact_alpha(v, u, p) -> float:
     return float(v @ u) / denom
 
 
-def preconditioned_descent(
-    x,
-    y,
-    beta0,
-    apply_inv: Callable[[np.ndarray], np.ndarray],
-    n_iter: int,
-    tol: float = 0.0,
-    beta_ls=None,
-    stop_at_dist: float = 0.0,
-    setup_seconds: float = 0.0,
-) -> SolveTrace:
-    """Fixed-preconditioner steepest descent with exact line search.
-
-    ``apply_inv`` maps a gradient v to the direction M^{-1} v.  A vanished
-    direction ends the run with status ``converged`` (success: the iterate is
-    a fixed point).  When ``tol`` > 0 the run also stops once the iterate
-    moves by at most ``tol`` in Euclidean norm.
-    """
-    x, y = _check_xy(x, y)
-    beta0, beta_ls = _check_betas(x, beta0, beta_ls)
+def _descent_step(x, apply_inv, tol):
+    """The step of :func:`preconditioned_descent` and :func:`aopt_ihs_solve`
+    on a checked X."""
 
     def step(t, beta, resid):
         v = x.T @ resid
@@ -365,7 +345,28 @@ def preconditioned_descent(
         done = tol > 0.0 and abs(alpha) * float(np.linalg.norm(u)) <= tol
         return beta + alpha * u, alpha, "converged" if done else "ok"
 
-    return _iterate(x, y, beta0, beta_ls, n_iter, step, stop_at_dist, setup_seconds)
+    return step
+
+
+def preconditioned_descent(
+    x,
+    y,
+    beta0,
+    apply_inv: Callable[[np.ndarray], np.ndarray],
+    n_iter: int,
+    tol: float = 0.0,
+    beta_ls=None,
+    stop_at_dist: float = 0.0,
+) -> SolveTrace:
+    """Fixed-preconditioner steepest descent with exact line search.
+
+    ``apply_inv`` maps a gradient v to the direction M^{-1} v.  A vanished
+    direction ends the run with status ``converged`` (success: the iterate is
+    a fixed point).  When ``tol`` > 0 the run also stops once the iterate
+    moves by at most ``tol`` in Euclidean norm.
+    """
+    return _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist,
+                    lambda x, y, beta0, beta_ls: (beta0, _descent_step(x, apply_inv, tol)))
 
 
 def aopt_ihs_solve(
@@ -387,35 +388,17 @@ def aopt_ihs_solve(
     length, so the objective never increases.  ``tol`` enables early stopping
     on the iterate displacement (0 disables it).
     """
-    x, y = _check_xy(x, y)
-    _, beta_ls = _check_betas(x, None, beta_ls)
-    tic = time.perf_counter()
-    beta0, mask = aopt_cs_estimate(x, y, m)
-    pre = build_m(x, mask, lam)
-    setup = time.perf_counter() - tic
-    return preconditioned_descent(
-        x,
-        y,
-        beta0,
-        pre.solve,
-        n_iter,
-        tol=tol,
-        beta_ls=beta_ls,
-        stop_at_dist=stop_at_dist,
-        setup_seconds=setup,
-    )
+
+    def setup(x, y, beta0, beta_ls):
+        start, mask = aopt_cs_estimate(x, y, m)
+        return start, _descent_step(x, build_m(x, mask, lam).solve, tol)
+
+    return _iterate(x, y, None, beta_ls, n_iter, stop_at_dist, setup)
 
 
-def _frozen_sketch(x, y, kind, rng, beta0, beta_ls):
-    """Shared setup of the frozen-sketch solvers: the checked inputs, then one
-    sketch and the Cholesky factor of its Gram matrix, timed as setup."""
-    x, y = _check_xy(x, y)
-    beta0, beta_ls = _check_betas(x, beta0, beta_ls)
-    tic = time.perf_counter()
-    sx, _ = draw_sketch(x, y, kind, rng)
-    fac = cholesky(gram(sx))
-    setup = time.perf_counter() - tic
-    return x, y, beta0, beta_ls, fac, setup
+def _sketch_factor(x, y, kind, rng):
+    """Cholesky factor of the Gram matrix of one sketch of ``(X, y)``."""
+    return cholesky(gram(draw_sketch(x, y, kind, rng)[0]))
 
 
 def pw_gradient_solve(
@@ -437,34 +420,38 @@ def pw_gradient_solve(
     reused as the next step's, so either way an iteration reads X twice
     (three times with the gradient-norm metric).
     """
-    x, y, beta, beta_ls, fac, setup = _frozen_sketch(x, y, kind, rng, beta0, beta_ls)
-    grad = None  # X'(y - X b) of the last iterate the gradient-norm metric saw
 
-    def metric(b):
-        nonlocal grad
-        if beta_ls is not None:
-            return float(np.linalg.norm(b - beta_ls))
-        grad = x.T @ (y - x @ b)
-        return float(np.linalg.norm(grad))
+    def setup(x, y, beta0, beta_ls):
+        fac = _sketch_factor(x, y, kind, rng)
+        grad = None  # X'(y - X b) of the last iterate the gradient-norm metric saw
 
-    best = metric(beta)
+        def metric(b):
+            nonlocal grad
+            if beta_ls is not None:
+                return float(np.linalg.norm(b - beta_ls))
+            grad = x.T @ (y - x @ b)
+            return float(np.linalg.norm(grad))
 
-    def step(t, beta, resid):
-        nonlocal best
-        # the metric's gradient is bit-identical to X' resid: same iterate,
-        # same expression
-        g = x.T @ resid if grad is None else grad
-        with np.errstate(over="ignore", invalid="ignore"):
-            beta = beta + solve_spd(fac, g)
-        if not np.isfinite(beta).all():
-            return None, None, "diverge"
-        err = metric(beta)
-        if not np.isfinite(err) or err > DIVERGENCE_GROWTH * best:
-            return beta, None, "diverge"
-        best = min(best, err)
-        return beta, None, "ok"
+        best = metric(beta0)
 
-    return _iterate(x, y, beta, beta_ls, n_iter, step, stop_at_dist, setup)
+        def step(t, beta, resid):
+            nonlocal best
+            # the metric's gradient is bit-identical to X' resid: same iterate,
+            # same expression
+            g = x.T @ resid if grad is None else grad
+            with np.errstate(over="ignore", invalid="ignore"):
+                beta = beta + solve_spd(fac, g)
+            if not np.isfinite(beta).all():
+                return None, None, "diverge"
+            err = metric(beta)
+            if not np.isfinite(err) or err > DIVERGENCE_GROWTH * best:
+                return beta, None, "diverge"
+            best = min(best, err)
+            return beta, None, "ok"
+
+        return beta0, step
+
+    return _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup)
 
 
 def acc_ihs_solve(
@@ -484,32 +471,36 @@ def acc_ihs_solve(
     Polak-Ribiere update, which coincides with Fletcher-Reeves on an exact
     quadratic.  Terminates in at most d steps in exact arithmetic.
     """
-    x, y, beta, beta_ls, fac, setup = _frozen_sketch(x, y, kind, rng, beta0, beta_ls)
-    r = p = rz = None
 
-    def step(t, beta, resid):
-        nonlocal r, p, rz
-        if t == 1:  # later gradients are updated recursively, not from resid
-            r = x.T @ resid
-            p = solve_spd(fac, r)
-            rz = float(r @ p)
-        if np.linalg.norm(r) <= ZERO_DIRECTION_FLOOR or rz <= 0.0:
-            return None, None, "converged"
-        w = x.T @ (x @ p)
-        pw = float(p @ w)
-        if pw <= 0.0:
-            return None, None, "converged"
-        alpha = rz / pw
-        r_next = r - alpha * w
-        z_next = solve_spd(fac, r_next)
-        rz_next = float(r_next @ z_next)
-        mix = float(z_next @ (r_next - r)) / rz
-        beta_next = beta + alpha * p
-        p = z_next + mix * p
-        r, rz = r_next, rz_next
-        return beta_next, alpha, "ok"
+    def setup(x, y, beta0, beta_ls):
+        fac = _sketch_factor(x, y, kind, rng)
+        r = p = rz = None
 
-    return _iterate(x, y, beta, beta_ls, n_iter, step, stop_at_dist, setup)
+        def step(t, beta, resid):
+            nonlocal r, p, rz
+            if t == 1:  # later gradients are updated recursively, not from resid
+                r = x.T @ resid
+                p = solve_spd(fac, r)
+                rz = float(r @ p)
+            if np.linalg.norm(r) <= ZERO_DIRECTION_FLOOR or rz <= 0.0:
+                return None, None, "converged"
+            w = x.T @ (x @ p)
+            pw = float(p @ w)
+            if pw <= 0.0:
+                return None, None, "converged"
+            alpha = rz / pw
+            r_next = r - alpha * w
+            z_next = solve_spd(fac, r_next)
+            rz_next = float(r_next @ z_next)
+            mix = float(z_next @ (r_next - r)) / rz
+            beta_next = beta + alpha * p
+            p = z_next + mix * p
+            r, rz = r_next, rz_next
+            return beta_next, alpha, "ok"
+
+        return beta0, step
+
+    return _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup)
 
 
 def _sketched(solve):

@@ -346,6 +346,12 @@ class TestKeysCheckedUpFront:
         with pytest.raises(ValueError, match="proportions"):
             lambda_sweep(small_cfg(reps=1), proportions)
 
+    def test_init_budget_checked_for_every_n(self, monkeypatch):
+        # n = 4096 used to run all its replications before n = 100 raised
+        monkeypatch.setattr(sketchls.bench, "make_dataset", _no_replication)
+        with pytest.raises(ValueError, match="n=100 is smaller than the sketch budget 128"):
+            run_init_comparison([4096, 100], 3, 16, 8, 40, dist="normal")
+
 
 def test_every_method_has_its_own_stream():
     # a method without a tag used to abort the run with a KeyError

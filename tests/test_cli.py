@@ -195,6 +195,21 @@ class TestSolve:
         else:
             assert len(read_rows(out / "trace.csv")) == 1
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--m", "32", "--lam", "nan"], "error: --lam"),
+        (["--m", "32", "--lam", "inf"], "error: --lam"),
+        (["--m", "32", "--lam", "-1"], "error: --lam"),
+        ([], "error: --m is required"),
+    ])
+    def test_flags_checked_before_reading_data(self, tmp_path, capsys, flags, error):
+        # the data files do not exist: a flag checked after reading them
+        # would report the missing file instead
+        out = tmp_path / "r"
+        assert run_cli("solve", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "y.csv"),
+                       "--method", "aopt-ihs", *flags, "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err.startswith(error)
+        assert not out.exists()
+
 
 #: each bench experiment's CSV and the library call it must reproduce, for the
 #: config written by TestBench.test_csv_matches_library_rows
@@ -320,7 +335,7 @@ class TestBench:
         ("iter_cap", "500"), ("n_grid", 64), ("n_grid", "64"), ("n_grid", ["256"]),
         ("proportions", 0.5), ("variants", [0]), ("sigma_noise", float("nan")),
         ("lambda_rule", float("nan")), ("lambda_rule", -5), ("tol", float("inf")),
-        ("proportions", [float("nan")]),
+        ("proportions", [float("nan")]), ("m", 32.7), ("reps", 2.5), ("n_grid", [256.5]),
     ])
     def test_wrong_json_type_names_key(self, tmp_path, capsys, experiment, field, value):
         cfg = self.write_cfg(tmp_path, **{"n_grid": [256], "m": 32, "n_iter": 4, field: value})

@@ -137,7 +137,7 @@ class TestMakeDataset:
             errs[n] = float(np.median(vals))
         assert errs[2**14] < errs[2**11]
 
-    @pytest.mark.parametrize("sigma_noise", [-1.0, np.nan])
+    @pytest.mark.parametrize("sigma_noise", [-1.0, np.nan, np.inf])
     def test_sigma_noise_must_be_non_negative(self, sigma_noise):
         with pytest.raises(ValueError, match="sigma_noise"):
             DataSpec("normal", 16, 2, seed=0, sigma_noise=sigma_noise)

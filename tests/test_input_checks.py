@@ -6,6 +6,10 @@ non-finite vector raises ValueError, before any numerical work."""
 import numpy as np
 import pytest
 
+import sketchls.datagen
+import sketchls.linalg
+import sketchls.precond
+import sketchls.sketch
 import sketchls.solvers
 from sketchls import (
     DimensionMismatch,
@@ -23,6 +27,7 @@ from sketchls import (
     full_ls,
     hs_covariance_trace_bound,
     ihs_solve,
+    isometry_check,
     leverage_sample,
     preconditioned_descent,
     pw_gradient_solve,
@@ -171,3 +176,43 @@ def test_absent_beta0_is_the_zero_start(xy):
     trace = preconditioned_descent(x, y, None, lambda v: v, 1, beta_ls=beta_ls)
     assert trace.dist_to_ls[0] == float(np.linalg.norm(beta_ls))
     assert np.array_equal(trace.betas[0], np.zeros(D))
+
+
+SCAN_N, SCAN_D, SCAN_M = 512, 5, 64
+SCAN_SRHT = SketchKind("srht", SCAN_M)
+
+#: full checks of X (as_matrix on an X-shaped array) per call
+X_SCANS = {
+    "aopt_ihs_solve": (4, lambda x, y: aopt_ihs_solve(x, y, SCAN_M, 3, 0.1)),
+    "aopt_cs_estimate": (2, lambda x, y: aopt_cs_estimate(x, y, SCAN_M)),
+    "aopt_select": (1, lambda x, y: aopt_select(x, SCAN_M)),
+    "closed_form_trajectory": (2, lambda x, y: closed_form_trajectory(
+        x, y, np.zeros(SCAN_D), [x[:SCAN_M], x[SCAN_M : 2 * SCAN_M]])),
+    "ihs_solve-1-iter": (1, lambda x, y: ihs_solve(x, y, SCAN_SRHT, 1, derive_rng(1))),
+    "ihs_solve-5-iter": (1, lambda x, y: ihs_solve(x, y, SCAN_SRHT, 5, derive_rng(1))),
+    "pw_gradient_solve": (2, lambda x, y: pw_gradient_solve(x, y, SCAN_SRHT, 3, derive_rng(1))),
+    "acc_ihs_solve": (2, lambda x, y: acc_ihs_solve(x, y, SCAN_SRHT, 3, derive_rng(1))),
+    "preconditioned_descent": (1, lambda x, y: preconditioned_descent(
+        x, y, None, lambda v: v, 3)),
+    "isometry_check": (1, lambda x, y: isometry_check(x, x[:SCAN_M])),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(X_SCANS))
+def test_x_scans_per_call(entry, monkeypatch):
+    # aopt_ihs_solve used to check X 6 times, closed_form_trajectory 4
+    rng = np.random.default_rng(2)
+    x, y = rng.standard_normal((SCAN_N, SCAN_D)), rng.standard_normal(SCAN_N)
+    real, scans = sketchls.linalg.as_matrix, []
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a) == x.shape:
+            scans.append(a)
+        return real(a, *args, **kwargs)
+
+    for module in (sketchls.linalg, sketchls.sketch, sketchls.solvers, sketchls.precond,
+                   sketchls.datagen):
+        monkeypatch.setattr(module, "as_matrix", counting)
+    expected, call = X_SCANS[entry]
+    call(x, y)
+    assert len(scans) == expected
