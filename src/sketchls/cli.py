@@ -42,7 +42,7 @@ from .bench import (
 from .datagen import DISTRIBUTIONS, DataSpec, center, make_dataset
 from .errors import ConfigError, ParseError, SketchlsError
 from .precond import LambdaRule
-from .sketch import derive_rng
+from .sketch import _next_pow2, derive_rng
 from .solvers import METHODS as SOLVERS
 from .solvers import SolveTrace, full_ls
 
@@ -279,12 +279,18 @@ def cmd_solve(args) -> int:
     method = args.method
     if method != "full" and args.m is None:
         raise ConfigError("m", f"--m is required for method {method!r}")
+    if args.m is not None and args.m < 1:
+        raise ConfigError("--m", f"--m must be >= 1, got {args.m}")
     x = read_matrix_csv(args.x)
     y = read_vector_csv(args.y)
     if y.size != x.shape[0]:
         raise ParseError(
             f"y has {y.size} rows but X has {x.shape[0]}; the files do not match"
         )
+    # aopt-ihs selects m of the n rows; the SRHT keeps m of the padded rows
+    rows = x.shape[0] if method == "aopt-ihs" else _next_pow2(x.shape[0])
+    if method != "full" and args.m > rows:
+        raise ConfigError("--m", f"--m must be <= {rows} for method {method!r}, got {args.m}")
     if not args.no_center:
         x, y = center(x, y)
     if args.scale:

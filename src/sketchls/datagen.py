@@ -68,34 +68,45 @@ def make_sigma(d: int) -> np.ndarray:
     return 0.5 * np.eye(d) + 0.5 * np.ones((d, d))
 
 
-def _correlated_normal(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    chol = np.linalg.cholesky(make_sigma(d))
-    return rng.standard_normal((n, d)) @ chol.T
+#: rows of X drawn, correlated and transformed per block
+_GEN_ROWS = 4096
 
 
 def _covariates(rng: np.random.Generator, dist: str, n: int, d: int) -> np.ndarray:
-    if dist == "normal":
-        return _correlated_normal(rng, n, d)
-    if dist == "lognormal":
-        return np.exp(_correlated_normal(rng, n, d))
-    if dist == "t2":
-        z = _correlated_normal(rng, n, d)
-        w = rng.chisquare(2, n)
-        return z / np.sqrt(w / 2.0)[:, None]
-    # mixture: per-row component from {shifted normal, t2, t3, iid uniform,
-    # lognormal} with equal probability.  All blocks are drawn unconditionally
-    # in a fixed order to keep the stream layout (hence the bytes) stable.
-    comp = rng.integers(0, 5, n)
-    z = _correlated_normal(rng, n, d)
-    w2 = rng.chisquare(2, n)
-    w3 = rng.chisquare(3, n)
-    u = rng.uniform(0.0, 2.0, (n, d))
+    """Raw covariates, built in one n x d array ``_GEN_ROWS`` rows at a time.
+
+    Each block's standard normal draw is correlated by the Cholesky factor of
+    :func:`make_sigma` into its rows of X (and exponentiated in place for
+    lognormal).  Block draws consume the stream exactly as one whole-array
+    draw would, so the bytes do not depend on the block size.  Stream order
+    is fixed: the mixture's components, all normal blocks, then the t2
+    chi-square, or the mixture's two chi-squares and its uniform block by
+    block; the t2 and mixture transforms act on X in place.
+    """
+    chol_t = np.linalg.cholesky(make_sigma(d)).T
+    comp = rng.integers(0, 5, n) if dist == "mixture" else None
     x = np.empty((n, d))
-    x[comp == 0] = z[comp == 0] + 1.0
-    x[comp == 1] = z[comp == 1] / np.sqrt(w2[comp == 1] / 2.0)[:, None]
-    x[comp == 2] = z[comp == 2] / np.sqrt(w3[comp == 2] / 3.0)[:, None]
-    x[comp == 3] = u[comp == 3]
-    x[comp == 4] = np.exp(z[comp == 4])
+    blocks = [slice(s, s + _GEN_ROWS) for s in range(0, n, _GEN_ROWS)]
+    for b in blocks:
+        np.matmul(rng.standard_normal(x[b].shape), chol_t, out=x[b])
+        if dist == "lognormal":
+            np.exp(x[b], out=x[b])
+    if dist == "t2":
+        x /= np.sqrt(rng.chisquare(2, n) / 2.0)[:, None]
+    if dist != "mixture":
+        return x
+    # per-row component from {shifted normal, t2, t3, iid uniform, lognormal}
+    # with equal probability; every draw is taken for every row
+    w2 = np.sqrt(rng.chisquare(2, n) / 2.0)
+    w3 = np.sqrt(rng.chisquare(3, n) / 3.0)
+    for b in blocks:
+        xb, cb = x[b], comp[b]
+        u = rng.uniform(0.0, 2.0, xb.shape)
+        xb[cb == 0] += 1.0
+        xb[cb == 1] /= w2[b][cb == 1, None]
+        xb[cb == 2] /= w3[b][cb == 2, None]
+        xb[cb == 3] = u[cb == 3]
+        xb[cb == 4] = np.exp(xb[cb == 4])
     return x
 
 
@@ -124,15 +135,19 @@ def make_dataset(spec: DataSpec) -> Dataset:
     """Generate, center, and solve one dataset.
 
     Draw order is fixed: covariates, then beta_star (d i.i.d. standard
-    normals), then response noise.  The exact least-squares solution is
-    computed once on the centered pair; centering leaves beta_star the ground
-    truth of the centered model.
+    normals), then response noise.  X is built in one array and centered in
+    place, as :func:`center` would, so no X-sized temporary is held beside
+    it.  The exact least-squares solution is computed once on the centered
+    pair; centering leaves beta_star the ground truth of the centered model.
     """
     from .solvers import full_ls  # local import to avoid a cycle
 
     rng = derive_rng(spec.seed)
-    x_raw = _covariates(rng, spec.dist, spec.n, spec.d)
+    x = _covariates(rng, spec.dist, spec.n, spec.d)
     beta_star = rng.standard_normal(spec.d)
-    y_raw = gen_response(x_raw, beta_star, spec.sigma_noise, rng)
-    x, y = center(x_raw, y_raw)
+    y = gen_response(x, beta_star, spec.sigma_noise, rng)
+    if spec.n < 2:
+        raise ValueError("centering needs at least two rows")
+    x -= x.mean(axis=0)
+    y -= y.mean()
     return Dataset(x=x, y=y, beta_star=beta_star, beta_ls=full_ls(x, y))

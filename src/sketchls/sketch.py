@@ -10,10 +10,12 @@ stream via :func:`derive_rng` rather than sharing one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 from .errors import (
     BadSubsampleSize,
@@ -106,11 +108,12 @@ def _check_mask(x, mask: SubsampleMask) -> np.ndarray:
     return x
 
 
-#: largest dense factor; when m * _SPARSE < n the factors stop at a low part
-#: of at most _LOW rows, whose kept rows are formed directly
-_BLOCK, _LOW, _SPARSE = 128, 1024, 16
-#: columns per SRHT panel, and rows of X per leverage-score block
-_PANEL, _LEV_ROWS = 64, 1024
+#: largest dense factor; when m * _SPARSE < n only m rows of the transform
+#: are formed (the kept-row path)
+_BLOCK, _SPARSE = 128, 16
+#: columns per SRHT panel, rows of X per leverage-score block, and rows of
+#: the padded panel that the first dense factor reads per product
+_PANEL, _LEV_ROWS, _CHUNK = 64, 1024, 4096
 
 
 def _sylvester(f: int) -> np.ndarray:
@@ -123,20 +126,40 @@ def _sylvester(f: int) -> np.ndarray:
 _HADAMARD = {1 << p: _sylvester(1 << p) for p in range(_BLOCK.bit_length())}
 
 
+def _split(f: int) -> list:
+    """Sylvester factor sizes of H_f: factors of 128, then the remainder."""
+    factors = []
+    while f > 1:
+        factors.append(min(f, _BLOCK))
+        f //= factors[-1]
+    return factors
+
+
+def _factors(n: int, m: int) -> list:
+    """Dense factor sizes, high index digits first, of a transform of n
+    rows that keeps m of them.  The all-dense path (m * 16 >= n) applies
+    all of :func:`_split` ``(n)``.  The kept-row path stops at the low part
+    of lo rows that minimizes the multiply-adds per column: n for each row
+    of every dense factor of :func:`_split` ``(n / lo)``, plus m lo for the
+    kept rows.  lo is at most 128 * 128, the largest H_q (x) H_r."""
+    if m * _SPARSE >= n:
+        return _split(n)
+    lows = [1 << p for p in range(min(n, _BLOCK * _BLOCK).bit_length())]
+    lo = min(lows, key=lambda lo: n * sum(_split(n // lo)) + m * lo)
+    return _split(n // lo)
+
+
 def _plan_rows(n: int, rows: np.ndarray):
-    """How :func:`_hadamard_rows` forms rows ``rows`` of H_n: the dense
-    factor sizes, high index digits first, and, for the kept-row stage, the
-    rows sorted by high index, the group bounds, and each sorted row's rows
-    of the two Sylvester blocks whose Kronecker product is the low part,
-    H_lo = H_q (x) H_r with q = min(lo, 128) (None on the all-dense path).
-    One plan serves every panel."""
-    dense = rows.size * _SPARSE >= n
-    factors, lo = [], n
-    while lo > (1 if dense else _LOW):
-        factors.append(min(lo, _BLOCK))
-        lo //= factors[-1]
-    if dense:
+    """How :func:`_transform` forms rows ``rows`` of H_n: the
+    :func:`_factors` and, for the kept-row stage, the rows sorted by high
+    index, the group bounds, and each sorted row's rows of the two Sylvester
+    blocks whose Kronecker product is the low part, H_lo = H_q (x) H_r with
+    q = min(lo, 128) (None on the all-dense path).  One plan serves every
+    panel."""
+    factors = _factors(n, rows.size)
+    if rows.size * _SPARSE >= n:
         return factors, None
+    lo = n // math.prod(factors)
     groups, low = np.divmod(rows, lo)
     order = np.argsort(groups, kind="stable")
     bounds = np.searchsorted(groups[order], np.arange(n // lo + 1))
@@ -145,31 +168,83 @@ def _plan_rows(n: int, rows: np.ndarray):
     return factors, (order, bounds, _HADAMARD[q][i_q], _HADAMARD[lo // q][i_r])
 
 
-def _hadamard_rows(a: np.ndarray, rows: np.ndarray, buf=None, plan=None) -> np.ndarray:
-    """Rows ``rows`` of ``H_n @ a`` for the unnormalized Sylvester-Hadamard
-    matrix H_n, n = a.shape[0] a power of two.  ``a`` is overwritten, and so
-    is ``buf``, a scratch array shaped like ``a`` (allocated when None).
+def _workspace(n: int, k: int, factors: list):
+    """Scratch for :func:`_transform` of n x k panels: one n x k buffer, a
+    second only when more than one dense factor runs, and the first
+    factor's chunk of min(n, 4096) x k, which is the start of the second
+    buffer when there is one (that buffer is free until the second factor).
+    Buffers are separate allocations: once an allocation below 32 MiB is
+    freed, glibc serves later ones up to its size from the heap, so one
+    double-size buffer would raise the resident peak."""
+    bufs = [np.empty(n * k) for _ in range(1 + (len(factors) > 1))]
+    return bufs, bufs[1] if len(bufs) > 1 else np.empty(min(n, _CHUNK) * k)
+
+
+def _slabs(v: np.ndarray, s: int, count: int, t: int) -> np.ndarray:
+    """Read-only view of rows i * s .. i * s + t of ``v`` for i < count,
+    shaped (count, t, ...)."""
+    return np.lib.stride_tricks.as_strided(
+        v, (count, t, *v.shape[1:]), (s * v.strides[0], *v.strides), writeable=False)
+
+
+def _fill(out: np.ndarray, s: int, r0: int, x, y, signs) -> None:
+    """Write the rows i * s + r0 .. i * s + r0 + t of the padded panel D [x | y]
+    into out[i] for each slab i, (f, t, k) = out.shape.  D is the diagonal
+    of ``signs`` (one per padded row), y (None for none) is the last column
+    when given, and rows at or past x's row count are zero."""
+    f, t, _ = out.shape
+    n, xc = x.shape
+    full = min(f, max(0, (n - r0 - t) // s + 1))  # slabs with all t rows in x
+    part = min(t, n - full * s - r0) if full < f else 0
+    out[full:] = 0.0
+    for i, count, rows in ((0, full, t), (full, 1, part)):
+        if count == 0 or rows <= 0:
+            continue
+        first = i * s + r0
+        sign = _slabs(signs[first:], s, count, rows)
+        dst = out[i : i + count, :rows]
+        np.multiply(_slabs(x[first:], s, count, rows), sign[..., None], out=dst[..., :xc])
+        if y is not None:
+            np.multiply(_slabs(y[first:], s, count, rows), sign, out=dst[..., xc])
+
+
+def _transform(x, y, signs: np.ndarray, rows: np.ndarray, plan, work) -> np.ndarray:
+    """Rows ``rows`` of ``H_n @ A`` for the unnormalized Sylvester-Hadamard
+    matrix H_n, n = signs.size a power of two, and the n x k padded panel
+    A = D [x | y] of :func:`_fill`.  ``plan`` is :func:`_plan_rows` ``(n,
+    rows)`` and ``work`` a :func:`_workspace`.
 
     H_n is a Kronecker product of Sylvester factors of at most 128, each
-    applied as one batched dense product on a reshaped view (BLAS-3),
-    ping-ponging between ``a`` and ``buf``.  When fewer than n / 16 rows are
-    wanted, the factors stop at a low part H_lo = H_q (x) H_r of at most
-    1024 rows, and each high-index group forms its kept rows from its lo x k
-    block: one product with the group's rows of H_q, then the r-term sums
-    weighted by their rows of H_r.  No row of H_lo is formed.  With more
-    rows every factor is applied and the rows are gathered.  ``plan`` is
-    :func:`_plan_rows` ``(n, rows)``, computed when None.
+    applied as one batched dense product (BLAS-3).  The first factor H_f
+    reads A in chunks, min(n, 4096) / f rows of each of its f slabs of n / f
+    rows at a time, and writes into the first buffer, so A itself is never
+    formed; further factors ping-pong with the second buffer.  When fewer
+    than n / 16 rows are wanted, the factors stop at a low part H_lo = H_q
+    (x) H_r of lo rows, and each high-index group forms its kept rows from
+    its lo x k block: one product with the group's rows of H_q, then the
+    r-term sums weighted by their rows of H_r.  No row of H_lo is formed.
+    With more rows every factor is applied and the rows are gathered.
     """
-    n, k = a.shape
-    factors, kept = plan or _plan_rows(n, rows)
-    src = a
-    if factors and buf is None:
-        buf = np.empty_like(a)
-    pre = 1
-    for f in factors:
+    n, k = signs.size, x.shape[1] + (y is not None)
+    factors, kept = plan
+    bufs, chunk = work
+    src = bufs[0][: n * k].reshape(n, k)
+    if not factors:
+        _fill(src[None], n, 0, x, y, signs)
+    else:
+        f = factors[0]
+        s, t = n // f, min(n, _CHUNK) // f
+        step = chunk[: f * t * k].reshape(f, t, k)
+        wide = src.reshape(f, s * k)
+        for r0 in range(0, s, t):
+            _fill(step, s, r0, x, y, signs)
+            np.matmul(_HADAMARD[f], step.reshape(f, t * k), out=wide[:, r0 * k : (r0 + t) * k])
+    pre = factors[0] if factors else 1
+    dst = bufs[-1][: n * k].reshape(n, k)
+    for f in factors[1:]:
         shape = (pre, f, n // (pre * f) * k)
-        np.matmul(_HADAMARD[f], src.reshape(shape), out=buf.reshape(shape))
-        src, buf = buf, src
+        np.matmul(_HADAMARD[f], src.reshape(shape), out=dst.reshape(shape))
+        src, dst = dst, src
         pre *= f
     if kept is None:
         return src[rows]
@@ -184,6 +259,14 @@ def _hadamard_rows(a: np.ndarray, rows: np.ndarray, buf=None, plan=None) -> np.n
     return out
 
 
+def _hadamard_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of ``H_n @ a``, n = a.shape[0] a power of two: the
+    kernel of :func:`_transform` on a formed matrix."""
+    n, k = a.shape
+    plan = _plan_rows(n, rows)
+    return _transform(a, None, np.ones(n), rows, plan, _workspace(n, k, plan[0]))
+
+
 def fwht(v) -> np.ndarray:
     """Orthonormal Walsh-Hadamard transform, O(n log n).
 
@@ -196,7 +279,7 @@ def fwht(v) -> np.ndarray:
     n = v.size
     if n < 1 or (n & (n - 1)) != 0:
         raise NotPowerOfTwo(f"length {n} is not a power of two")
-    return _hadamard_rows(v[:, None].copy(), np.arange(n))[:, 0] / np.sqrt(n)
+    return _hadamard_rows(v[:, None], np.arange(n))[:, 0] / np.sqrt(n)
 
 
 def _next_pow2(n: int) -> int:
@@ -208,60 +291,45 @@ def rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
 
 
-def _panels(n_pad: int, d: int):
-    """The two panel buffers of an SRHT of n_pad x (d + 1) padded data,
-    n_pad * min(64, d + 1) doubles each.  They are two allocations, not
-    one: once an allocation below 32 MiB is freed, glibc serves later ones
-    up to its size from the heap, and one double-size buffer raised the
-    benchmark's desk-scale peak RSS from 94 to 100 MiB."""
-    return tuple(np.empty(n_pad * min(_PANEL, d + 1)) for _ in range(2))
-
-
-def _srht_from_parts(x, y, signs: np.ndarray, rows: np.ndarray, m: int, panels=None):
+def _srht_from_parts(x, y, signs: np.ndarray, rows: np.ndarray, m: int, work=None):
     """The SRHT of ``(X, y)`` given the sign diagonal (one sign per padded
     row) and the kept row indices: sqrt(n_pad/m) * (H / sqrt(n_pad)) =
     H / sqrt(m).
 
-    The padded data are transformed in column panels of at most 64: each
-    panel's signed, zero-padded columns are copied into one of two panel
-    buffers, which the transform then uses as scratch.  ``panels`` is a
-    pair of :func:`_panels` to reuse across calls (allocated when None).
+    The padded data are transformed in column panels of at most 64, each
+    read straight from X and y by :func:`_transform`'s first factor.
+    ``work`` is the :func:`_workspace` to reuse across calls (allocated
+    when None).
     """
-    n, d = x.shape
-    n_pad = signs.size
+    d = x.shape[1]
     width = min(_PANEL, d + 1)
-    if panels is None:
-        panels = _panels(n_pad, d)
-    plan = _plan_rows(n_pad, rows)
+    plan = _plan_rows(signs.size, rows)
+    if work is None:
+        work = _workspace(signs.size, width, plan[0])
     out = np.empty((rows.size, d + 1))
     for j in range(0, d + 1, width):
         c = min(width, d + 1 - j)
-        a, buf = (p[: n_pad * c].reshape(n_pad, c) for p in panels)
-        xc = min(c, d - j)
-        np.multiply(x[:, j : j + xc], signs[:n, None], out=a[:n, :xc])
-        if xc < c:
-            np.multiply(y, signs[:n], out=a[:n, xc])
-        a[n:] = 0.0
-        out[:, j : j + c] = _hadamard_rows(a, rows, buf, plan)
+        out[:, j : j + c] = _transform(x[:, j : j + c], y if j + c > d else None, signs,
+                                       rows, plan, work)
     out /= np.sqrt(m)
     return np.ascontiguousarray(out[:, :d]), out[:, d].copy()
 
 
 def _srht_sketcher(x, y, m: int, rng: np.random.Generator):
     """Successive draws of :func:`srht_apply` ``(x, y, m, rng)`` for an
-    ``(X, y)`` already checked, sharing one pair of panel buffers: a call of
-    the returned function gives the next ``(SX, Sy)``.  Raises
+    ``(X, y)`` already checked, sharing one workspace: a call of the
+    returned function gives the next ``(SX, Sy)``.  Raises
     :class:`NotEnoughRows` here when ``m`` is outside 1..n_pad."""
     n, d = x.shape
     n_pad = _next_pow2(n)
     if not 1 <= m <= n_pad:
         raise NotEnoughRows(f"sketch size {m} not in 1..{n_pad} (padded rows)")
-    panels = _panels(n_pad, d)
+    work = _workspace(n_pad, min(_PANEL, d + 1), _factors(n_pad, m))
 
     def draw():
         signs = rademacher(rng, n_pad)
         rows = rng.choice(n_pad, size=m, replace=False)
-        return _srht_from_parts(x, y, signs, rows, m, panels)
+        return _srht_from_parts(x, y, signs, rows, m, work)
 
     return draw
 
@@ -277,10 +345,13 @@ def srht_apply(x, y, m: int, rng: np.random.Generator):
 
     The transform is blocked: the Sylvester matrix H_n splits into Kronecker
     factors of at most 128, each applied as a dense +-1 matrix product; when
-    m < n_pad / 16 the factors stop at a low part of at most 1024 rows,
-    whose kept rows are formed directly.  The padded data are transformed in
-    panels of at most 64 columns, so the working set is two n_pad x 64
-    panel buffers, not copies of the padded data.
+    m < n_pad / 16 the factors stop at a low part, whose size minimizes the
+    multiply-adds, and only its kept rows are formed.  The padded data are
+    transformed in panels of at most 64 columns.  The first factor reads
+    each panel's signed rows straight from X and y, 4096 padded rows at a
+    time, so the working set is one n_pad x 64 panel buffer and a small
+    chunk (two panel buffers when every row is kept), not copies of the
+    padded data.
 
     Returns ``(SX, Sy)``.  Draw order is fixed (signs, then rows) so a seeded
     generator reproduces the sketch exactly.
@@ -294,8 +365,9 @@ def leverage_scores(x) -> np.ndarray:
     column basis.  Scores lie in [0, 1] and sum to the column count.
 
     With X'X = L L' (Cholesky), X L^{-T} is such a basis, so the scores are
-    the squared column norms of L^{-1} X', one triangular solve against the
-    Gram factor, taken on blocks of 1024 rows of X; no Q is formed.  Raises
+    the squared column norms of L^{-1} X', one BLAS triangular solve
+    (``dtrsm``) against the Gram factor on each block of 1024 rows of X; no
+    Q is formed.  Raises
     :class:`RankDeficient` when X has fewer rows than columns or its Gram
     matrix is not positive definite.
     """
@@ -307,10 +379,10 @@ def leverage_scores(x) -> np.ndarray:
         fac = cholesky(gram(x))
     except NotPositiveDefinite:
         raise RankDeficient("X does not have full column rank") from None
+    lower = np.asfortranarray(fac.lower)
     scores = np.empty(n)
     for s in range(0, n, _LEV_ROWS):
-        w = scipy.linalg.solve_triangular(fac.lower, x[s : s + _LEV_ROWS].T, lower=True,
-                                          check_finite=False)
+        w = scipy.linalg.blas.dtrsm(1.0, lower, x[s : s + _LEV_ROWS].T, lower=1)
         scores[s : s + _LEV_ROWS] = np.einsum("ij,ij->j", w, w)
     return scores
 

@@ -213,8 +213,8 @@ def ihs_solve(
     The default initializer is the zero vector.  With ``record_sketches``
     the sketched matrices are attached to the trace (``trace.sketches``) for
     the closed-form oracle.  An SRHT solve draws its sketches as
-    :func:`srht_apply` would, from one pair of panel buffers kept for the
-    whole solve, on X checked once.
+    :func:`srht_apply` would, from one workspace kept for the whole solve,
+    on X checked once.
     """
     sketches = [] if record_sketches else None
 

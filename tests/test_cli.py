@@ -200,6 +200,8 @@ class TestSolve:
         (["--m", "32", "--lam", "inf"], "error: --lam"),
         (["--m", "32", "--lam", "-1"], "error: --lam"),
         ([], "error: --m is required"),
+        (["--m", "0"], "error: --m must be >= 1, got 0"),
+        (["--m", "-3"], "error: --m must be >= 1, got -3"),
     ])
     def test_flags_checked_before_reading_data(self, tmp_path, capsys, flags, error):
         # the data files do not exist: a flag checked after reading them
@@ -209,6 +211,23 @@ class TestSolve:
                        "--method", "aopt-ihs", *flags, "--out-dir", str(out)) == 1
         assert capsys.readouterr().err.startswith(error)
         assert not out.exists()
+
+    @pytest.mark.parametrize("method, m, code", [
+        ("aopt-ihs", "100", 0), ("aopt-ihs", "101", 1),
+        ("ihs", "128", 0), ("ihs", "129", 1), ("full", "129", 0),
+    ])
+    def test_m_at_most_the_rows_it_selects_from(self, tmp_path, capsys, method, m, code):
+        # aopt-ihs selects from the 100 rows, the SRHT from the 128 padded rows
+        data = tmp_path / "data"
+        run_cli("gen", "--dist", "normal", "--n", "100", "--d", "3", "--out-dir", str(data))
+        out = tmp_path / "r"
+        assert run_cli("solve", "--x", str(data / "X.csv"), "--y", str(data / "y.csv"),
+                       "--method", method, "--m", m, "--n-iter", "2",
+                       "--out-dir", str(out)) == code
+        if code:
+            bound = 100 if method == "aopt-ihs" else 128
+            assert capsys.readouterr().err.startswith(f"error: --m must be <= {bound}")
+            assert not out.exists()
 
 
 #: each bench experiment's CSV and the library call it must reproduce, for the

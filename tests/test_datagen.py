@@ -141,3 +141,44 @@ class TestMakeDataset:
     def test_sigma_noise_must_be_non_negative(self, sigma_noise):
         with pytest.raises(ValueError, match="sigma_noise"):
             DataSpec("normal", 16, 2, seed=0, sigma_noise=sigma_noise)
+
+
+def whole_array_dataset(spec):
+    """make_dataset as one whole-array draw per stream call: each family's
+    definition written out directly, then :func:`center` and ``full_ls``."""
+    from sketchls import full_ls
+
+    rng = derive_rng(spec.seed)
+    n, d = spec.n, spec.d
+    chol = np.linalg.cholesky(make_sigma(d))
+    comp = rng.integers(0, 5, n) if spec.dist == "mixture" else None
+    z = rng.standard_normal((n, d)) @ chol.T
+    if spec.dist == "normal":
+        x = z
+    elif spec.dist == "lognormal":
+        x = np.exp(z)
+    elif spec.dist == "t2":
+        x = z / np.sqrt(rng.chisquare(2, n) / 2.0)[:, None]
+    else:
+        w2 = rng.chisquare(2, n)
+        w3 = rng.chisquare(3, n)
+        u = rng.uniform(0.0, 2.0, (n, d))
+        x = np.empty((n, d))
+        x[comp == 0] = z[comp == 0] + 1.0
+        x[comp == 1] = z[comp == 1] / np.sqrt(w2[comp == 1] / 2.0)[:, None]
+        x[comp == 2] = z[comp == 2] / np.sqrt(w3[comp == 2] / 3.0)[:, None]
+        x[comp == 3] = u[comp == 3]
+        x[comp == 4] = np.exp(z[comp == 4])
+    beta_star = rng.standard_normal(d)
+    x, y = center(x, gen_response(x, beta_star, spec.sigma_noise, rng))
+    return x, y, beta_star, full_ls(x, y)
+
+
+class TestBlockedGeneration:
+    # two full 4096-row blocks and a 5-row tail
+    @pytest.mark.parametrize("dist", ["normal", "lognormal", "t2", "mixture"])
+    def test_matches_whole_array_draw(self, dist):
+        spec = DataSpec(dist, 2 * 4096 + 5, 7, seed=21)
+        ds = make_dataset(spec)
+        for got, ref in zip((ds.x, ds.y, ds.beta_star, ds.beta_ls), whole_array_dataset(spec)):
+            np.testing.assert_array_equal(got, ref)
