@@ -315,23 +315,48 @@ def _srht_from_parts(x, y, signs: np.ndarray, rows: np.ndarray, m: int, work=Non
     return np.ascontiguousarray(out[:, :d]), out[:, d].copy()
 
 
-def _srht_sketcher(x, y, m: int, rng: np.random.Generator):
-    """Successive draws of :func:`srht_apply` ``(x, y, m, rng)`` for an
-    ``(X, y)`` already checked, sharing one workspace: a call of the
-    returned function gives the next ``(SX, Sy)``.  Raises
-    :class:`NotEnoughRows` here when ``m`` is outside 1..n_pad."""
+def _sketcher(x, y, variant: str, m: int, rng: np.random.Generator | None):
+    """Successive size-``m`` sketches of a checked ``(X, y)``: each call of the
+    returned function gives the next ``(SX, Sy)``, drawing from ``rng`` as one
+    call of the family's public sampler does.  The per-solve work (SRHT
+    workspace, leverage probabilities, scale, largest-norm rows) is done here
+    once, and an ``m`` out of range raises here with the sampler's error."""
     n, d = x.shape
-    n_pad = _next_pow2(n)
-    if not 1 <= m <= n_pad:
-        raise NotEnoughRows(f"sketch size {m} not in 1..{n_pad} (padded rows)")
-    work = _workspace(n_pad, min(_PANEL, d + 1), _factors(n_pad, m))
+    if variant == "srht":
+        n_pad = _next_pow2(n)
+        if not 1 <= m <= n_pad:
+            raise NotEnoughRows(f"sketch size {m} not in 1..{n_pad} (padded rows)")
+        work = _workspace(n_pad, min(_PANEL, d + 1), _factors(n_pad, m))
 
-    def draw():
-        signs = rademacher(rng, n_pad)
-        rows = rng.choice(n_pad, size=m, replace=False)
-        return _srht_from_parts(x, y, signs, rows, m, work)
+        def draw():
+            signs = rademacher(rng, n_pad)
+            rows = rng.choice(n_pad, size=m, replace=False)
+            return _srht_from_parts(x, y, signs, rows, m, work)
+        return draw
+    if variant == "leverage":
+        if m < 1:
+            raise BadSubsampleSize(f"sketch size must be >= 1, got {m}")
+        scores = leverage_scores(x)
+        p = scores / scores.sum()
 
-    return draw
+        def draw():
+            idx = rng.choice(n, size=m, replace=True, p=p)
+            scale = 1.0 / np.sqrt(m * p[idx])
+            return x[idx] * scale[:, None], y[idx] * scale
+        return draw
+    if variant == "uniform":
+        if not 1 <= m <= n:
+            raise NotEnoughRows(f"sketch size {m} not in 1..{n}")
+        scale = np.sqrt(n / m)
+
+        def draw():
+            idx = rng.choice(n, size=m, replace=False)
+            return scale * x[idx], scale * y[idx]
+        return draw
+    idx = aopt_select(x, m).indices  # deterministic: every draw is this pair
+    scale = np.sqrt(n / m)
+    pair = scale * x[idx], scale * y[idx]
+    return lambda: pair
 
 
 def srht_apply(x, y, m: int, rng: np.random.Generator):
@@ -356,8 +381,7 @@ def srht_apply(x, y, m: int, rng: np.random.Generator):
     Returns ``(SX, Sy)``.  Draw order is fixed (signs, then rows) so a seeded
     generator reproduces the sketch exactly.
     """
-    x, y = _check_xy(x, y)
-    return _srht_sketcher(x, y, m, rng)()
+    return _sketcher(*_check_xy(x, y), "srht", m, rng)()
 
 
 def leverage_scores(x) -> np.ndarray:
@@ -393,25 +417,12 @@ def leverage_sample(x, y, m: int, rng: np.random.Generator):
     Row i is drawn with probability p_i proportional to its leverage score
     and rescaled by 1/sqrt(m p_i), making S.T @ S unbiased for the identity.
     """
-    x, y = _check_xy(x, y)
-    if m < 1:
-        raise BadSubsampleSize(f"sketch size must be >= 1, got {m}")
-    scores = leverage_scores(x)
-    p = scores / scores.sum()
-    idx = rng.choice(x.shape[0], size=m, replace=True, p=p)
-    scale = 1.0 / np.sqrt(m * p[idx])
-    return x[idx] * scale[:, None], y[idx] * scale
+    return _sketcher(*_check_xy(x, y), "leverage", m, rng)()
 
 
 def uniform_sample(x, y, m: int, rng: np.random.Generator):
     """Uniform row sampling without replacement, scaled by sqrt(n/m)."""
-    x, y = _check_xy(x, y)
-    n = x.shape[0]
-    if not 1 <= m <= n:
-        raise NotEnoughRows(f"sketch size {m} not in 1..{n}")
-    idx = rng.choice(n, size=m, replace=False)
-    scale = np.sqrt(n / m)
-    return scale * x[idx], scale * y[idx]
+    return _sketcher(*_check_xy(x, y), "uniform", m, rng)()
 
 
 def aopt_select(x, m: int) -> SubsampleMask:
@@ -457,13 +468,4 @@ def draw_sketch(x, y, kind: SketchKind, rng: np.random.Generator | None):
     the Hessian side (estimators that cancel row scaling, like the classical
     sketch, are unaffected).
     """
-    if kind.variant == "srht":
-        return srht_apply(x, y, kind.m, rng)
-    if kind.variant == "leverage":
-        return leverage_sample(x, y, kind.m, rng)
-    if kind.variant == "uniform":
-        return uniform_sample(x, y, kind.m, rng)
-    x, y = _check_xy(x, y)
-    mask = aopt_select(x, kind.m)
-    scale = np.sqrt(x.shape[0] / mask.m)
-    return scale * x[mask.indices], scale * y[mask.indices]
+    return _sketcher(*_check_xy(x, y), kind.variant, kind.m, rng)()

@@ -45,7 +45,7 @@ from .errors import (
 from .linalg import (_check_coef, _check_xy, as_matrix, as_vector, cholesky, gram,
                      solve_spd, sym_eigvals)
 from .precond import build_m
-from .sketch import SketchKind, _srht_sketcher, aopt_select, draw_sketch
+from .sketch import SketchKind, _sketcher, aopt_select, draw_sketch
 
 __all__ = [
     "METHODS",
@@ -212,15 +212,13 @@ def ihs_solve(
     Newton-like update ``beta += ((S_t X)^T S_t X)^{-1} X^T (y - X beta)``.
     The default initializer is the zero vector.  With ``record_sketches``
     the sketched matrices are attached to the trace (``trace.sketches``) for
-    the closed-form oracle.  An SRHT solve draws its sketches as
-    :func:`srht_apply` would, from one workspace kept for the whole solve,
-    on X checked once.
+    the closed-form oracle.  The sketches are successive :func:`draw_sketch`
+    draws on ``rng``, set up once per solve, where a bad ``m`` raises.
     """
     sketches = [] if record_sketches else None
 
     def setup(x, y, beta0, beta_ls):
-        draw = (_srht_sketcher(x, y, kind.m, rng) if kind.variant == "srht"
-                else lambda: draw_sketch(x, y, kind, rng))
+        draw = _sketcher(x, y, kind.variant, kind.m, rng)
 
         def step(t, beta, resid):
             sx, _ = draw()

@@ -55,7 +55,7 @@ def no_numerics(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("numerical work before the input check")
 
-    for name in ("draw_sketch", "_srht_sketcher", "aopt_cs_estimate", "gram", "cholesky",
+    for name in ("draw_sketch", "_sketcher", "aopt_cs_estimate", "gram", "cholesky",
                  "build_m"):
         monkeypatch.setattr(sketchls.solvers, name, forbidden)
 
@@ -195,6 +195,14 @@ X_SCANS = {
     "preconditioned_descent": (1, lambda x, y: preconditioned_descent(
         x, y, None, lambda v: v, 3)),
     "isometry_check": (1, lambda x, y: isometry_check(x, x[:SCAN_M])),
+    # each kind's per-solve work (leverage scores: a check and a Gram matrix;
+    # the largest-norm rows: one check) is done once, not at every iteration
+    **{
+        f"ihs_solve-{variant}-{n_iter}-iter": (scans, lambda x, y, v=variant, t=n_iter: ihs_solve(
+            x, y, SketchKind(v, SCAN_M), t, derive_rng(1)))
+        for variant, scans in (("leverage", 3), ("uniform", 1), ("aopt", 2))
+        for n_iter in (1, 5)
+    },
 }
 
 

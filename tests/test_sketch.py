@@ -404,6 +404,23 @@ class TestUniformAndDispatch:
             assert sx.shape == (8, 3)
             assert sy.shape == (8,)
 
+    @pytest.mark.parametrize("variant, sample", [
+        ("srht", srht_apply), ("leverage", leverage_sample), ("uniform", uniform_sample)])
+    def test_public_samplers_are_draw_sketch(self, variant, sample):
+        ds = make_dataset(DataSpec("lognormal", 300, 4, seed=9))
+        got = sample(ds.x, ds.y, 40, derive_rng(4))
+        want = draw_sketch(ds.x, ds.y, SketchKind(variant, 40), derive_rng(4))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("sample, m, error", [
+        (leverage_sample, 0, BadSubsampleSize),
+        (uniform_sample, 0, NotEnoughRows), (uniform_sample, 11, NotEnoughRows)])
+    def test_samplers_keep_their_size_errors(self, sample, m, error):
+        x = np.random.default_rng(9).standard_normal((10, 2))
+        with pytest.raises(error):
+            sample(x, x[:, 0], m, derive_rng(0))
+
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             SketchKind("gaussian", 4)

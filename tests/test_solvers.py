@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from sketchls import (
+    BadSubsampleSize,
     DataSpec,
     HypothesisViolated,
+    NotEnoughRows,
     NotPositiveDefinite,
     SketchKind,
     ZeroDirection,
@@ -14,6 +16,7 @@ from sketchls import (
     contraction_bound,
     cs_estimate,
     derive_rng,
+    draw_sketch,
     exact_alpha,
     full_ls,
     gram,
@@ -146,15 +149,32 @@ class TestIhs:
                 )
                 assert rel <= 1e-8
 
-    # d + 1 > 64 and m * 16 < n_pad: several panels and the kept-row path
-    @pytest.mark.parametrize("n, d, m", [(3000, 70, 100), (256, 5, 64)])
-    def test_srht_sketches_are_srht_apply_draws(self, n, d, m):
+    # every kind sets up once per solve, and its draws must still be those of
+    # successive draw_sketch calls on the same stream.  (3000, 70, 100) has
+    # d + 1 > 64 and m * 16 < n_pad: several SRHT panels and the kept-row path
+    @pytest.mark.parametrize("variant, n, d, m", [
+        pytest.param("srht", 3000, 70, 100, id="3000-70-100"),
+        pytest.param("srht", 256, 5, 64, id="256-5-64"),
+        *(pytest.param(v, 3000, 70, 100, id=f"{v}-3000-70-100")
+          for v in ("leverage", "uniform", "aopt")),
+    ])
+    def test_srht_sketches_are_srht_apply_draws(self, variant, n, d, m):
         ds = make_dataset(DataSpec("lognormal", n, d, seed=3))
-        trace = ihs_solve(ds.x, ds.y, SketchKind("srht", m), 4, derive_rng(7),
-                          record_sketches=True)
+        kind = SketchKind(variant, m)
+        trace = ihs_solve(ds.x, ds.y, kind, 4, derive_rng(7), record_sketches=True)
         stream = derive_rng(7)
         for sx in trace.sketches:
-            np.testing.assert_array_equal(sx, srht_apply(ds.x, ds.y, m, stream)[0])
+            np.testing.assert_array_equal(sx, draw_sketch(ds.x, ds.y, kind, stream)[0])
+
+    @pytest.mark.parametrize("n_iter", [0, 3])
+    @pytest.mark.parametrize("variant, error", [
+        ("srht", NotEnoughRows), ("uniform", NotEnoughRows), ("aopt", BadSubsampleSize)])
+    def test_m_above_rows_raises_at_entry(self, variant, error, n_iter):
+        # uniform and aopt used to return a trace at n_iter = 0 and raise only
+        # in the first iteration otherwise
+        x = np.random.default_rng(8).standard_normal((10, 2))
+        with pytest.raises(error):
+            ihs_solve(x, x[:, 0], SketchKind(variant, 17), n_iter, derive_rng(0))
 
     def test_npd_reports_iteration(self):
         x = np.random.default_rng(7).standard_normal((8, 2))
