@@ -2,9 +2,10 @@
 
 Everything here is a pure function of its inputs; matrices are plain float64
 ``numpy`` arrays in row-major order.  All linear systems in this library are
-symmetric positive definite, so solves go through Cholesky factorizations and
-there is no general LU path.  The kernels are backed by LAPACK (via numpy and
-scipy); results are deterministic for a fixed BLAS build.
+symmetric positive definite, so solves go through Cholesky factorizations.
+The kernels are backed by LAPACK through ``numpy.linalg``, which has no
+triangular solver: solves against a Cholesky factor use ``numpy.linalg.solve``
+on the d x d factor.  Results are deterministic for a fixed BLAS build.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, SingularMatrix
 
@@ -35,12 +35,18 @@ SINGULAR_RTOL = 1e-14
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite float64 2-D array."""
+    """Coerce to a finite float64 2-D array.
+
+    A NaN or infinite entry always makes its row sum non-finite, so one
+    product with a ones vector accepts every finite array whose row sums do
+    not overflow; only the rest get the elementwise check.
+    """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(a @ np.ones(a.shape[1])).all() and not np.isfinite(a).all():
+            raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
@@ -131,8 +137,7 @@ def solve_spd(fac: CholeskyFactor, b):
         raise DimensionMismatch(
             f"factor dimension {fac.dim} does not match rhs length {b.shape[0]}"
         )
-    y = scipy.linalg.solve_triangular(fac.lower, b, lower=True)
-    return scipy.linalg.solve_triangular(fac.lower, y, lower=True, trans="T")
+    return np.linalg.solve(fac.lower.T, np.linalg.solve(fac.lower, b))
 
 
 def sym_eigvals(a) -> np.ndarray:

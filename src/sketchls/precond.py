@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     CholeskyFactor,
@@ -117,8 +116,8 @@ def pencil_eigvals(m_matrix, q, factor: CholeskyFactor | None = None) -> np.ndar
     q = as_matrix(q)
     fac = factor if factor is not None else cholesky(m_matrix)
     lower = fac.lower
-    half = scipy.linalg.solve_triangular(lower, q, lower=True)
-    b = scipy.linalg.solve_triangular(lower, half.T, lower=True)
+    half = np.linalg.solve(lower, q)
+    b = np.linalg.solve(lower, half.T)
     return sym_eigvals((b + b.T) * 0.5)
 
 

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.blas
 
 from .errors import (
     BadSubsampleSize,
@@ -117,7 +115,9 @@ _PANEL, _LEV_ROWS, _CHUNK = 64, 1024, 4096
 
 
 def _sylvester(f: int) -> np.ndarray:
-    h = scipy.linalg.hadamard(f).astype(np.float64)
+    h = np.ones((1, 1))
+    while h.shape[0] < f:
+        h = np.block([[h, h], [h, -h]])
     h.flags.writeable = False
     return h
 
@@ -389,9 +389,9 @@ def leverage_scores(x) -> np.ndarray:
     column basis.  Scores lie in [0, 1] and sum to the column count.
 
     With X'X = L L' (Cholesky), X L^{-T} is such a basis, so the scores are
-    the squared column norms of L^{-1} X', one BLAS triangular solve
-    (``dtrsm``) against the Gram factor on each block of 1024 rows of X; no
-    Q is formed.  Raises
+    the squared row norms of X L^{-T}: L^{-1} is formed once (d x d), then
+    each block of 1024 rows of X takes one matrix product with it; no Q is
+    formed.  Raises
     :class:`RankDeficient` when X has fewer rows than columns or its Gram
     matrix is not positive definite.
     """
@@ -403,11 +403,11 @@ def leverage_scores(x) -> np.ndarray:
         fac = cholesky(gram(x))
     except NotPositiveDefinite:
         raise RankDeficient("X does not have full column rank") from None
-    lower = np.asfortranarray(fac.lower)
+    inv_t = np.linalg.inv(fac.lower).T
     scores = np.empty(n)
     for s in range(0, n, _LEV_ROWS):
-        w = scipy.linalg.blas.dtrsm(1.0, lower, x[s : s + _LEV_ROWS].T, lower=1)
-        scores[s : s + _LEV_ROWS] = np.einsum("ij,ij->j", w, w)
+        w = x[s : s + _LEV_ROWS] @ inv_t
+        scores[s : s + _LEV_ROWS] = np.einsum("ij,ij->i", w, w)
     return scores
 
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     HypothesisViolated,
@@ -276,7 +275,7 @@ def isometry_check(x, sx) -> IsometryReport:
         fac = cholesky(gram(x))
     except NotPositiveDefinite:
         raise RankDeficient("X does not have full column rank") from None
-    w = scipy.linalg.solve_triangular(fac.lower, sx.T, lower=True)
+    w = np.linalg.solve(fac.lower, sx.T)
     g = w @ w.T
     ev = sym_eigvals((g + g.T) * 0.5)
     lo, hi = float(ev[0]), float(ev[-1])

@@ -3,6 +3,8 @@
 ``beta_ls`` against X's columns.  A mismatch raises DimensionMismatch and a
 non-finite vector raises ValueError, before any numerical work."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -224,3 +226,32 @@ def test_x_scans_per_call(entry, monkeypatch):
     expected, call = X_SCANS[entry]
     call(x, y)
     assert len(scans) == expected
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, -1])
+@pytest.mark.parametrize("col", [0, -1])
+def test_matrix_with_one_nonfinite_entry_rejected(value, row, col):
+    x = np.ones((5, 4))
+    x[row, col] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        sketchls.linalg.as_matrix(x)
+
+
+def test_matrix_with_opposite_infinities_in_one_row_rejected():
+    x = np.ones((3, 4))
+    x[1, 0], x[1, 2] = np.inf, -np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        sketchls.linalg.as_matrix(x)
+
+
+def test_matrix_whose_row_sum_overflows_accepted():
+    x = np.array([[1e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflowing check stays silent
+        np.testing.assert_array_equal(sketchls.linalg.as_matrix(x), x)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_empty_matrix_accepted(shape):
+    assert sketchls.linalg.as_matrix(np.zeros(shape)).shape == shape
