@@ -4,13 +4,15 @@ Everything here is a pure function of its inputs; matrices are plain float64
 ``numpy`` arrays in row-major order.  All linear systems in this library are
 symmetric positive definite, so solves go through Cholesky factorizations.
 The kernels are backed by LAPACK through ``numpy.linalg``, which has no
-triangular solver: solves against a Cholesky factor use ``numpy.linalg.solve``
-on the d x d factor.  Results are deterministic for a fixed BLAS build.
+triangular solver: each Cholesky factor L is inverted once (d x d), and every
+solve against it is a product with L^{-1}.  Results are deterministic for a
+fixed BLAS build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +100,11 @@ class CholeskyFactor:
     def dim(self) -> int:
         return self.lower.shape[0]
 
+    @cached_property
+    def inv_lower(self) -> np.ndarray:
+        """L^{-1}, formed on first use and kept for every later solve."""
+        return np.linalg.inv(self.lower)
+
 
 def gram(x) -> np.ndarray:
     """Gram matrix X.T @ X, symmetrized to guard against rounding skew."""
@@ -128,7 +135,8 @@ def cholesky(a) -> CholeskyFactor:
 
 
 def solve_spd(fac: CholeskyFactor, b):
-    """Solve A x = b given the Cholesky factor of A.
+    """Solve A x = b given the Cholesky factor of A = L L', as
+    ``L^{-T} (L^{-1} b)`` with the factor's kept inverse.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides (columns).
     """
@@ -137,7 +145,8 @@ def solve_spd(fac: CholeskyFactor, b):
         raise DimensionMismatch(
             f"factor dimension {fac.dim} does not match rhs length {b.shape[0]}"
         )
-    return np.linalg.solve(fac.lower.T, np.linalg.solve(fac.lower, b))
+    inv = fac.inv_lower
+    return inv.T @ (inv @ b)
 
 
 def sym_eigvals(a) -> np.ndarray:

@@ -7,8 +7,8 @@ quality against the full Gram matrix Q is summarized by the measure
 
 which is 1 for a perfect preconditioner, 0 for any multiple of the identity,
 and negative when M makes conditioning worse.  The pencil condition number is
-always computed by Cholesky congruence (triangular solves), never by forming
-an inverse square root.
+always computed by Cholesky congruence (with the factor's kept inverse),
+never by forming an inverse square root.
 """
 
 from __future__ import annotations
@@ -115,9 +115,8 @@ def pencil_eigvals(m_matrix, q, factor: CholeskyFactor | None = None) -> np.ndar
     """
     q = as_matrix(q)
     fac = factor if factor is not None else cholesky(m_matrix)
-    lower = fac.lower
-    half = np.linalg.solve(lower, q)
-    b = np.linalg.solve(lower, half.T)
+    inv = fac.inv_lower
+    b = inv @ q @ inv.T
     return sym_eigvals((b + b.T) * 0.5)
 
 

@@ -403,7 +403,7 @@ def leverage_scores(x) -> np.ndarray:
         fac = cholesky(gram(x))
     except NotPositiveDefinite:
         raise RankDeficient("X does not have full column rank") from None
-    inv_t = np.linalg.inv(fac.lower).T
+    inv_t = fac.inv_lower.T
     scores = np.empty(n)
     for s in range(0, n, _LEV_ROWS):
         w = x[s : s + _LEV_ROWS] @ inv_t

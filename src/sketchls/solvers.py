@@ -17,8 +17,10 @@ differ in how they precondition the gradient:
 signature; the benchmark harness and the CLI dispatch through it only.
 
 All four enter through one loop, :func:`_iterate`, which checks the inputs,
-times the solver's setup, owns the trace and computes each iterate's residual
-``y - X beta`` once; a solver supplies only its setup, giving start and step.
+times the solver's setup and owns the trace; a solver supplies only its setup,
+giving start and step.  Every method reads X twice per iteration (``ihs`` also
+draws one SRHT): a step that forms the image ``X u`` of its direction hands
+back the next residual ``r - alpha X u``, and the loop forms the others'.
 
 Each solver returns a :class:`SolveTrace` holding the full iterate history,
 so correctness oracles (the closed-form trajectory, isometry reports, the
@@ -122,15 +124,18 @@ def _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup):
     """The one entry and loop of the iterative solvers.  It checks ``(X, y)``,
     ``beta0`` (zero when None) and ``beta_ls`` (None allowed), times ``setup(x,
     y, beta0, beta_ls) -> (start, step)`` as ``setup_seconds``, then records
-    each iterate, its residual ``r = y - X beta`` (computed only here), its
-    objective ``0.5 r.r`` and distance to ``beta_ls``, and stops at the first
-    iterate within ``stop_at_dist`` of ``beta_ls``.
+    each iterate, its residual ``r = y - X beta``, its objective ``0.5 r.r``
+    and distance to ``beta_ls``, and stops at the first iterate within
+    ``stop_at_dist`` of ``beta_ls``.
 
-    ``step(t, beta, resid)`` returns ``(beta_next, alpha, status)``.  A
-    ``beta_next`` of None ends the run with ``status`` and records nothing;
-    otherwise ``beta_next`` (and ``alpha`` unless None) is recorded, and a
-    ``status`` other than ``"ok"`` then ends the run.  Per-iteration seconds
-    cover the step plus the new iterate's residual, objective and distance.
+    ``step(t, beta, resid)`` returns ``(beta_next, alpha, status,
+    resid_next)``.  A ``beta_next`` of None ends the run with ``status`` and
+    records nothing; otherwise ``beta_next`` (and ``alpha`` unless None) is
+    recorded, and a ``status`` other than ``"ok"`` then ends the run.
+    ``resid_next`` is the residual of ``beta_next`` when the step has it
+    without a pass over X, else None, and the loop computes it.  Per-iteration
+    seconds cover the step plus the new iterate's residual, objective and
+    distance.
     """
     x, y = _check_xy(x, y)
     beta0 = np.zeros(x.shape[1]) if beta0 is None else _check_coef(x, beta0, "beta0")
@@ -140,8 +145,9 @@ def _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup):
     trace = SolveTrace(dist_to_ls=None if beta_ls is None else [],
                        setup_seconds=time.perf_counter() - tic)
 
-    def record(beta):
-        resid = y - x @ beta
+    def record(beta, resid=None):
+        if resid is None:
+            resid = y - x @ beta
         trace.betas.append(beta.copy())
         trace.objective.append(0.5 * float(resid @ resid))
         if beta_ls is not None:
@@ -152,10 +158,10 @@ def _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup):
     resid = record(beta)
     for t in range(1, n_iter + 1):
         tic = time.perf_counter()
-        beta, alpha, trace.status = step(t, beta, resid)
+        beta, alpha, trace.status, resid = step(t, beta, resid)
         if beta is None:
             break
-        resid = record(beta)
+        resid = record(beta, resid)
         if alpha is not None:
             trace.alphas.append(float(alpha))
         trace.elapsed.append(time.perf_counter() - tic)
@@ -231,7 +237,7 @@ def ihs_solve(
                 raise err from None
             if sketches is not None:
                 sketches.append(sx)
-            return beta + solve_spd(fac, x.T @ resid), None, "ok"
+            return beta + solve_spd(fac, x.T @ resid), None, "ok", None
 
         return beta0, step
 
@@ -267,7 +273,7 @@ def isometry_check(x, sx) -> IsometryReport:
     """Measure how far a sketched matrix is from an isometry on col(X).
 
     Forms the Gram matrix of the sketched orthonormal basis through the thin
-    factorization (triangular solves against the Cholesky factor of X^T X)
+    factorization (products with the inverse Cholesky factor of X^T X)
     and reports its eigenvalue defects around 1.
     """
     sx = as_matrix(sx)
@@ -275,7 +281,7 @@ def isometry_check(x, sx) -> IsometryReport:
         fac = cholesky(gram(x))
     except NotPositiveDefinite:
         raise RankDeficient("X does not have full column rank") from None
-    w = np.linalg.solve(fac.lower, sx.T)
+    w = fac.inv_lower @ sx.T
     g = w @ w.T
     ev = sym_eigvals((g + g.T) * 0.5)
     lo, hi = float(ev[0]), float(ev[-1])
@@ -316,31 +322,34 @@ def exact_alpha(v, u, p) -> float:
 
     ``v`` is the gradient, ``u`` the (preconditioned) direction and
     ``p = X u`` its image.  Raises :class:`ZeroDirection` when ``p`` is
-    numerically zero, which signals that the gradient has vanished and the
-    iterate is already optimal.
+    numerically zero (``p.p`` underflows to 0 below ``||p||`` of about
+    1e-162), which signals that the gradient has vanished and the iterate is
+    already optimal.
     """
     v = as_vector(v)
     u = as_vector(u)
     p = as_vector(p)
     denom = float(p @ p)
-    if np.linalg.norm(p) <= ZERO_DIRECTION_FLOOR or denom <= 0.0:
+    if denom <= 0.0:
         raise ZeroDirection("line-search direction is numerically zero")
     return float(v @ u) / denom
 
 
 def _descent_step(x, apply_inv, tol):
     """The step of :func:`preconditioned_descent` and :func:`aopt_ihs_solve`
-    on a checked X."""
+    on a checked X: two passes over X, for the gradient and for the image
+    ``p = X u`` that gives both the step length and the next residual."""
 
     def step(t, beta, resid):
         v = x.T @ resid
         u = apply_inv(v)
+        p = x @ u
         try:
-            alpha = exact_alpha(v, u, x @ u)
+            alpha = exact_alpha(v, u, p)
         except ZeroDirection:
-            return None, None, "converged"
+            return None, None, "converged", None
         done = tol > 0.0 and abs(alpha) * float(np.linalg.norm(u)) <= tol
-        return beta + alpha * u, alpha, "converged" if done else "ok"
+        return beta + alpha * u, alpha, "converged" if done else "ok", resid - alpha * p
 
     return step
 
@@ -413,38 +422,39 @@ def pw_gradient_solve(
     Convergence is not guaranteed: when the error grows by 10x over the best
     seen so far (or turns non-finite), the run stops with status ``diverge``
     instead of crashing.  The error metric is the distance to the exact
-    solution when available, the gradient norm otherwise; that gradient is
-    reused as the next step's, so either way an iteration reads X twice
-    (three times with the gradient-norm metric).
+    solution when available, the gradient norm otherwise; that gradient and
+    its residual are reused as the next step's, so either way an iteration
+    reads X twice.
     """
 
     def setup(x, y, beta0, beta_ls):
         fac = _sketch_factor(x, y, kind, rng)
-        grad = None  # X'(y - X b) of the last iterate the gradient-norm metric saw
+        # residual and gradient X' r of the last iterate the gradient-norm
+        # metric saw; bit-identical to the loop's: same iterate, same expression
+        resid = grad = None
 
         def metric(b):
-            nonlocal grad
+            nonlocal resid, grad
             if beta_ls is not None:
                 return float(np.linalg.norm(b - beta_ls))
-            grad = x.T @ (y - x @ b)
+            resid = y - x @ b
+            grad = x.T @ resid
             return float(np.linalg.norm(grad))
 
         best = metric(beta0)
 
-        def step(t, beta, resid):
+        def step(t, beta, r):
             nonlocal best
-            # the metric's gradient is bit-identical to X' resid: same iterate,
-            # same expression
-            g = x.T @ resid if grad is None else grad
+            g = x.T @ r if grad is None else grad
             with np.errstate(over="ignore", invalid="ignore"):
                 beta = beta + solve_spd(fac, g)
             if not np.isfinite(beta).all():
-                return None, None, "diverge"
+                return None, None, "diverge", None
             err = metric(beta)
             if not np.isfinite(err) or err > DIVERGENCE_GROWTH * best:
-                return beta, None, "diverge"
+                return beta, None, "diverge", resid
             best = min(best, err)
-            return beta, None, "ok"
+            return beta, None, "ok", resid
 
         return beta0, step
 
@@ -466,7 +476,8 @@ def acc_ihs_solve(
 
     The preconditioner is the sketched Gram matrix; directions use the
     Polak-Ribiere update, which coincides with Fletcher-Reeves on an exact
-    quadratic.  Terminates in at most d steps in exact arithmetic.
+    quadratic.  Terminates in at most d steps in exact arithmetic.  The
+    gradient is updated recursively, and ``X p`` also updates the residual.
     """
 
     def setup(x, y, beta0, beta_ls):
@@ -480,11 +491,12 @@ def acc_ihs_solve(
                 p = solve_spd(fac, r)
                 rz = float(r @ p)
             if np.linalg.norm(r) <= ZERO_DIRECTION_FLOOR or rz <= 0.0:
-                return None, None, "converged"
-            w = x.T @ (x @ p)
+                return None, None, "converged", None
+            xp = x @ p
+            w = x.T @ xp
             pw = float(p @ w)
             if pw <= 0.0:
-                return None, None, "converged"
+                return None, None, "converged", None
             alpha = rz / pw
             r_next = r - alpha * w
             z_next = solve_spd(fac, r_next)
@@ -493,7 +505,7 @@ def acc_ihs_solve(
             beta_next = beta + alpha * p
             p = z_next + mix * p
             r, rz = r_next, rz_next
-            return beta_next, alpha, "ok"
+            return beta_next, alpha, "ok", resid - alpha * xp
 
         return beta0, step
 

@@ -1,6 +1,7 @@
 """The library runs on numpy alone: importing it loads no ``scipy.linalg``,
-and its numpy kernels agree with the scipy routines they stand in for
-(scipy is a test dependency only)."""
+and its numpy kernels (the Cholesky solve, leverage scores, the Gram pencil's
+spectrum) agree with the scipy routines they stand in for (scipy is a test
+dependency only)."""
 
 import os
 import subprocess
@@ -12,7 +13,8 @@ import pytest
 import scipy.linalg
 import scipy.linalg.blas
 
-from sketchls import DataSpec, cholesky, gram, leverage_scores, make_dataset, solve_spd
+from sketchls import (DataSpec, aopt_select, build_m, cholesky, gram,
+                      leverage_scores, make_dataset, pencil_cond, pencil_eigvals, solve_spd)
 from sketchls.datagen import DISTRIBUTIONS
 from sketchls.sketch import _sylvester
 
@@ -66,3 +68,21 @@ def test_leverage_scores_match_triangular_solve(dist):
     w = scipy.linalg.blas.dtrsm(1.0, lower, x.T, lower=1)
     ref = np.einsum("ij,ij->j", w, w)
     np.testing.assert_allclose(leverage_scores(x), ref, rtol=1e-12, atol=0)
+
+
+@pytest.fixture(scope="module")
+def desk_data():
+    return {dist: make_dataset(DataSpec(dist, n=2**14, d=50, seed=7)).x
+            for dist in DISTRIBUTIONS}
+
+
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+@pytest.mark.parametrize("proportion", [0.01, 0.1, 0.4])
+def test_pencil_matches_scipy_generalized_eigh(desk_data, dist, proportion):
+    x = desk_data[dist]
+    q = gram(x)
+    pre = build_m(x, aopt_select(x, 1000), proportion * float(np.trace(q)))
+    ref = scipy.linalg.eigh(q, pre.m_matrix, eigvals_only=True)
+    got = pencil_eigvals(pre.m_matrix, q)
+    np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
+    assert pencil_cond(pre.m_matrix, q, pre.factor) == pytest.approx(ref[-1] / ref[0], rel=1e-10)
