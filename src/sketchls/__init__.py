@@ -31,10 +31,8 @@ from .linalg import (
     cholesky,
     cond_spd,
     gram,
-    orthonormal_colbasis,
     row_sq_norms,
     solve_spd,
-    spectral_norm,
     sym_eigvals,
 )
 from .sketch import (
@@ -46,7 +44,6 @@ from .sketch import (
     fwht,
     leverage_sample,
     leverage_scores,
-    mask_to_sketch,
     srht_apply,
     uniform_sample,
 )
@@ -57,11 +54,10 @@ from .precond import (
     delta_from_matrix,
     delta_measure,
     hs_covariance_trace_bound,
-    pencil_cond,
     pencil_eigvals,
     trace_inverse_bound,
 )
-from .datagen import DataSpec, Dataset, center, gen_covariates, gen_response, make_dataset, make_sigma
+from .datagen import DataSpec, Dataset, center, gen_response, make_dataset, make_sigma
 from .solvers import (
     IsometryReport,
     SolveTrace,

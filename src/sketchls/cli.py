@@ -271,7 +271,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     started = time.time()
-    for flag, value in (("--n-iter", args.n_iter), ("--tol", args.tol)):
+    for flag, value in (("--n-iter", args.n_iter), ("--tol", args.tol), ("--seed", args.seed)):
         if not value >= 0:
             raise ConfigError(flag, f"{flag} must be >= 0, got {value}")
     if args.lam is not None and not 0 <= args.lam < math.inf:

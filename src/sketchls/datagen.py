@@ -20,7 +20,6 @@ __all__ = [
     "DataSpec",
     "Dataset",
     "make_sigma",
-    "gen_covariates",
     "gen_response",
     "center",
     "make_dataset",
@@ -44,6 +43,8 @@ class DataSpec:
             raise ValueError(f"unknown distribution {self.dist!r}")
         if not self.n >= self.d >= 1:
             raise ValueError(f"need n >= d >= 1, got n={self.n}, d={self.d}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.sigma_noise < np.inf:
             raise ValueError("sigma_noise must be finite and >= 0")
 
@@ -108,11 +109,6 @@ def _covariates(rng: np.random.Generator, dist: str, n: int, d: int) -> np.ndarr
         xb[cb == 3] = u[cb == 3]
         xb[cb == 4] = np.exp(xb[cb == 4])
     return x
-
-
-def gen_covariates(spec: DataSpec) -> np.ndarray:
-    """Raw (uncentered) covariate draw for a spec."""
-    return _covariates(derive_rng(spec.seed), spec.dist, spec.n, spec.d)
 
 
 def gen_response(x, beta_star, sigma: float, rng: np.random.Generator) -> np.ndarray:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, SingularMatrix
+from .errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
 
 __all__ = [
     "CholeskyFactor",
@@ -27,9 +27,7 @@ __all__ = [
     "solve_spd",
     "sym_eigvals",
     "cond_spd",
-    "orthonormal_colbasis",
     "row_sq_norms",
-    "spectral_norm",
 ]
 
 #: relative eigenvalue floor below which an SPD matrix is treated as singular
@@ -171,32 +169,8 @@ def _spectrum_cond(ev: np.ndarray, what: str) -> float:
     return float(ev[-1] / ev[0])
 
 
-def orthonormal_colbasis(x) -> np.ndarray:
-    """Orthonormal basis of the column space, via Householder QR.
-
-    Raises :class:`RankDeficient` when a diagonal entry of R is negligible
-    relative to the Frobenius norm of the input.
-    """
-    x = as_matrix(x)
-    n, d = x.shape
-    if n < d:
-        raise RankDeficient(f"need rows >= cols for a column basis, got {n} x {d}")
-    q, r = np.linalg.qr(x, mode="reduced")
-    scale = np.linalg.norm(x)
-    if scale == 0.0 or (np.abs(np.diag(r)) <= 1e-12 * scale).any():
-        raise RankDeficient("matrix does not have full column rank")
-    return q
-
-
 def row_sq_norms(x) -> np.ndarray:
     """Squared Euclidean norm of each row."""
     x = as_matrix(x)
     return np.einsum("ij,ij->i", x, x)
 
-
-def spectral_norm(a) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix."""
-    ev = sym_eigvals(a)
-    if ev.size == 0:
-        return 0.0
-    return float(max(abs(ev[0]), abs(ev[-1])))

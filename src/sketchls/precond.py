@@ -35,7 +35,6 @@ __all__ = [
     "Preconditioner",
     "build_m",
     "pencil_eigvals",
-    "pencil_cond",
     "delta_from_matrix",
     "delta_measure",
     "trace_inverse_bound",
@@ -120,14 +119,10 @@ def pencil_eigvals(m_matrix, q, factor: CholeskyFactor | None = None) -> np.ndar
     return sym_eigvals((b + b.T) * 0.5)
 
 
-def pencil_cond(m_matrix, q, factor: CholeskyFactor | None = None) -> float:
-    """Condition number of the pencil (Q, M)."""
-    return _spectrum_cond(pencil_eigvals(m_matrix, q, factor), "preconditioned Gram pencil")
-
-
 def delta_from_matrix(m_matrix, q, factor: CholeskyFactor | None = None) -> float:
     """Conditioning-improvement measure of an arbitrary SPD matrix against Q."""
-    return 1.0 - pencil_cond(m_matrix, q, factor) / cond_spd(q)
+    pencil = _spectrum_cond(pencil_eigvals(m_matrix, q, factor), "preconditioned Gram pencil")
+    return 1.0 - pencil / cond_spd(q)
 
 
 def delta_measure(pre: Preconditioner, q) -> float:

@@ -35,7 +35,6 @@ __all__ = [
     "leverage_sample",
     "uniform_sample",
     "aopt_select",
-    "mask_to_sketch",
     "draw_sketch",
 ]
 
@@ -73,9 +72,11 @@ class SubsampleMask:
     m: int
 
     def __post_init__(self):
-        delta = np.asarray(self.delta, dtype=np.uint8)
+        delta = np.asarray(self.delta)
+        # check the raw values: a uint8 cast would read 0.5 as 0 and 257 as 1
         if delta.ndim != 1 or not np.isin(delta, (0, 1)).all():
             raise BadSubsampleSize("mask must be a 1-D 0/1 vector")
+        delta = delta.astype(np.uint8, copy=False)
         if int(delta.sum()) != self.m:
             raise BadSubsampleSize(
                 f"mask has {int(delta.sum())} ones but m = {self.m}"
@@ -90,12 +91,6 @@ class SubsampleMask:
     def indices(self) -> np.ndarray:
         """Selected row indices, ascending."""
         return np.flatnonzero(self.delta)
-
-    @classmethod
-    def from_indices(cls, indices, n: int) -> "SubsampleMask":
-        delta = np.zeros(n, dtype=np.uint8)
-        delta[np.asarray(indices, dtype=np.intp)] = 1
-        return cls(delta, int(delta.sum()))
 
 
 def _check_mask(x, mask: SubsampleMask) -> np.ndarray:
@@ -447,16 +442,6 @@ def aopt_select(x, m: int) -> SubsampleMask:
         ties = np.flatnonzero(sq == threshold)
         delta[ties[:need]] = 1
     return SubsampleMask(delta, m)
-
-
-def mask_to_sketch(x, mask: SubsampleMask) -> np.ndarray:
-    """Materialize the m x d sketched matrix of a subsample mask.
-
-    The selected rows are scaled by 1/sqrt(m) so the sketched Gram matrix is
-    the masked row-outer-product sum divided by m.
-    """
-    x = _check_mask(x, mask)
-    return x[mask.indices] / np.sqrt(mask.m)
 
 
 def draw_sketch(x, y, kind: SketchKind, rng: np.random.Generator | None):

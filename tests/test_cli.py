@@ -12,6 +12,7 @@ from sketchls import (
     DataSpec,
     ExperimentConfig,
     LambdaRule,
+    center,
     full_ls,
     lambda_sweep,
     make_dataset,
@@ -20,6 +21,7 @@ from sketchls import (
     run_init_comparison,
     run_ridge_ablation,
     run_time_to_precision,
+    row_sq_norms,
 )
 from sketchls.bench import DELTA_VARIANTS
 from sketchls.cli import _fmt, main, read_matrix_csv, read_vector_csv
@@ -34,6 +36,20 @@ def run_cli(*argv):
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def write_integer_pair(tmp_path, offset=0):
+    """A 64 x 3 integer X and y whose columns sum to exactly zero, shifted by
+    ``offset``; with offset 0 the pair is centered and centering it again
+    leaves every bit in place."""
+    rng = np.random.default_rng(12)
+    z = rng.integers(-9, 10, size=(64, 4)).astype(np.float64)
+    z[-1] -= z.sum(axis=0)
+    z += offset
+    x_path, y_path = tmp_path / "X.csv", tmp_path / "y.csv"
+    np.savetxt(x_path, z[:, :3], delimiter=",", header="a,b,c", comments="")
+    np.savetxt(y_path, z[:, 3], header="y", comments="")
+    return z[:, :3], z[:, 3], x_path, y_path
 
 
 class TestGen:
@@ -61,6 +77,13 @@ class TestGen:
                     "--seed", "5", "--out-dir", str(out))
         for name in ("X.csv", "y.csv", "beta_star.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_negative_seed_names_the_seed(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert run_cli("gen", "--dist", "normal", "--n", "16", "--d", "2",
+                       "--seed", "-1", "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_invalid_distribution_flag(self, tmp_path):
         proc = subprocess.run(
@@ -202,6 +225,7 @@ class TestSolve:
         ([], "error: --m is required"),
         (["--m", "0"], "error: --m must be >= 1, got 0"),
         (["--m", "-3"], "error: --m must be >= 1, got -3"),
+        (["--m", "32", "--seed", "-1"], "error: --seed must be >= 0, got -1"),
     ])
     def test_flags_checked_before_reading_data(self, tmp_path, capsys, flags, error):
         # the data files do not exist: a flag checked after reading them
@@ -211,6 +235,42 @@ class TestSolve:
                        "--method", "aopt-ihs", *flags, "--out-dir", str(out)) == 1
         assert capsys.readouterr().err.startswith(error)
         assert not out.exists()
+
+    def test_no_center_on_centered_data_changes_no_byte(self, tmp_path):
+        _, _, x_path, y_path = write_integer_pair(tmp_path)
+        beta = {}
+        for name, flags in (("default", []), ("raw", ["--no-center"])):
+            assert run_cli("solve", "--x", str(x_path), "--y", str(y_path),
+                           "--method", "aopt-ihs", "--m", "16", "--n-iter", "5", *flags,
+                           "--out-dir", str(tmp_path / name)) == 0
+            beta[name] = (tmp_path / name / "beta.csv").read_bytes()
+        assert beta["raw"] == beta["default"]
+
+    def test_no_center_fits_the_raw_pair(self, tmp_path):
+        x, y, x_path, y_path = write_integer_pair(tmp_path, offset=3)
+        for name, flags in (("default", []), ("raw", ["--no-center"])):
+            assert run_cli("solve", "--x", str(x_path), "--y", str(y_path),
+                           "--method", "full", *flags, "--out-dir", str(tmp_path / name)) == 0
+        raw = read_vector_csv(tmp_path / "raw" / "beta.csv")
+        np.testing.assert_array_equal(raw, full_ls(x, y))
+        assert not np.allclose(read_vector_csv(tmp_path / "default" / "beta.csv"), raw)
+
+    def test_heavy_tailed_rule_is_its_explicit_ridge(self, tmp_path):
+        data = tmp_path / "data"
+        run_cli("gen", "--dist", "lognormal", "--n", "256", "--d", "3",
+                "--seed", "4", "--out-dir", str(data))
+        x, _ = center(read_matrix_csv(data / "X.csv"), read_vector_csv(data / "y.csv"))
+        lam = 0.4 * float(row_sq_norms(x).sum())
+        beta = {}
+        runs = (("rule", ["--lam-rule", "heavy-tailed"]), ("lam", ["--lam", repr(lam)]),
+                ("default", []))
+        for name, flags in runs:
+            assert run_cli("solve", "--x", str(data / "X.csv"), "--y", str(data / "y.csv"),
+                           "--method", "aopt-ihs", "--m", "32", "--n-iter", "5", *flags,
+                           "--out-dir", str(tmp_path / name)) == 0
+            beta[name] = (tmp_path / name / "beta.csv").read_bytes()
+        assert beta["rule"] == beta["lam"]
+        assert beta["rule"] != beta["default"]  # the default rule is concentrated
 
     @pytest.mark.parametrize("method, m, code", [
         ("aopt-ihs", "100", 0), ("aopt-ihs", "101", 1),
@@ -321,6 +381,14 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
         assert not (out / "init_mse.csv").exists()
+
+    @pytest.mark.parametrize("experiment", ["converge", "init"])
+    def test_negative_seed_names_the_seed(self, tmp_path, capsys, experiment):
+        cfg = self.write_cfg(tmp_path, n_grid=[256], m=32, n_iter=4, seed=-1)
+        out = tmp_path / "out"
+        assert run_cli("bench", experiment, "--config", str(cfg), "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment, field, value", [
         ("time", "tol", 0),

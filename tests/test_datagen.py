@@ -6,11 +6,17 @@ from sketchls import (
     DimensionMismatch,
     center,
     derive_rng,
-    gen_covariates,
     gen_response,
     make_dataset,
     make_sigma,
 )
+from sketchls.datagen import _covariates
+
+
+def raw_covariates(spec):
+    """The raw (uncentered) covariates of a spec: the first draws of its
+    stream, as make_dataset takes them."""
+    return _covariates(derive_rng(spec.seed), spec.dist, spec.n, spec.d)
 
 
 class TestMakeSigma:
@@ -29,20 +35,20 @@ class TestMakeSigma:
 class TestCovariates:
     def test_normal_moments(self):
         spec = DataSpec("normal", 2**14, 10, seed=5)
-        x = gen_covariates(spec)
+        x = raw_covariates(spec)
         assert np.abs(x.mean(axis=0)).max() < 0.1
         cov = np.cov(x.T)
         rel = np.linalg.norm(cov - make_sigma(10)) / np.linalg.norm(make_sigma(10))
         assert rel <= 0.05
 
     def test_lognormal_positive(self):
-        x = gen_covariates(DataSpec("lognormal", 500, 4, seed=6))
+        x = raw_covariates(DataSpec("lognormal", 500, 4, seed=6))
         assert (x > 0).all()
 
     def test_t2_heavier_tails_than_normal(self):
         n = 2**14
-        xt = gen_covariates(DataSpec("t2", n, 3, seed=7))
-        xn = gen_covariates(DataSpec("normal", n, 3, seed=7))
+        xt = raw_covariates(DataSpec("t2", n, 3, seed=7))
+        xn = raw_covariates(DataSpec("normal", n, 3, seed=7))
 
         def kurt(a):
             c = a - a.mean(axis=0)
@@ -51,7 +57,7 @@ class TestCovariates:
         assert (kurt(xt) > kurt(xn)).all()
 
     def test_mixture_shapes_and_spread(self):
-        x = gen_covariates(DataSpec("mixture", 5000, 4, seed=8))
+        x = raw_covariates(DataSpec("mixture", 5000, 4, seed=8))
         assert x.shape == (5000, 4)
         assert np.isfinite(x).all()
         # uniform rows live in [0, 2]; shifted-normal rows push the mean up
@@ -81,7 +87,7 @@ class TestResponse:
         from sketchls import full_ls
 
         spec = DataSpec("normal", 2**12, 5, seed=9)
-        x = gen_covariates(spec)
+        x = raw_covariates(spec)
         y = gen_response(x, np.zeros(5), 3.0, derive_rng(3))
         xc, yc = center(x, y)
         beta = full_ls(xc, yc)

@@ -111,7 +111,6 @@ def test_errors_name_the_input(xy):
         full_ls(x, np.full(N, np.nan))
 
 
-#: mask_to_sketch has its own test in test_sketch.py
 MASK_ENTRIES = {
     "build_m": lambda x, mask: build_m(x, mask, 0.1),
     "trace_inverse_bound": lambda x, mask: trace_inverse_bound(x, mask, 1.0),

@@ -6,15 +6,12 @@ from hypothesis import strategies as st
 from sketchls import (
     DimensionMismatch,
     NotPositiveDefinite,
-    RankDeficient,
     SingularMatrix,
     cholesky,
     cond_spd,
     gram,
-    orthonormal_colbasis,
     row_sq_norms,
     solve_spd,
-    spectral_norm,
     sym_eigvals,
 )
 
@@ -31,7 +28,7 @@ class TestGram:
 
     def test_orthonormal_basis_gram_is_identity(self):
         rng = np.random.default_rng(0)
-        u = orthonormal_colbasis(rng.standard_normal((20, 4)))
+        u = np.linalg.qr(rng.standard_normal((20, 4)))[0]
         np.testing.assert_allclose(gram(u), np.eye(4), atol=1e-10)
 
     def test_rejects_nonfinite(self):
@@ -130,28 +127,6 @@ class TestCondSpd:
         assert cond_spd(c * a) == pytest.approx(cond_spd(a), rel=1e-9)
 
 
-class TestOrthonormalColbasis:
-    def test_already_orthonormal(self):
-        q = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 2)))[0]
-        u = orthonormal_colbasis(q)
-        np.testing.assert_allclose(np.abs(u.T @ q), np.eye(2), atol=1e-10)
-
-    def test_single_column(self):
-        u = orthonormal_colbasis([[3.0], [4.0]])
-        np.testing.assert_allclose(np.abs(u[:, 0]), [0.6, 0.8])
-
-    def test_rank_deficient(self):
-        with pytest.raises(RankDeficient):
-            orthonormal_colbasis([[1.0, 2.0], [2.0, 4.0]])
-
-    def test_spans_columns(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((30, 5))
-        u = orthonormal_colbasis(x)
-        np.testing.assert_allclose(u @ (u.T @ x), x, atol=1e-10)
-        np.testing.assert_allclose(u.T @ u, np.eye(5), atol=1e-10)
-
-
 class TestRowSqNorms:
     def test_identity(self):
         np.testing.assert_allclose(row_sq_norms(np.eye(3)), [1, 1, 1])
@@ -161,14 +136,3 @@ class TestRowSqNorms:
 
     def test_sign_irrelevant(self):
         np.testing.assert_allclose(row_sq_norms([[-2.0]]), [4.0])
-
-
-class TestSpectralNorm:
-    def test_signed_diagonal(self):
-        assert spectral_norm(np.diag([-3.0, 2.0])) == pytest.approx(3.0)
-
-    def test_zero(self):
-        assert spectral_norm(np.zeros((3, 3))) == 0.0
-
-    def test_two_by_two(self):
-        assert spectral_norm([[2, 1], [1, 2]]) == pytest.approx(3.0)

@@ -13,8 +13,8 @@ import pytest
 import scipy.linalg
 import scipy.linalg.blas
 
-from sketchls import (DataSpec, aopt_select, build_m, cholesky, gram,
-                      leverage_scores, make_dataset, pencil_cond, pencil_eigvals, solve_spd)
+from sketchls import (DataSpec, aopt_select, build_m, cholesky, delta_from_matrix, gram,
+                      leverage_scores, make_dataset, pencil_eigvals, solve_spd)
 from sketchls.datagen import DISTRIBUTIONS
 from sketchls.sketch import _sylvester
 
@@ -85,4 +85,5 @@ def test_pencil_matches_scipy_generalized_eigh(desk_data, dist, proportion):
     ref = scipy.linalg.eigh(q, pre.m_matrix, eigvals_only=True)
     got = pencil_eigvals(pre.m_matrix, q)
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
-    assert pencil_cond(pre.m_matrix, q, pre.factor) == pytest.approx(ref[-1] / ref[0], rel=1e-10)
+    ref_delta = 1.0 - (ref[-1] / ref[0]) / np.linalg.cond(q)
+    assert delta_from_matrix(pre.m_matrix, q, pre.factor) == pytest.approx(ref_delta, rel=1e-10)

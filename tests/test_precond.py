@@ -134,8 +134,9 @@ def _feasible_masks(x, rng):
     n, d = x.shape
     masks = [aopt_select(x, m) for m in range(d, n + 1)]
     for _ in range(3):
-        idx = rng.choice(n, size=int(rng.integers(d, n + 1)), replace=False)
-        masks.append(SubsampleMask.from_indices(idx, n))
+        bits = np.zeros(n)
+        bits[rng.choice(n, size=int(rng.integers(d, n + 1)), replace=False)] = 1
+        masks.append(_mask(bits))
     return masks
 
 

@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 from sketchls import (
     BadSubsampleSize,
     DataSpec,
-    DimensionMismatch,
     NotEnoughRows,
     NotPowerOfTwo,
     RankDeficient,
@@ -24,9 +23,7 @@ from sketchls import (
     gram,
     leverage_sample,
     leverage_scores,
-    mask_to_sketch,
     make_dataset,
-    orthonormal_colbasis,
     row_sq_norms,
     srht_apply,
     uniform_sample,
@@ -308,14 +305,14 @@ class TestLeverageFromCholesky:
     # the reference
     def test_lognormal_design(self):
         x = make_dataset(DataSpec("lognormal", 1 << 12, 10, seed=2)).x
-        ref = row_sq_norms(orthonormal_colbasis(x))
+        ref = row_sq_norms(np.linalg.qr(x)[0])
         np.testing.assert_allclose(leverage_scores(x), ref, rtol=1e-10)
 
     def test_column_scaled_design(self):
         rng = np.random.default_rng(19)
         x = rng.standard_normal((1 << 12, 10)) * np.logspace(0, 4, 10)
         assert 5e3 <= np.linalg.cond(x) <= 5e4
-        ref = row_sq_norms(orthonormal_colbasis(x))
+        ref = row_sq_norms(np.linalg.qr(x)[0])
         np.testing.assert_allclose(leverage_scores(x), ref, rtol=1e-10)
 
     def test_duplicated_column_rank_deficient(self):
@@ -364,30 +361,6 @@ class TestAoptSelect:
         assert worst_kept >= best_dropped
 
 
-class TestMaskToSketch:
-    def test_single_row(self):
-        mask = SubsampleMask(np.array([1, 0], dtype=np.uint8), 1)
-        np.testing.assert_allclose(mask_to_sketch(np.eye(2), mask), [[1.0, 0.0]])
-
-    def test_masked_gram_identity(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((8, 2))
-        mask = aopt_select(x, 5)
-        sx = mask_to_sketch(x, mask)
-        direct = sum(x[i][:, None] * x[i][None, :] for i in mask.indices) / 5
-        np.testing.assert_allclose(gram(sx), direct, atol=1e-12)
-
-    def test_all_ones_mask(self):
-        x = np.random.default_rng(4).standard_normal((6, 3))
-        mask = aopt_select(x, 6)
-        np.testing.assert_allclose(gram(mask_to_sketch(x, mask)), gram(x) / 6, atol=1e-12)
-
-    def test_length_mismatch(self):
-        mask = SubsampleMask(np.array([1, 0, 1], dtype=np.uint8), 2)
-        with pytest.raises(DimensionMismatch):
-            mask_to_sketch(np.eye(2), mask)
-
-
 class TestUniformAndDispatch:
     def test_uniform_full_is_permutation(self):
         x = np.random.default_rng(5).standard_normal((7, 2))
@@ -432,3 +405,14 @@ class TestUniformAndDispatch:
             SubsampleMask(np.array([1, 2], dtype=np.uint8), 3)
         with pytest.raises(BadSubsampleSize):
             SubsampleMask(np.array([1, 1], dtype=np.uint8), 1)
+
+    @pytest.mark.parametrize("bits", [[0.5, 1.0], [257, 0]])
+    def test_mask_values_checked_before_the_cast(self, bits):
+        # a cast to uint8 first would read these as [0, 1] and [1, 0]
+        with pytest.raises(BadSubsampleSize):
+            SubsampleMask(np.array(bits), 1)
+
+    def test_bool_mask_is_valid(self):
+        mask = SubsampleMask(np.array([True, False, True]), 2)
+        np.testing.assert_array_equal(mask.delta, [1, 0, 1])
+        assert mask.delta.dtype == np.uint8
