@@ -2,10 +2,12 @@
 
 ``gen`` materializes a synthetic dataset as CSV, ``solve`` runs one solver on
 CSV data (centering by default), and ``bench`` drives the experiment suite
-from a JSON config.  Every command writes a manifest alongside its outputs
-with the fully resolved configuration, library version, and PRNG algorithm;
-re-running a command with the manifest's configuration reproduces the CSVs
-byte for byte (wall-clock columns aside).
+from a JSON config file, the one source of every setting of a run besides
+``--out-dir`` and ``--threads``.  Every command writes a manifest alongside
+its outputs with the fully resolved configuration, library version, and PRNG
+algorithm.  A bench manifest's ``config`` is the config file with every
+default filled in: written to a file and passed as ``--config``, it reruns
+the command and reproduces its CSV byte for byte (wall-clock columns aside).
 
 CSV conventions: RFC 4180 with a header row; floats are serialized with 17
 significant digits so a read-write round trip is exact.  All errors go to
@@ -23,7 +25,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from itertools import zip_longest
 
 import numpy as np
@@ -56,13 +58,6 @@ def _run_init(cfg: dict, values: dict, threads: int):
     failures = {f"{n}/{est}": count for (n, est), count in meta["failures"].items()}
     return rows, {"failures": failures, "budget": meta["budget"]}
 
-
-_PROPORTIONS = tuple(round(0.1 * k, 1) for k in range(1, 11))
-
-#: the list key an experiment runs over besides its ExperimentConfig, with
-#: its default; the manifest records the list that ran
-_RUN_LISTS = {"delta": ("variants", DELTA_VARIANTS),
-              "lambda-sweep": ("proportions", _PROPORTIONS)}
 
 #: each bench experiment: its CSV file and header, and the call giving its
 #: (rows, meta) from (config, config values, threads).  The calls look the
@@ -188,15 +183,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _add_common(parser):
+def _add_seed_and_out_dir(parser):
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--out-dir", default=".", help="output directory")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.environ.get("SKETCHLS_THREADS", "1"),
-        help="replication worker threads (env SKETCHLS_THREADS)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dist", choices=DISTRIBUTIONS, required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--d", type=int, required=True)
-    gen.add_argument("--sigma-noise", type=float, default=3.0)
-    _add_common(gen)
+    gen.add_argument("--sigma-noise", type=float, default=DataSpec.sigma_noise)
+    _add_seed_and_out_dir(gen)
 
     solve = sub.add_parser("solve", help="run one solver on CSV data")
     solve.add_argument("--x", required=True, help="design matrix CSV")
@@ -216,12 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--method", choices=SOLVE_METHODS, required=True)
     solve.add_argument("--m", type=int, help="sketch/subsample size")
     solve.add_argument("--n-iter", type=int, default=20)
-    solve.add_argument("--lam", type=float, help="explicit ridge weight")
     solve.add_argument(
-        "--lam-rule",
-        choices=("concentrated", "heavy-tailed"),
+        "--lam",
         default="concentrated",
-        help="ridge rule when --lam is not given",
+        help="ridge weight >= 0, or the name of a ridge profile",
     )
     solve.add_argument(
         "--tol",
@@ -237,21 +224,21 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="divide each column by its standard deviation after centering",
     )
-    _add_common(solve)
+    _add_seed_and_out_dir(solve)
 
     bench = sub.add_parser("bench", help="run a benchmark from a JSON config")
     bench_sub = bench.add_subparsers(dest="experiment", required=True)
     for name in BENCH_CSV:
         b = bench_sub.add_parser(name)
+        # the config file holds every setting of the run, its seed included
         b.add_argument("--config", required=True, help="JSON config path")
-        if name == "converge":
-            b.add_argument(
-                "--init",
-                choices=("default", "aopt-for-all"),
-                default=None,
-                help="initializer policy override",
-            )
-        _add_common(b)
+        b.add_argument("--out-dir", default=".", help="output directory")
+        b.add_argument(
+            "--threads",
+            type=int,
+            default=os.environ.get("SKETCHLS_THREADS", "1"),
+            help="replication worker threads (env SKETCHLS_THREADS)",
+        )
     return parser
 
 
@@ -274,8 +261,16 @@ def cmd_solve(args) -> int:
     for flag, value in (("--n-iter", args.n_iter), ("--tol", args.tol), ("--seed", args.seed)):
         if not value >= 0:
             raise ConfigError(flag, f"{flag} must be >= 0, got {value}")
-    if args.lam is not None and not 0 <= args.lam < math.inf:
-        raise ConfigError("--lam", f"--lam must be finite and >= 0, got {args.lam}")
+    try:
+        lam = float(args.lam)
+    except ValueError:
+        lam = args.lam
+    try:
+        rule = _ridge_rule(lam)
+    except ValueError:
+        raise ConfigError(
+            "--lam", f"--lam must be a finite number >= 0 or a profile name, got {args.lam}"
+        ) from None
     method = args.method
     if method != "full" and args.m is None:
         raise ConfigError("m", f"--m is required for method {method!r}")
@@ -308,13 +303,8 @@ def cmd_solve(args) -> int:
             dist_to_ls=[0.0],
         )
     else:
-        lam = (
-            float(args.lam)
-            if args.lam is not None
-            else LambdaRule(args.lam_rule.replace("-", "_")).resolve(x)
-        )
         trace = SOLVERS[method](
-            x, y, args.m, args.n_iter, derive_rng(args.seed), lam,
+            x, y, args.m, args.n_iter, derive_rng(args.seed), rule.resolve(x),
             beta_ls=beta_ls, tol=args.tol,
         )
 
@@ -334,8 +324,7 @@ def cmd_solve(args) -> int:
         "method": method,
         "m": args.m,
         "n_iter": args.n_iter,
-        "lam": args.lam,
-        "lam_rule": args.lam_rule,
+        "lam": lam,
         "tol": args.tol,
         "center": not args.no_center,
         "scale": args.scale,
@@ -377,15 +366,21 @@ def _list_of(item):
     return _json(list, lambda value: tuple(map(item, value)))
 
 
-def _lambda_rule(value) -> LambdaRule | None:
-    """A ridge weight or a profile name; null keeps the distribution's default."""
-    if value is None:
-        return None
+def _ridge_rule(value) -> LambdaRule:
+    """The rule of a ridge weight >= 0 or of a profile name other than
+    ``explicit`` (``-`` may stand for ``_``)."""
     if not isinstance(value, str):
         return LambdaRule("explicit", _REAL(value))
-    if value.replace("-", "_") not in ("concentrated", "heavy_tailed"):
+    rule = LambdaRule(value.replace("-", "_"))
+    if rule.profile == "explicit":
         raise ValueError(value)
-    return LambdaRule(value.replace("-", "_"))
+    return rule
+
+
+def _lambda_rule(value):
+    """A ``lambda_rule`` value, kept as given once it names a ridge rule."""
+    _ridge_rule(value)
+    return value
 
 
 #: every config key and the parser of its JSON value
@@ -408,9 +403,9 @@ def _read_config(path: str, experiment: str) -> dict:
     except FileNotFoundError:
         raise ConfigError("config", f"config file not found: {path}") from None
     except json.JSONDecodeError as err:
-        raise ConfigError("config", f"config file is not valid JSON: {err}") from None
+        raise ConfigError("config", f"config file {path} is not valid JSON: {err}") from None
     if not isinstance(raw, dict):
-        raise ConfigError("config", "config root must be a JSON object")
+        raise ConfigError("config", f"config file {path} does not hold a JSON object")
     unknown = sorted(set(raw) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError(unknown[0], f"unknown config key {unknown[0]!r}")
@@ -426,41 +421,37 @@ def _read_config(path: str, experiment: str) -> dict:
     return values
 
 
+#: the value of each optional config key that a config file leaves out,
+#: but ``lambda_rule``, whose default is its distribution's profile
+_DEFAULTS = {
+    **{f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING},
+    "seed": 0, "sigma_noise": DataSpec.sigma_noise, "variants": DELTA_VARIANTS,
+    "proportions": tuple(round(0.1 * k, 1) for k in range(1, 11)),
+}
+
+
 def _experiment_config(values: dict, experiment: str):
-    """The resolved run configuration of ``experiment`` from parsed config
-    values: run_init_comparison's keyword arguments for ``init``, else an
-    ExperimentConfig.  An absent optional key takes the library default."""
-    seed = values.get("seed", 0)
-    sigma_noise = values.get("sigma_noise", DataSpec.sigma_noise)
+    """The run configuration of ``experiment`` from config values with every
+    default filled in: run_init_comparison's keyword arguments for ``init``,
+    else an ExperimentConfig."""
     if experiment == "init":
-        return {
-            **{key: values[key] for key in ("n_grid", "d", "m", "n_iter", "reps", "dist")},
-            "seed": seed,
-            "sigma_noise": sigma_noise,
-            "trim": values.get("trim", ExperimentConfig.trim),
-        }
-    spec = DataSpec(values["dist"], values["n"], values["d"], seed, sigma_noise)
-    rule = values.get("lambda_rule") or LambdaRule.for_distribution(spec.dist)
-    values = {**values, "data": spec, "lambda_rule": rule}
-    return ExperimentConfig(**{f.name: values[f.name] for f in fields(ExperimentConfig)
-                               if f.name in values})
+        return {key: values[key] for key in
+                ("n_grid", "d", "m", "n_iter", "reps", "dist", "seed", "sigma_noise", "trim")}
+    spec = DataSpec(*(values[key] for key in ("dist", "n", "d", "seed", "sigma_noise")))
+    values = {**values, "data": spec, "lambda_rule": _ridge_rule(values["lambda_rule"])}
+    return ExperimentConfig(**{f.name: values[f.name] for f in fields(ExperimentConfig)})
 
 
 def cmd_bench(args) -> int:
     started = time.time()
     exp = args.experiment
     values = _read_config(args.config, exp)
-    values.setdefault("seed", args.seed)
-    if getattr(args, "init", None):
-        values["init_policy"] = args.init
-    cfg = _experiment_config(values, exp)
-    config = cfg if isinstance(cfg, dict) else asdict(cfg)
-    if exp in _RUN_LISTS:
-        key, default = _RUN_LISTS[exp]
-        config[key] = values.setdefault(key, default)
+    config = {**_DEFAULTS, "lambda_rule": LambdaRule.for_distribution(values["dist"]).profile,
+              **values}
+    cfg = _experiment_config(config, exp)
     threads = max(1, args.threads)
     name, header, run = BENCH_CSV[exp]
-    rows, meta = run(cfg, values, threads)
+    rows, meta = run(cfg, config, threads)
     _write_outputs(args.out_dir, {name: (header, rows)},
                    f"bench_{exp.replace('-', '_')}_manifest.json", f"bench {exp}",
                    config, started,

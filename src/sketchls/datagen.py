@@ -14,6 +14,7 @@ import numpy as np
 from .linalg import _check_coef, _check_xy, as_matrix
 from .linalg import as_vector  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .sketch import derive_rng
+from .solvers import full_ls
 
 __all__ = [
     "DISTRIBUTIONS",
@@ -136,8 +137,6 @@ def make_dataset(spec: DataSpec) -> Dataset:
     it.  The exact least-squares solution is computed once on the centered
     pair; centering leaves beta_star the ground truth of the centered model.
     """
-    from .solvers import full_ls  # local import to avoid a cycle
-
     rng = derive_rng(spec.seed)
     x = _covariates(rng, spec.dist, spec.n, spec.d)
     beta_star = rng.standard_normal(spec.d)

@@ -36,6 +36,21 @@ def fail_on_call(fn, k):
     return wrapped
 
 
+def diverge_on_call(solve, k):
+    """Wrap ``solve`` so that its ``k``-th call (0-based) returns its trace
+    marked ``diverge``."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        trace = solve(*args, **kwargs)
+        if len(calls) == k + 1:
+            trace.status = "diverge"
+        return trace
+
+    return wrapped
+
+
 def small_cfg(**kw):
     defaults = dict(
         data=DataSpec("normal", 512, 5, seed=0),
@@ -136,6 +151,18 @@ class TestRunConvergence:
         final = [r["mse2"] for r in rows if r["iter"] == 100]
         assert final and final[0] <= 1e-16
 
+    def test_divergent_solve_fails_one_replication(self, monkeypatch):
+        cfg = small_cfg(methods=("ihs", "aopt-ihs"), reps=4, n_iter=3)
+        before, _ = run_convergence(cfg)
+        monkeypatch.setitem(sketchls.bench.SOLVERS, "ihs",
+                            diverge_on_call(sketchls.bench.SOLVERS["ihs"], 1))
+        after, meta = run_convergence(cfg)
+        assert meta["failures"] == {"ihs": 1, "aopt-ihs": 0}
+        assert {r["failures"] for r in after if r["method"] == "ihs"} == {1}
+        assert [r for r in after if r["method"] == "aopt-ihs"] == [
+            r for r in before if r["method"] == "aopt-ihs"
+        ]
+
 
 class TestRunInitComparison:
     def test_full_row_is_noise_floor(self):
@@ -227,6 +254,14 @@ class TestRunTimeToPrecision:
         assert rows[0]["status"] == "ok"
         assert rows[0]["mean_iters"] == 1.0
         assert rows[0]["mean_seconds"] > 0
+
+    def test_divergent_solve_is_a_diverge_status(self, monkeypatch):
+        cfg = small_cfg(methods=("ihs", "aopt-ihs"), reps=3)
+        monkeypatch.setitem(sketchls.bench.SOLVERS, "ihs",
+                            diverge_on_call(sketchls.bench.SOLVERS["ihs"], 1))
+        rows, _ = run_time_to_precision(cfg)
+        status = {r["method"]: r["status"] for r in rows}
+        assert status == {"ihs": "diverge", "aopt-ihs": "ok"}
 
     def test_statuses_and_means(self):
         cfg = small_cfg(reps=4, methods=("ihs", "aopt-ihs"))

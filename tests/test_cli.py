@@ -24,7 +24,7 @@ from sketchls import (
     row_sq_norms,
 )
 from sketchls.bench import DELTA_VARIANTS
-from sketchls.cli import _fmt, main, read_matrix_csv, read_vector_csv
+from sketchls.cli import BENCH_CSV, _fmt, main, read_matrix_csv, read_vector_csv
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -201,6 +201,34 @@ class TestSolve:
         assert code == 1
         assert "--m is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x_text, y_text, bad, message", [
+        ("", "y\r\n1\r\n", "X", "empty file"),
+        ("a,b\r\n1,2\r\n3\r\n", "y\r\n1\r\n2\r\n", "X", "row 3 has 1 fields, expected 2"),
+        ("a,b\r\n", "y\r\n1\r\n", "X", "no data rows"),
+        ("a\r\n1\r\n2\r\n", "y,z\r\n1,2\r\n3,4\r\n", "y",
+         "expected a single column, found 2"),
+    ])
+    def test_malformed_csv_names_the_file(self, tmp_path, capsys, x_text, y_text, bad, message):
+        paths = {"X": tmp_path / "X.csv", "y": tmp_path / "y.csv"}
+        paths["X"].write_text(x_text)
+        paths["y"].write_text(y_text)
+        out = tmp_path / "r"
+        assert run_cli("solve", "--x", str(paths["X"]), "--y", str(paths["y"]),
+                       "--method", "full", "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {paths[bad]}: {message}\n"
+        assert not out.exists()
+
+    def test_scale_on_a_constant_column_names_it(self, tmp_path, capsys):
+        x_path, y_path = tmp_path / "X.csv", tmp_path / "y.csv"
+        x_path.write_text("a,b\r\n1,5\r\n2,5\r\n4,5\r\n")
+        y_path.write_text("y\r\n1\r\n2\r\n3\r\n")
+        out = tmp_path / "r"
+        assert run_cli("solve", "--x", str(x_path), "--y", str(y_path), "--method", "full",
+                       "--scale", "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {x_path}: column 2 is constant, cannot scale\n")
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("n_iter, tol, code", [
         ("-1", "0", 1), ("20", "-0.5", 1), ("20", "nan", 1), ("0", "0", 0),
@@ -226,6 +254,8 @@ class TestSolve:
         (["--m", "0"], "error: --m must be >= 1, got 0"),
         (["--m", "-3"], "error: --m must be >= 1, got -3"),
         (["--m", "32", "--seed", "-1"], "error: --seed must be >= 0, got -1"),
+        (["--m", "32", "--lam", "explicit"], "error: --lam"),
+        (["--m", "32", "--lam", "heavy"], "error: --lam"),
     ])
     def test_flags_checked_before_reading_data(self, tmp_path, capsys, flags, error):
         # the data files do not exist: a flag checked after reading them
@@ -262,7 +292,7 @@ class TestSolve:
         x, _ = center(read_matrix_csv(data / "X.csv"), read_vector_csv(data / "y.csv"))
         lam = 0.4 * float(row_sq_norms(x).sum())
         beta = {}
-        runs = (("rule", ["--lam-rule", "heavy-tailed"]), ("lam", ["--lam", repr(lam)]),
+        runs = (("rule", ["--lam", "heavy-tailed"]), ("lam", ["--lam", repr(lam)]),
                 ("default", []))
         for name, flags in runs:
             assert run_cli("solve", "--x", str(data / "X.csv"), "--y", str(data / "y.csv"),
@@ -484,14 +514,95 @@ class TestBench:
         cfg = self.write_cfg(tmp_path, methods=["ihs", "aopt-ihs"])
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         run_cli("bench", "converge", "--config", str(cfg), "--out-dir", str(out1))
-        run_cli("bench", "converge", "--config", str(cfg), "--out-dir", str(out2),
-                "--init", "aopt-for-all")
+        cfg = self.write_cfg(tmp_path, methods=["ihs", "aopt-ihs"], init_policy="aopt-for-all")
+        run_cli("bench", "converge", "--config", str(cfg), "--out-dir", str(out2))
         at0 = lambda out: {
             r["method"]: float(r["mse2"])
             for r in read_rows(out / "converge_mse.csv")
             if r["iter"] == "0"
         }
         assert at0(out1)["ihs"] > at0(out2)["ihs"]  # shared initializer helps
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "config file not found: {path}"),
+        ("{", "config file {path} is not valid JSON"),
+        ("[1, 2]", "config file {path} does not hold a JSON object"),
+    ])
+    def test_unreadable_config_names_the_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli("bench", "converge", "--config", str(path), "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: " + message.format(path=path))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [None, "pencil"])
+    def test_lambda_rule_null_or_unknown_profile_rejected(self, tmp_path, capsys, value):
+        cfg = self.write_cfg(tmp_path, lambda_rule=value)
+        out = tmp_path / "out"
+        assert run_cli("bench", "converge", "--config", str(cfg), "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == f"error: invalid lambda_rule: {json.dumps(value)}\n"
+        assert not out.exists()
+
+    def test_lambda_rule_profile_name(self, tmp_path):
+        base = {"n": 256, "n_iter": 2, "reps": 2, "m": 32, "methods": ["aopt-ihs"]}
+        csv_bytes = {}
+        for rule in ("heavy-tailed", "heavy_tailed", "concentrated"):
+            out = tmp_path / rule
+            cfg = self.write_cfg(tmp_path, **base, lambda_rule=rule)
+            assert run_cli("bench", "converge", "--config", str(cfg), "--out-dir", str(out)) == 0
+            manifest = json.loads((out / "bench_converge_manifest.json").read_text())
+            assert manifest["config"]["lambda_rule"] == rule
+            csv_bytes[rule] = (out / "converge_mse.csv").read_bytes()
+        assert csv_bytes["heavy-tailed"] == csv_bytes["heavy_tailed"]
+        assert csv_bytes["heavy-tailed"] != csv_bytes["concentrated"]
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "converge", "--config", "x.json", "--seed", "1"],
+        ["bench", "converge", "--config", "x.json", "--init", "aopt-for-all"],
+        ["gen", "--dist", "normal", "--n", "16", "--d", "2", "--threads", "2"],
+        ["solve", "--x", "X.csv", "--y", "y.csv", "--method", "full",
+         "--lam-rule", "concentrated"],
+    ])
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", list(BENCH_CSV))
+    def test_manifest_config_reruns_the_command(self, tmp_path, experiment):
+        """The manifest's config, saved as a config file, reruns the command
+        to the same CSV bytes, and it names every optional key."""
+        cfg = self.write_cfg(tmp_path, dist="t2", n=256, d=3, m=32, n_iter=3, reps=3,
+                             seed=2, n_grid=[128, 256], tol=1e-6, iter_cap=30)
+        name = BENCH_CSV[experiment][0]
+        manifest = f"bench_{experiment.replace('-', '_')}_manifest.json"
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run_cli("bench", experiment, "--config", str(cfg), "--out-dir", str(first)) == 0
+        config = json.loads((first / manifest).read_text())["config"]
+        assert {"seed", "sigma_noise", "lambda_rule", "methods", "trim", "tol", "init_policy",
+                "iter_cap", "variants", "proportions"} <= set(config)
+        assert config["lambda_rule"] == "heavy_tailed"
+        rerun = tmp_path / "rerun.json"
+        rerun.write_text(json.dumps(config))
+        assert run_cli("bench", experiment, "--config", str(rerun), "--out-dir", str(again)) == 0
+        assert json.loads((again / manifest).read_text())["config"] == config
+
+        def body(out):
+            with open(out / name, newline="") as handle:
+                rows = list(csv.reader(handle))
+            if experiment == "time":  # wall-clock seconds are not reproducible
+                col = rows[0].index("mean_seconds")
+                for row in rows[1:]:
+                    row[col] = ""
+            return rows
+
+        assert body(again) == body(first)
+        if experiment != "time":
+            assert (again / name).read_bytes() == (first / name).read_bytes()
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SKETCHLS_THREADS", "3")

@@ -14,7 +14,10 @@ import sketchls.precond
 import sketchls.sketch
 import sketchls.solvers
 from sketchls import (
+    DataSpec,
     DimensionMismatch,
+    HypothesisViolated,
+    RankDeficient,
     SketchKind,
     acc_ihs_solve,
     aopt_cs_estimate,
@@ -22,7 +25,9 @@ from sketchls import (
     aopt_select,
     build_m,
     center,
+    cholesky,
     closed_form_trajectory,
+    contraction_bound,
     cs_estimate,
     derive_rng,
     draw_sketch,
@@ -37,6 +42,7 @@ from sketchls import (
     trace_inverse_bound,
     uniform_sample,
 )
+from sketchls.linalg import as_vector
 from sketchls.solvers import METHODS
 
 N, D, M = 64, 3, 16
@@ -254,3 +260,31 @@ def test_matrix_whose_row_sum_overflows_accepted():
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
 def test_empty_matrix_accepted(shape):
     assert sketchls.linalg.as_matrix(np.zeros(shape)).shape == shape
+
+
+def _rank_deficient_x():
+    x = np.random.default_rng(1).standard_normal((N, D))
+    x[:, 2] = x[:, 0] + x[:, 1]
+    return x
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: DataSpec("cauchy", 16, 2, 0), ValueError, "unknown distribution 'cauchy'"),
+    (lambda: DataSpec("normal", 2, 3, 0), ValueError, "need n >= d >= 1, got n=2, d=3"),
+    (lambda: contraction_bound(0.1, 0.1, -1, 1.0), HypothesisViolated,
+     "iteration count must be >= 0"),
+    (lambda: isometry_check(_rank_deficient_x(), np.eye(D)), RankDeficient,
+     "X does not have full column rank"),
+    (lambda: as_vector(np.ones((2, 2)), "y"), DimensionMismatch,
+     "y must be 1-D, got shape (2, 2)"),
+    (lambda: cholesky(np.ones((2, 3))), DimensionMismatch,
+     "matrix must be square, got shape (2, 3)"),
+    (lambda: trace_inverse_bound(np.eye(4), aopt_select(np.eye(4), 2), 0.0), ValueError,
+     "c_lower must be > 0, got 0.0"),
+    (lambda: hs_covariance_trace_bound(np.eye(4), aopt_select(np.eye(4), 2), -1.0),
+     ValueError, "c_lower must be > 0, got -1.0"),
+])
+def test_bad_argument_error_names_it(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

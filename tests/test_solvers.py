@@ -522,3 +522,54 @@ class TestAccIhs:
         )
         for beta in trace.betas:
             assert np.linalg.norm(beta - ds.beta_ls) <= 1e-10 * np.linalg.norm(ds.beta_ls)
+
+
+def exact_integer_fit():
+    """A 64 x 3 integer X and the y = X beta of an integer beta: the
+    residual at beta is exactly 0."""
+    x = np.random.default_rng(4).integers(-5, 6, size=(64, 3)).astype(np.float64)
+    beta = np.array([2.0, -1.0, 3.0])
+    return x, x @ beta, beta
+
+
+class TestEarlyExits:
+    """A step that hands back no iterate ends the run before iteration 1."""
+
+    def test_descent_from_the_exact_solution_converges(self):
+        x, y, beta = exact_integer_fit()
+        trace = preconditioned_descent(x, y, beta, lambda v: v, 5, beta_ls=beta)
+        assert (trace.status, trace.iterations) == ("converged", 0)
+        np.testing.assert_array_equal(np.stack(trace.betas), [beta])
+        assert trace.objective == [0.0] and trace.dist_to_ls == [0.0]
+        assert trace.alphas == [] and trace.elapsed == []
+
+    def test_acc_ihs_from_the_exact_solution_converges(self):
+        x, y, beta = exact_integer_fit()
+        trace = acc_ihs_solve(x, y, SketchKind("srht", 32), 5, derive_rng(1), beta0=beta,
+                              beta_ls=beta)
+        assert (trace.status, trace.iterations) == ("converged", 0)
+        np.testing.assert_array_equal(np.stack(trace.betas), [beta])
+        assert trace.objective == [0.0] and trace.dist_to_ls == [0.0]
+
+    def test_acc_ihs_with_vanishing_curvature_converges(self, monkeypatch):
+        # a preconditioner 1e200 times too strong keeps r'M^{-1}r > 0 while
+        # the curvature p'X'Xp underflows to 0
+        import sketchls.solvers
+
+        x, _, _ = exact_integer_fit()
+        y = np.random.default_rng(5).standard_normal(64)
+        solve = sketchls.solvers.solve_spd
+        monkeypatch.setattr(sketchls.solvers, "solve_spd", lambda fac, b: 1e-200 * solve(fac, b))
+        trace = acc_ihs_solve(x, y, SketchKind("srht", 32), 5, derive_rng(1))
+        assert (trace.status, trace.iterations) == ("converged", 0)
+        np.testing.assert_array_equal(np.stack(trace.betas), [np.zeros(3)])
+
+    def test_pw_gradient_whose_first_step_overflows_diverges(self):
+        x, y, _ = exact_integer_fit()
+        beta0 = np.full(3, 1e306)  # X beta0 is finite, X'(y - X beta0) is not
+        with np.errstate(over="ignore"):
+            trace = pw_gradient_solve(x, y, SketchKind("srht", 32), 5, derive_rng(1),
+                                      beta0=beta0)
+        assert (trace.status, trace.iterations) == ("diverge", 0)
+        np.testing.assert_array_equal(np.stack(trace.betas), [beta0])
+        assert trace.alphas == [] and trace.elapsed == []
