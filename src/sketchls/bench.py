@@ -32,7 +32,7 @@ from .datagen import DataSpec, Dataset, make_dataset
 from .errors import EmptyInput, SketchlsError
 from .linalg import gram, row_sq_norms
 from .precond import LambdaRule, build_m, delta_from_matrix, delta_measure
-from .sketch import derive_rng, leverage_sample, srht_apply
+from .sketch import aopt_select, derive_rng, leverage_sample, srht_apply
 from .solvers import METHODS as SOLVERS
 from .solvers import SolveTrace, aopt_cs_estimate, cs_estimate, preconditioned_descent
 
@@ -344,7 +344,7 @@ def run_delta_table(cfg: ExperimentConfig, variants=DELTA_VARIANTS, threads: int
     def start(rep):
         ds = _rep_dataset(cfg.data, rep)
         q = gram(ds.x)
-        mask = aopt_cs_estimate(ds.x, ds.y, cfg.m)[1]
+        mask = aopt_select(ds.x, cfg.m)
         lam = cfg.lambda_rule.resolve(ds.x)
 
         def measure(variant):
@@ -447,7 +447,7 @@ def lambda_sweep(cfg: ExperimentConfig, proportions, threads: int = 1):
     def start(rep):
         ds = _rep_dataset(cfg.data, rep)
         q = gram(ds.x)
-        mask = aopt_cs_estimate(ds.x, ds.y, cfg.m)[1]
+        mask = aopt_select(ds.x, cfg.m)
         total = float(row_sq_norms(ds.x).sum())
         return lambda prop: delta_measure(build_m(ds.x, mask, prop * total), q)
 

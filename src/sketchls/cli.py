@@ -233,12 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         # the config file holds every setting of the run, its seed included
         b.add_argument("--config", required=True, help="JSON config path")
         b.add_argument("--out-dir", default=".", help="output directory")
-        b.add_argument(
-            "--threads",
-            type=int,
-            default=os.environ.get("SKETCHLS_THREADS", "1"),
-            help="replication worker threads (env SKETCHLS_THREADS)",
-        )
+        b.add_argument("--threads", type=int, default=1,
+                       help="replication worker threads (>= 1)")
     return parser
 
 
@@ -296,6 +292,7 @@ def cmd_solve(args) -> int:
         x = x / stds
     beta_ls = full_ls(x, y)
 
+    ridge_weight = None  # the full solve takes no ridge
     if method == "full":
         trace = SolveTrace(
             betas=[beta_ls],
@@ -303,8 +300,9 @@ def cmd_solve(args) -> int:
             dist_to_ls=[0.0],
         )
     else:
+        ridge_weight = rule.resolve(x)
         trace = SOLVERS[method](
-            x, y, args.m, args.n_iter, derive_rng(args.seed), rule.resolve(x),
+            x, y, args.m, args.n_iter, derive_rng(args.seed), ridge_weight,
             beta_ls=beta_ls, tol=args.tol,
         )
 
@@ -330,7 +328,8 @@ def cmd_solve(args) -> int:
         "scale": args.scale,
         "seed": args.seed,
     }
-    _write_outputs(args.out_dir, tables, "solve_manifest.json", "solve", config, started)
+    _write_outputs(args.out_dir, tables, "solve_manifest.json", "solve", config, started,
+                   {"ridge_weight": ridge_weight})
     return 0
 
 
@@ -444,18 +443,19 @@ def _experiment_config(values: dict, experiment: str):
 
 def cmd_bench(args) -> int:
     started = time.time()
+    if args.threads < 1:
+        raise ConfigError("--threads", f"--threads must be >= 1, got {args.threads}")
     exp = args.experiment
     values = _read_config(args.config, exp)
     config = {**_DEFAULTS, "lambda_rule": LambdaRule.for_distribution(values["dist"]).profile,
               **values}
     cfg = _experiment_config(config, exp)
-    threads = max(1, args.threads)
     name, header, run = BENCH_CSV[exp]
-    rows, meta = run(cfg, config, threads)
+    rows, meta = run(cfg, config, args.threads)
     _write_outputs(args.out_dir, {name: (header, rows)},
                    f"bench_{exp.replace('-', '_')}_manifest.json", f"bench {exp}",
                    config, started,
-                   {"threads": threads, "meta": meta, "timing_note": _TIMING_NOTE})
+                   {"threads": args.threads, "meta": meta, "timing_note": _TIMING_NOTE})
     return 0
 
 

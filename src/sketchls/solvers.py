@@ -16,11 +16,13 @@ differ in how they precondition the gradient:
 :data:`METHODS` maps each solver's name to an adapter with one call
 signature; the benchmark harness and the CLI dispatch through it only.
 
-All four enter through one loop, :func:`_iterate`, which checks the inputs,
-times the solver's setup and owns the trace; a solver supplies only its setup,
-giving start and step.  Every method reads X twice per iteration (``ihs`` also
-draws one SRHT): a step that forms the image ``X u`` of its direction hands
-back the next residual ``r - alpha X u``, and the loop forms the others'.
+Each method is a generator of its iterates, and all four run through one
+loop, :func:`_iterate`, which checks the inputs, times the method's setup and
+owns the trace.  A method does its setup, then yields each iterate with its
+residual ``y - X beta``, so it owns the residual: a step that forms the image
+``X u`` of its direction carries ``r - alpha X u`` forward, and the others form
+``y - X beta``.  Every method reads X twice per iteration (``ihs`` also draws
+one sketch).
 
 Each solver returns a :class:`SolveTrace` holding the full iterate history,
 so correctness oracles (the closed-form trajectory, isometry reports, the
@@ -31,6 +33,7 @@ exists only inside the SRHT.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -83,7 +86,8 @@ class SolveTrace:
     initializer); ``alphas`` is empty for unit-step methods.  ``dist_to_ls``
     is filled only when the exact solution was supplied.  ``elapsed`` holds
     per-iteration wall-clock seconds; one-time work (sketching, factoring,
-    initial estimate) is in ``setup_seconds``.  ``sketches`` holds the
+    initial estimate, the start's residual) is in ``setup_seconds``.
+    ``sketches`` holds the
     sketched matrices when :func:`ihs_solve` is asked to record them.
     """
 
@@ -120,54 +124,48 @@ class IsometryReport:
     satisfies: bool
 
 
-def _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup):
+def _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, run):
     """The one entry and loop of the iterative solvers.  It checks ``(X, y)``,
-    ``beta0`` (zero when None) and ``beta_ls`` (None allowed), times ``setup(x,
-    y, beta0, beta_ls) -> (start, step)`` as ``setup_seconds``, then records
-    each iterate, its residual ``r = y - X beta``, its objective ``0.5 r.r``
-    and distance to ``beta_ls``, and stops at the first iterate within
-    ``stop_at_dist`` of ``beta_ls``.
+    ``beta0`` (zero when None) and ``beta_ls`` (None allowed), then drives the
+    generator ``run(x, y, beta0, beta_ls)``.
 
-    ``step(t, beta, resid)`` returns ``(beta_next, alpha, status,
-    resid_next)``.  A ``beta_next`` of None ends the run with ``status`` and
-    records nothing; otherwise ``beta_next`` (and ``alpha`` unless None) is
-    recorded, and a ``status`` other than ``"ok"`` then ends the run.
-    ``resid_next`` is the residual of ``beta_next`` when the step has it
-    without a pass over X, else None, and the loop computes it.  Per-iteration
-    seconds cover the step plus the new iterate's residual, objective and
-    distance.
+    ``run`` does its setup and yields ``(beta, alpha, status, resid)`` for the
+    start and then for each step, with ``resid = y - X beta`` and ``alpha``
+    None for the start and for unit steps.  It returns a status to end the run
+    without a new iterate.  The loop records each yield: the iterate, its
+    objective ``0.5 r.r``, its distance to ``beta_ls`` and its step length.
+    It stops after ``n_iter`` steps (the start only when ``n_iter <= 0``), at
+    a yield whose status is not ``"ok"``, and at the first step within
+    ``stop_at_dist`` of ``beta_ls``.  The first yield is timed as
+    ``setup_seconds``, so that covers the setup and the start's residual;
+    each step's seconds cover its work and the recording of its iterate.
     """
     x, y = _check_xy(x, y)
     beta0 = np.zeros(x.shape[1]) if beta0 is None else _check_coef(x, beta0, "beta0")
     beta_ls = None if beta_ls is None else _check_coef(x, beta_ls, "beta_ls")
-    tic = time.perf_counter()
-    beta, step = setup(x, y, beta0, beta_ls)
-    trace = SolveTrace(dist_to_ls=None if beta_ls is None else [],
-                       setup_seconds=time.perf_counter() - tic)
-
-    def record(beta, resid=None):
-        if resid is None:
-            resid = y - x @ beta
-        trace.betas.append(beta.copy())
-        trace.objective.append(0.5 * float(resid @ resid))
-        if beta_ls is not None:
-            trace.dist_to_ls.append(float(np.linalg.norm(beta - beta_ls)))
-        return resid
-
+    trace = SolveTrace(dist_to_ls=None if beta_ls is None else [])
     targeted = stop_at_dist > 0.0 and beta_ls is not None
-    resid = record(beta)
-    for t in range(1, n_iter + 1):
+    iterates = run(x, y, beta0, beta_ls)
+    for t in range(max(n_iter, 0) + 1):
         tic = time.perf_counter()
-        beta, alpha, trace.status, resid = step(t, beta, resid)
-        if beta is None:
+        try:
+            beta, alpha, trace.status, resid = next(iterates)
+        except StopIteration as end:
+            trace.status = end.value
             break
-        resid = record(beta, resid)
+        trace.betas.append(beta.copy())
+        # an overflowed iterate records an inf objective; its run reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace.objective.append(0.5 * float(resid @ resid))
+            if beta_ls is not None:
+                trace.dist_to_ls.append(float(np.linalg.norm(beta - beta_ls)))
         if alpha is not None:
             trace.alphas.append(float(alpha))
         trace.elapsed.append(time.perf_counter() - tic)
-        reached = targeted and trace.dist_to_ls[-1] <= stop_at_dist
+        reached = targeted and t > 0 and trace.dist_to_ls[-1] <= stop_at_dist
         if trace.status != "ok" or reached:
             break
+    trace.setup_seconds = trace.elapsed.pop(0)
     return trace
 
 
@@ -222,10 +220,11 @@ def ihs_solve(
     """
     sketches = [] if record_sketches else None
 
-    def setup(x, y, beta0, beta_ls):
+    def run(x, y, beta, beta_ls):
         draw = _sketcher(x, y, kind.variant, kind.m, rng)
-
-        def step(t, beta, resid):
+        resid = y - x @ beta
+        yield beta, None, "ok", resid
+        for t in itertools.count(1):
             sx, _ = draw()
             try:
                 fac = cholesky(gram(sx))
@@ -237,11 +236,11 @@ def ihs_solve(
                 raise err from None
             if sketches is not None:
                 sketches.append(sx)
-            return beta + solve_spd(fac, x.T @ resid), None, "ok", None
+            beta = beta + solve_spd(fac, x.T @ resid)
+            resid = y - x @ beta
+            yield beta, None, "ok", resid
 
-        return beta0, step
-
-    trace = _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup)
+    trace = _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, run)
     trace.sketches = sketches
     return trace
 
@@ -335,23 +334,25 @@ def exact_alpha(v, u, p) -> float:
     return float(v @ u) / denom
 
 
-def _descent_step(x, apply_inv, tol):
-    """The step of :func:`preconditioned_descent` and :func:`aopt_ihs_solve`
-    on a checked X: two passes over X, for the gradient and for the image
-    ``p = X u`` that gives both the step length and the next residual."""
-
-    def step(t, beta, resid):
+def _descent(x, y, beta, apply_inv, tol):
+    """The iterates of :func:`preconditioned_descent` and
+    :func:`aopt_ihs_solve` on a checked ``(X, y)``: each step reads X twice,
+    for the gradient and for the image ``p = X u`` that gives both the step
+    length and the next residual."""
+    resid = y - x @ beta
+    yield beta, None, "ok", resid
+    while True:
         v = x.T @ resid
         u = apply_inv(v)
         p = x @ u
         try:
             alpha = exact_alpha(v, u, p)
         except ZeroDirection:
-            return None, None, "converged", None
+            return "converged"
         done = tol > 0.0 and abs(alpha) * float(np.linalg.norm(u)) <= tol
-        return beta + alpha * u, alpha, "converged" if done else "ok", resid - alpha * p
-
-    return step
+        beta = beta + alpha * u
+        resid = resid - alpha * p
+        yield beta, alpha, "converged" if done else "ok", resid
 
 
 def preconditioned_descent(
@@ -372,7 +373,7 @@ def preconditioned_descent(
     moves by at most ``tol`` in Euclidean norm.
     """
     return _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist,
-                    lambda x, y, beta0, beta_ls: (beta0, _descent_step(x, apply_inv, tol)))
+                    lambda x, y, beta0, beta_ls: _descent(x, y, beta0, apply_inv, tol))
 
 
 def aopt_ihs_solve(
@@ -395,11 +396,11 @@ def aopt_ihs_solve(
     on the iterate displacement (0 disables it).
     """
 
-    def setup(x, y, beta0, beta_ls):
+    def run(x, y, beta0, beta_ls):
         start, mask = aopt_cs_estimate(x, y, m)
-        return start, _descent_step(x, build_m(x, mask, lam).solve, tol)
+        return (yield from _descent(x, y, start, build_m(x, mask, lam).solve, tol))
 
-    return _iterate(x, y, None, beta_ls, n_iter, stop_at_dist, setup)
+    return _iterate(x, y, None, beta_ls, n_iter, stop_at_dist, run)
 
 
 def _sketch_factor(x, y, kind, rng):
@@ -422,43 +423,33 @@ def pw_gradient_solve(
     Convergence is not guaranteed: when the error grows by 10x over the best
     seen so far (or turns non-finite), the run stops with status ``diverge``
     instead of crashing.  The error metric is the distance to the exact
-    solution when available, the gradient norm otherwise; that gradient and
-    its residual are reused as the next step's, so either way an iteration
-    reads X twice.
+    solution when available, the gradient norm otherwise; that gradient is
+    then the next step's, so either way an iteration reads X twice.  An
+    iterate that overflows ends the run as ``diverge`` without a warning.
     """
 
-    def setup(x, y, beta0, beta_ls):
+    def run(x, y, beta, beta_ls):
         fac = _sketch_factor(x, y, kind, rng)
-        # residual and gradient X' r of the last iterate the gradient-norm
-        # metric saw; bit-identical to the loop's: same iterate, same expression
-        resid = grad = None
-
-        def metric(b):
-            nonlocal resid, grad
-            if beta_ls is not None:
-                return float(np.linalg.norm(b - beta_ls))
-            resid = y - x @ b
-            grad = x.T @ resid
-            return float(np.linalg.norm(grad))
-
-        best = metric(beta0)
-
-        def step(t, beta, r):
-            nonlocal best
-            g = x.T @ r if grad is None else grad
+        status, best = "ok", None
+        while True:
+            # no yield inside errstate, which would stay set in the caller
             with np.errstate(over="ignore", invalid="ignore"):
-                beta = beta + solve_spd(fac, g)
+                resid = y - x @ beta
+                grad = None if beta_ls is not None else x.T @ resid
+                err = float(np.linalg.norm(beta - beta_ls if grad is None else grad))
+            if best is None:  # the start
+                best = err
+            elif not np.isfinite(err) or err > DIVERGENCE_GROWTH * best:
+                status = "diverge"
+            else:
+                best = min(best, err)
+            yield beta, None, status, resid
+            with np.errstate(over="ignore", invalid="ignore"):
+                beta = beta + solve_spd(fac, x.T @ resid if grad is None else grad)
             if not np.isfinite(beta).all():
-                return None, None, "diverge", None
-            err = metric(beta)
-            if not np.isfinite(err) or err > DIVERGENCE_GROWTH * best:
-                return beta, None, "diverge", resid
-            best = min(best, err)
-            return beta, None, "ok", resid
+                return "diverge"
 
-        return beta0, step
-
-    return _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup)
+    return _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, run)
 
 
 def acc_ihs_solve(
@@ -480,36 +471,33 @@ def acc_ihs_solve(
     gradient is updated recursively, and ``X p`` also updates the residual.
     """
 
-    def setup(x, y, beta0, beta_ls):
+    def run(x, y, beta, beta_ls):
         fac = _sketch_factor(x, y, kind, rng)
-        r = p = rz = None
-
-        def step(t, beta, resid):
-            nonlocal r, p, rz
-            if t == 1:  # later gradients are updated recursively, not from resid
-                r = x.T @ resid
-                p = solve_spd(fac, r)
-                rz = float(r @ p)
+        resid = y - x @ beta
+        yield beta, None, "ok", resid
+        r = x.T @ resid  # later gradients are updated recursively
+        p = solve_spd(fac, r)
+        rz = float(r @ p)
+        while True:
             if np.linalg.norm(r) <= ZERO_DIRECTION_FLOOR or rz <= 0.0:
-                return None, None, "converged", None
+                return "converged"
             xp = x @ p
             w = x.T @ xp
             pw = float(p @ w)
             if pw <= 0.0:
-                return None, None, "converged", None
+                return "converged"
             alpha = rz / pw
             r_next = r - alpha * w
             z_next = solve_spd(fac, r_next)
             rz_next = float(r_next @ z_next)
             mix = float(z_next @ (r_next - r)) / rz
-            beta_next = beta + alpha * p
+            beta = beta + alpha * p
+            resid = resid - alpha * xp
             p = z_next + mix * p
             r, rz = r_next, rz_next
-            return beta_next, alpha, "ok", resid - alpha * xp
+            yield beta, alpha, "ok", resid
 
-        return beta0, step
-
-    return _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup)
+    return _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, run)
 
 
 def _sketched(solve):

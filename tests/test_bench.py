@@ -163,6 +163,19 @@ class TestRunConvergence:
             r for r in before if r["method"] == "aopt-ihs"
         ]
 
+    def test_method_failing_every_replication_writes_no_rows(self, monkeypatch):
+        cfg = small_cfg(methods=("ihs", "aopt-ihs"), reps=3, n_iter=2)
+        before, _ = run_convergence(cfg)
+
+        def always_fails(*args, **kwargs):
+            raise RankDeficient("injected")
+
+        monkeypatch.setitem(sketchls.bench.SOLVERS, "ihs", always_fails)
+        after, meta = run_convergence(cfg)
+        assert meta["failures"] == {"ihs": 3, "aopt-ihs": 0}
+        assert [r["method"] for r in after] == ["aopt-ihs"] * 3
+        assert after == [r for r in before if r["method"] == "aopt-ihs"]
+
 
 class TestRunInitComparison:
     def test_full_row_is_noise_floor(self):
@@ -238,6 +251,16 @@ class TestRunDeltaTable:
         rows, _ = run_delta_table(cfg)
         vals = {r["variant"]: r["delta_mean"] for r in rows}
         assert vals["rule"] > vals["zero"]
+
+    def test_fewer_rows_than_columns(self):
+        # the ridged preconditioner from m < d rows is well defined; the
+        # unridged masked Gram and the m-row SRHT Gram are singular
+        cfg = small_cfg(data=DataSpec("normal", 512, 10, seed=0), m=6, reps=3)
+        rows, _ = run_delta_table(cfg, variants=("zero", "rule", "srht", "identity"))
+        vals = {r["variant"]: (r["delta_mean"], r["failures"]) for r in rows}
+        assert vals["zero"] == vals["srht"] == (None, 3)
+        assert vals["rule"][1] == vals["identity"][1] == 0
+        assert 0.0 < vals["rule"][0] < 1.0 and abs(vals["identity"][0]) <= 1e-9
 
 
 class TestRunTimeToPrecision:
@@ -320,6 +343,12 @@ class TestLambdaSweep:
         with pytest.raises(ValueError):
             lambda_sweep(small_cfg(reps=1), [0.0])
 
+    def test_fewer_rows_than_columns(self):
+        cfg = small_cfg(data=DataSpec("normal", 512, 10, seed=0), m=6, reps=3)
+        rows, _ = lambda_sweep(cfg, [0.1, 0.4])
+        assert [r["failures"] for r in rows] == [0, 0]
+        assert 0.0 < rows[0]["delta_mean"] < rows[1]["delta_mean"] < 1.0
+
 
 class TestConfigValidation:
     def test_trim_range(self):
@@ -341,6 +370,10 @@ class TestConfigValidation:
             small_cfg(iter_cap=0)
         with pytest.raises(ValueError, match="iter_cap"):
             small_cfg(iter_cap=-5)
+
+    def test_reps_below_one(self):
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            small_cfg(reps=0)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

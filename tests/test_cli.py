@@ -24,7 +24,8 @@ from sketchls import (
     row_sq_norms,
 )
 from sketchls.bench import DELTA_VARIANTS
-from sketchls.cli import BENCH_CSV, _fmt, main, read_matrix_csv, read_vector_csv
+from sketchls.cli import (BENCH_CSV, _atomic_write_text, _fmt, main, read_matrix_csv,
+                          read_vector_csv)
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -50,6 +51,15 @@ def write_integer_pair(tmp_path, offset=0):
     np.savetxt(x_path, z[:, :3], delimiter=",", header="a,b,c", comments="")
     np.savetxt(y_path, z[:, 3], header="y", comments="")
     return z[:, :3], z[:, 3], x_path, y_path
+
+
+def test_failed_atomic_write_leaves_the_target(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("kept\n")
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate has no encoding
+        _atomic_write_text(str(target), "\ud800")
+    assert target.read_text() == "kept\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
 
 
 class TestGen:
@@ -301,6 +311,17 @@ class TestSolve:
             beta[name] = (tmp_path / name / "beta.csv").read_bytes()
         assert beta["rule"] == beta["lam"]
         assert beta["rule"] != beta["default"]  # the default rule is concentrated
+
+    @pytest.mark.parametrize("lam", ["concentrated", "0.5"])
+    def test_manifest_records_the_ridge_weight(self, tmp_path, lam):
+        x, y, x_path, y_path = write_integer_pair(tmp_path, offset=3)
+        out = tmp_path / "out"
+        assert run_cli("solve", "--x", str(x_path), "--y", str(y_path), "--method", "aopt-ihs",
+                       "--m", "8", "--n-iter", "2", "--lam", lam, "--out-dir", str(out)) == 0
+        manifest = json.loads((out / "solve_manifest.json").read_text())
+        weight = 0.5 if lam == "0.5" else 0.1 * float(row_sq_norms(center(x, y)[0]).sum())
+        assert manifest["ridge_weight"] == weight
+        assert manifest["config"]["lam"] == (0.5 if lam == "0.5" else lam)
 
     @pytest.mark.parametrize("method, m, code", [
         ("aopt-ihs", "100", 0), ("aopt-ihs", "101", 1),
@@ -604,20 +625,18 @@ class TestBench:
         if experiment != "time":
             assert (again / name).read_bytes() == (first / name).read_bytes()
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
+    def test_threads_has_no_environment_source(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SKETCHLS_THREADS", "3")
-        from sketchls.cli import build_parser
+        cfg = self.write_cfg(tmp_path, n_iter=1, reps=1)
+        out = tmp_path / "out"
+        assert run_cli("bench", "converge", "--config", str(cfg), "--out-dir", str(out)) == 0
+        assert json.loads((out / "bench_converge_manifest.json").read_text())["threads"] == 1
 
-        args = build_parser().parse_args(
-            ["bench", "converge", "--config", "x.json"]
-        )
-        assert args.threads == 3
-
-    def test_threads_env_not_an_integer(self, monkeypatch, capsys):
-        monkeypatch.setenv("SKETCHLS_THREADS", "two")
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "converge", "--config", "x.json"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "error: argument --threads: invalid int value: 'two'" in err
-        assert "Traceback" not in err
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("bench", "converge", "--config", str(cfg), "--out-dir", str(out),
+                       "--threads", threads) == 1
+        assert capsys.readouterr().err == f"error: --threads must be >= 1, got {threads}\n"
+        assert not out.exists()

@@ -31,6 +31,10 @@ class TestMakeSigma:
             np.linalg.eigvalsh(make_sigma(3)), [0.5, 0.5, 2.0], atol=1e-12
         )
 
+    def test_d_below_one_rejected(self):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            make_sigma(0)
+
 
 class TestCovariates:
     def test_normal_moments(self):
@@ -112,6 +116,10 @@ class TestCenter:
         _, y = center(np.ones((3, 1)), [2.0, 4.0, 6.0])
         np.testing.assert_allclose(y, [-2.0, 0.0, 2.0])
 
+    def test_one_row_rejected(self):
+        with pytest.raises(ValueError, match="centering needs at least two rows"):
+            center([[1.0, 2.0]], [3.0])
+
 
 class TestMakeDataset:
     def test_deterministic(self):
@@ -142,6 +150,10 @@ class TestMakeDataset:
                 vals.append(np.linalg.norm(ds.beta_ls - ds.beta_star))
             errs[n] = float(np.median(vals))
         assert errs[2**14] < errs[2**11]
+
+    def test_one_row_rejected(self):
+        with pytest.raises(ValueError, match="centering needs at least two rows"):
+            make_dataset(DataSpec("normal", 1, 1, 0))
 
     @pytest.mark.parametrize("sigma_noise", [-1.0, np.nan, np.inf])
     def test_sigma_noise_must_be_non_negative(self, sigma_noise):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,20 @@ class TestTraceContract:
             np.testing.assert_array_equal(a, b)
         assert with_ls.objective == without.objective
         assert with_ls.status == without.status
+
+    @pytest.mark.parametrize("n_iter", [0, -1])
+    @pytest.mark.parametrize("name", sorted(TRACED))
+    def test_no_steps_records_the_start_only(self, name, n_iter):
+        ds = make_dataset(DataSpec("normal", 256, 4, seed=1))
+        run = lambda n: TRACED[name](ds.x, ds.y, 128, n, derive_rng(3), 0.1,
+                                     beta_ls=ds.beta_ls)
+        trace, longer = run(n_iter), run(2)
+        assert (trace.iterations, trace.status) == (0, "ok")
+        np.testing.assert_array_equal(trace.betas[0], longer.betas[0])
+        assert trace.objective == longer.objective[:1]
+        assert trace.dist_to_ls == longer.dist_to_ls[:1]
+        assert trace.alphas == [] and trace.elapsed == []
+        assert trace.setup_seconds > 0.0
 
 
 class TestClosedFormTrajectory:
@@ -573,3 +589,14 @@ class TestEarlyExits:
         assert (trace.status, trace.iterations) == ("diverge", 0)
         np.testing.assert_array_equal(np.stack(trace.betas), [beta0])
         assert trace.alphas == [] and trace.elapsed == []
+
+    @pytest.mark.parametrize("with_ls", [False, True], ids=["no-beta_ls", "beta_ls"])
+    def test_pw_gradient_overflowing_start_diverges_without_warnings(self, with_ls):
+        x, y, beta = exact_integer_fit()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = pw_gradient_solve(x, y, SketchKind("srht", 32), 5, derive_rng(1),
+                                      beta0=np.full(3, 1e306),
+                                      beta_ls=beta if with_ls else None)
+        assert (trace.status, trace.iterations) == ("diverge", 0)
+        assert trace.objective == [np.inf]
