@@ -15,8 +15,9 @@ never aborts the run.  Failed or divergent replications are excluded from the
 means and surfaced in a ``failures`` column (a ``diverge`` status in the time
 table).  An invalid :class:`ExperimentConfig`, such as ``m > n`` or
 ``tol <= 0``, raises ``ValueError`` when it is built, as does an empty,
-repeated or unknown method, variant, proportion or row-count list before
-the first replication.  Wall-clock columns include sketch construction and
+repeated or unknown method, variant, proportion or row-count list, and
+:func:`run_init_comparison`'s sizes and ``trim``, before the first
+replication.  Wall-clock columns include sketch construction and
 preconditioner build but exclude dataset generation; they are the only
 non-deterministic outputs.
 """
@@ -289,6 +290,8 @@ def run_init_comparison(
     for name, value in (("m", m), ("n_iter", n_iter), ("reps", reps)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    if not 0.0 <= trim < 0.5:
+        raise ValueError("trim must lie in [0, 0.5)")
     n_grid = _distinct("n_grid", n_grid)
     budget = n_iter * m
     if min(n_grid) < budget:

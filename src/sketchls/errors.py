@@ -16,7 +16,8 @@ class DimensionMismatch(SketchlsError):
 class NotPositiveDefinite(SketchlsError):
     """A matrix required to be SPD has a non-positive (or negligible) pivot.
 
-    Iterative solvers attach the failing iteration index as ``iteration``.
+    The iterative solvers' loop sets ``iteration`` to the step that raised
+    it, 0 for the setup, and names it in the message.
     """
 
     iteration: int | None = None

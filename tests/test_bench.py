@@ -176,6 +176,14 @@ class TestRunConvergence:
         assert [r["method"] for r in after] == ["aopt-ihs"] * 3
         assert after == [r for r in before if r["method"] == "aopt-ihs"]
 
+    def test_pw_gradient_from_the_exact_start_does_not_fail(self):
+        # m = n_pad makes the SRHT an exact isometry, so every method starts
+        # at the solution up to the initializer's roundoff
+        cfg = small_cfg(data=DataSpec("normal", 512, 5, seed=1), m=512, n_iter=10,
+                        init_policy="aopt-for-all")
+        _, meta = run_convergence(cfg)
+        assert meta["failures"] == {name: 0 for name in cfg.methods}
+
 
 class TestRunInitComparison:
     def test_full_row_is_noise_floor(self):
@@ -419,6 +427,12 @@ class TestKeysCheckedUpFront:
         monkeypatch.setattr(sketchls.bench, "make_dataset", _no_replication)
         with pytest.raises(ValueError, match="n=100 is smaller than the sketch budget 128"):
             run_init_comparison([4096, 100], 3, 16, 8, 40, dist="normal")
+
+    def test_init_trim_checked_before_any_dataset(self, monkeypatch):
+        # trim = 0.6 used to fail only in the first size's trimmed means
+        monkeypatch.setattr(sketchls.bench, "make_dataset", _no_replication)
+        with pytest.raises(ValueError, match=r"^trim must lie in \[0, 0.5\)$"):
+            run_init_comparison([256], 3, 16, 4, 2, dist="normal", trim=0.6)
 
 
 def test_every_method_has_its_own_stream():

@@ -600,3 +600,75 @@ class TestEarlyExits:
                                       beta_ls=beta if with_ls else None)
         assert (trace.status, trace.iterations) == ("diverge", 0)
         assert trace.objective == [np.inf]
+
+
+RANDOMIZED = {"ihs": ihs_solve, "acc-ihs": acc_ihs_solve, "pw-gradient": pw_gradient_solve}
+
+
+class TestRunEnds:
+    """The solver loop, not each method, decides how a run ends."""
+
+    @pytest.mark.parametrize("with_ls", [False, True], ids=["no-beta_ls", "beta_ls"])
+    @pytest.mark.parametrize("name", ["ihs", "acc-ihs"])
+    def test_overflowing_start_diverges_without_warnings(self, name, with_ls):
+        # used to read "ok" after 3 steps, with NaN iterates
+        x, y, beta = exact_integer_fit()
+        beta0 = np.full(3, 1e306)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = RANDOMIZED[name](x, y, SketchKind("srht", 32), 3, derive_rng(1),
+                                     beta0=beta0, beta_ls=beta if with_ls else None)
+        assert (trace.status, trace.iterations) == ("diverge", 0)
+        np.testing.assert_array_equal(np.stack(trace.betas), [beta0])
+        assert trace.alphas == [] and trace.elapsed == []
+
+    @pytest.mark.parametrize("name", sorted(RANDOMIZED))
+    def test_nan_iterate_is_recorded_and_diverges(self, name, monkeypatch):
+        import sketchls.solvers
+
+        x, _, _ = exact_integer_fit()
+        y = np.random.default_rng(5).standard_normal(64)
+        monkeypatch.setattr(sketchls.solvers, "solve_spd",
+                            lambda fac, b: np.full_like(b, np.nan))
+        trace = RANDOMIZED[name](x, y, SketchKind("srht", 32), 5, derive_rng(1))
+        assert (trace.status, trace.iterations) == ("diverge", 1)
+        assert np.isnan(trace.betas[-1]).all() and np.isnan(trace.objective[-1])
+
+    @pytest.mark.parametrize("name", sorted(RANDOMIZED) + ["descent"])
+    def test_start_within_the_target_takes_no_step(self, name):
+        ds = make_dataset(DataSpec("normal", 256, 4, seed=1))
+        kw = dict(beta_ls=ds.beta_ls, stop_at_dist=1e-3)
+        if name == "descent":
+            trace = preconditioned_descent(ds.x, ds.y, ds.beta_ls, lambda v: v, 5, **kw)
+        else:
+            trace = RANDOMIZED[name](ds.x, ds.y, SketchKind("srht", 128), 5, derive_rng(3),
+                                     beta0=ds.beta_ls, **kw)
+        assert (trace.status, trace.iterations) == ("ok", 0)
+        assert trace.dist_to_ls == [0.0]
+
+    @pytest.mark.parametrize("name, iteration", [
+        ("ihs", 1), ("acc-ihs", 0), ("pw-gradient", 0)])
+    def test_npd_names_its_iteration(self, name, iteration):
+        # a one-row sketch has a rank-one Gram matrix: ihs draws its first
+        # sketch in step 1, the frozen-sketch methods in their setup
+        x = np.random.default_rng(7).standard_normal((8, 2))
+        with pytest.raises(NotPositiveDefinite, match=f"at iteration {iteration}$") as exc:
+            RANDOMIZED[name](x, np.zeros(8), SketchKind("uniform", 1), 3, derive_rng(2))
+        assert exc.value.iteration == iteration
+
+    @pytest.mark.parametrize("with_ls", [False, True], ids=["no-beta_ls", "beta_ls"])
+    def test_pw_gradient_from_the_exact_start_is_ok(self, with_ls):
+        # the start's error is 0 (or the gradient's roundoff), so the first
+        # step's roundoff used to count as a 10x growth
+        checked = 0
+        for dist in ("normal", "lognormal", "t2", "mixture"):
+            for seed in range(3):
+                ds = make_dataset(DataSpec(dist, 256, 4, seed=seed))
+                for m in (64, 128):
+                    run = lambda beta0: pw_gradient_solve(
+                        ds.x, ds.y, SketchKind("srht", m), 10, derive_rng(seed, m),
+                        beta0=beta0, beta_ls=ds.beta_ls if with_ls else None)
+                    if run(None).status == "ok":
+                        assert run(ds.beta_ls).status == "ok", (dist, seed, m)
+                        checked += 1
+        assert checked >= 20
