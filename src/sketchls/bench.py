@@ -80,21 +80,26 @@ class ExperimentConfig:
     iter_cap: int = 500
 
     def __post_init__(self):
-        if not 0.0 <= self.trim < 0.5:
-            raise ValueError("trim must lie in [0, 0.5)")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.n_iter < 0:
-            raise ValueError(f"n_iter must be >= 0, got {self.n_iter}")
+        _check_sizes(self.m, self.n_iter, self.reps, self.trim)
         if self.iter_cap < 1:
             raise ValueError(f"iter_cap must be >= 1, got {self.iter_cap}")
-        if not 1 <= self.m <= self.data.n:
+        if self.m > self.data.n:
             raise ValueError(f"m must lie in [1, n = {self.data.n}], got {self.m}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.init_policy not in ("default", "aopt-for-all"):
             raise ValueError(f"unknown init policy {self.init_policy!r}")
         object.__setattr__(self, "methods", _distinct("methods", self.methods, METHODS))
+
+
+def _check_sizes(m: int, n_iter: int, reps: int, trim: float, least_iter: int = 0):
+    """The size checks of every run: m and reps at least 1, n_iter at least
+    ``least_iter`` and a trim fraction in [0, 0.5)."""
+    for name, value, least in (("m", m, 1), ("n_iter", n_iter, least_iter), ("reps", reps, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+    if not 0.0 <= trim < 0.5:
+        raise ValueError("trim must lie in [0, 0.5)")
 
 
 def _distinct(name: str, keys, allowed=None) -> tuple:
@@ -216,11 +221,13 @@ class _Diverged(SketchlsError):
     """A divergent solve, which fails its replication."""
 
 
-def _rep_solve(cfg: ExperimentConfig, rep: int, ds: Dataset, lam: float, method: str,
-               n_iter: int, **kwargs) -> SolveTrace:
-    """One configured method on one replication, on the method's own stream."""
-    trace = SOLVERS[method](ds.x, ds.y, cfg.m, n_iter, _rep_rng(cfg, rep, method), lam,
-                            beta_ls=ds.beta_ls, **kwargs)
+def _rep_solve(cfg: ExperimentConfig, rep: int, ds: Dataset, method: str, n_iter: int,
+               lam=None, beta0=None, stop_at_dist: float = 0.0) -> SolveTrace:
+    """One configured method on one replication, passed the settings it reads
+    of its own stream, the ridge weight ``lam`` and the start ``beta0``."""
+    entry = SOLVERS[method]
+    trace = entry.solve(ds.x, ds.y, cfg.m, n_iter, beta_ls=ds.beta_ls, stop_at_dist=stop_at_dist,
+                        **entry.settings(rng=_rep_rng(cfg, rep, method), lam=lam, beta0=beta0))
     if trace.status == "diverge":
         raise _Diverged(method)
     return trace
@@ -254,15 +261,17 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1):
     (method, iter, mse1, mse2, failures).
     """
 
+    reads_lam = any("lam" in SOLVERS[method].reads for method in cfg.methods)
+
     def start(rep):
         ds = _rep_dataset(cfg.data, rep)
-        lam = cfg.lambda_rule.resolve(ds.x)
+        lam = cfg.lambda_rule.resolve(ds.x) if reads_lam else None
         beta0 = None
         if cfg.init_policy == "aopt-for-all":
             beta0 = aopt_cs_estimate(ds.x, ds.y, cfg.m)[0]
 
         def measure(method):
-            trace = _rep_solve(cfg, rep, ds, lam, method, cfg.n_iter, beta0=beta0)
+            trace = _rep_solve(cfg, rep, ds, method, cfg.n_iter, lam=lam, beta0=beta0)
             viol = _descent_violations(trace.objective) if method == "aopt-ihs" else 0
             return _sq_error_curves(trace, ds.beta_star, cfg.n_iter), viol
 
@@ -287,11 +296,7 @@ def run_init_comparison(
     sketch budget ``M = n_iter * m`` rows (the budget an iterative run would
     consume).  Rows follow (n, estimator, mse1, failures).
     """
-    for name, value in (("m", m), ("n_iter", n_iter), ("reps", reps)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    if not 0.0 <= trim < 0.5:
-        raise ValueError("trim must lie in [0, 0.5)")
+    _check_sizes(m, n_iter, reps, trim, least_iter=1)
     n_grid = _distinct("n_grid", n_grid)
     budget = n_iter * m
     if min(n_grid) < budget:
@@ -378,12 +383,15 @@ def run_time_to_precision(cfg: ExperimentConfig, threads: int = 1):
     generation and the exact solve are excluded.
     """
 
+    reads_lam = any("lam" in SOLVERS[method].reads for method in cfg.methods)
+
     def start(rep):
         ds = _rep_dataset(cfg.data, rep)
-        lam = cfg.lambda_rule.resolve(ds.x)
+        lam = cfg.lambda_rule.resolve(ds.x) if reads_lam else None
 
         def measure(method):
-            trace = _rep_solve(cfg, rep, ds, lam, method, cfg.iter_cap, stop_at_dist=cfg.tol)
+            trace = _rep_solve(cfg, rep, ds, method, cfg.iter_cap, lam=lam,
+                               stop_at_dist=cfg.tol)
             secs = trace.setup_seconds + float(np.sum(trace.elapsed))
             return trace.dist_to_ls[-1] <= cfg.tol, trace.iterations, secs
 

@@ -4,10 +4,13 @@
 CSV data (centering by default), and ``bench`` drives the experiment suite
 from a JSON config file, the one source of every setting of a run besides
 ``--out-dir`` and ``--threads``.  Every command writes a manifest alongside
-its outputs with the fully resolved configuration, library version, and PRNG
-algorithm.  A bench manifest's ``config`` is the config file with every
-default filled in: written to a file and passed as ``--config``, it reruns
-the command and reproduces its CSV byte for byte (wall-clock columns aside).
+its outputs with the settings the run read (a ``solve`` manifest: the flags
+its method reads, and the ridge weight it resolved), library version, and
+PRNG algorithm.  A bench manifest's ``config`` holds the config keys its
+experiment reads (:data:`BENCH_CSV`), defaults filled in, and ``unread``
+names the others the file set: written to a file and passed as
+``--config``, ``config`` reruns the command and reproduces its CSV byte for
+byte (wall-clock columns aside).
 
 CSV conventions: RFC 4180 with a header row; floats are serialized with 17
 significant digits so a read-write round trip is exact.  All errors go to
@@ -49,33 +52,36 @@ from .solvers import METHODS as SOLVERS
 from .solvers import SolveTrace, full_ls
 
 PRNG_ALGORITHM = "numpy-pcg64"
-SOLVE_METHODS = ("full", *SOLVERS)
 
+#: the config keys of a data set, read by every experiment but ``init``
+_DATA_KEYS = ("dist", "n", "d", "seed", "sigma_noise")
 
-def _run_init(cfg: dict, values: dict, threads: int):
-    """``bench init`` with the manifest's failure counts keyed ``n/estimator``."""
-    rows, meta = run_init_comparison(threads=threads, **cfg)
-    failures = {f"{n}/{est}": count for (n, est), count in meta["failures"].items()}
-    return rows, {"failures": failures, "budget": meta["budget"]}
-
-
-#: each bench experiment: its CSV file and header, and the call giving its
-#: (rows, meta) from (config, config values, threads).  The calls look the
-#: library runners up in this module when they run, so a wrapper patched
-#: onto one of those names sees the call.
+#: each bench experiment: its CSV file and header, the config keys it reads,
+#: and the call giving its (rows, meta) from (read config, threads).  The
+#: calls look the library runners up in this module when they run, so a
+#: wrapper patched onto one of those names sees the call.
 BENCH_CSV = {
-    "init": ("init_mse.csv", ["n", "estimator", "mse1", "failures"], _run_init),
+    "init": ("init_mse.csv", ["n", "estimator", "mse1", "failures"],
+             ("dist", "n_grid", "d", "seed", "sigma_noise", "m", "n_iter", "reps", "trim"),
+             lambda cfg, threads: run_init_comparison(threads=threads, **cfg)),
     "converge": ("converge_mse.csv", ["method", "iter", "mse1", "mse2", "failures"],
-                 lambda cfg, values, threads: run_convergence(cfg, threads)),
+                 (*_DATA_KEYS, "m", "n_iter", "reps", "lambda_rule", "methods", "trim",
+                  "init_policy"),
+                 lambda cfg, threads: run_convergence(_experiment_config(cfg), threads)),
     "delta": ("delta.csv", ["dist", "d", "variant", "delta_mean", "failures"],
-              lambda cfg, values, threads: run_delta_table(cfg, values["variants"], threads)),
+              (*_DATA_KEYS, "m", "reps", "lambda_rule", "variants"),
+              lambda cfg, threads: run_delta_table(
+                  _experiment_config(cfg), cfg["variants"], threads)),
     "time": ("time.csv", ["method", "dist", "d", "mean_seconds", "mean_iters", "status"],
-             lambda cfg, values, threads: run_time_to_precision(cfg, threads)),
+             (*_DATA_KEYS, "m", "reps", "lambda_rule", "methods", "tol", "iter_cap"),
+             lambda cfg, threads: run_time_to_precision(_experiment_config(cfg), threads)),
     "ridge": ("ridge_mse.csv", ["variant", "iter", "mse1", "mse2", "failures"],
-              lambda cfg, values, threads: run_ridge_ablation(cfg, threads)),
+              (*_DATA_KEYS, "m", "n_iter", "reps", "lambda_rule", "trim"),
+              lambda cfg, threads: run_ridge_ablation(_experiment_config(cfg), threads)),
     "lambda-sweep": ("lambda_sweep.csv", ["dist", "d", "proportion", "delta_mean", "failures"],
-                     lambda cfg, values, threads: lambda_sweep(
-                         cfg, values["proportions"], threads)),
+                     (*_DATA_KEYS, "m", "reps", "proportions"),
+                     lambda cfg, threads: lambda_sweep(
+                         _experiment_config(cfg), cfg["proportions"], threads)),
 }
 
 _TIMING_NOTE = ("wall-clock columns include sketch and preconditioner setup, "
@@ -183,11 +189,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _add_seed_and_out_dir(parser):
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--out-dir", default=".", help="output directory")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sketchls", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -197,34 +198,24 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--d", type=int, required=True)
     gen.add_argument("--sigma-noise", type=float, default=DataSpec.sigma_noise)
-    _add_seed_and_out_dir(gen)
+    gen.add_argument("--seed", type=int, default=0, help="master seed")
+    gen.add_argument("--out-dir", default=".", help="output directory")
 
     solve = sub.add_parser("solve", help="run one solver on CSV data")
     solve.add_argument("--x", required=True, help="design matrix CSV")
     solve.add_argument("--y", required=True, help="response CSV (one column)")
-    solve.add_argument("--method", choices=SOLVE_METHODS, required=True)
+    solve.add_argument("--method", choices=("full", *SOLVERS), required=True)
     solve.add_argument("--m", type=int, help="sketch/subsample size")
     solve.add_argument("--n-iter", type=int, default=20)
-    solve.add_argument(
-        "--lam",
-        default="concentrated",
-        help="ridge weight >= 0, or the name of a ridge profile",
-    )
-    solve.add_argument(
-        "--tol",
-        type=float,
-        default=0.0,
-        help="early-stop displacement (aopt-ihs only; 0 disables it)",
-    )
-    solve.add_argument(
-        "--no-center", action="store_true", help="skip centering the data"
-    )
-    solve.add_argument(
-        "--scale",
-        action="store_true",
-        help="divide each column by its standard deviation after centering",
-    )
-    _add_seed_and_out_dir(solve)
+    solve.add_argument("--lam", default="concentrated",
+                       help="ridge weight >= 0, or the name of a ridge profile (aopt-ihs only)")
+    solve.add_argument("--tol", type=float, default=0.0,
+                       help="early-stop displacement (aopt-ihs only; 0 disables it)")
+    solve.add_argument("--no-center", action="store_true", help="skip centering the data")
+    solve.add_argument("--scale", action="store_true",
+                       help="divide each column by its standard deviation after centering")
+    solve.add_argument("--seed", type=int, default=0, help="seed of the randomized methods")
+    solve.add_argument("--out-dir", default=".", help="output directory")
 
     bench = sub.add_parser("bench", help="run a benchmark from a JSON config")
     bench_sub = bench.add_subparsers(dest="experiment", required=True)
@@ -275,9 +266,7 @@ def cmd_solve(args) -> int:
     x = read_matrix_csv(args.x)
     y = read_vector_csv(args.y)
     if y.size != x.shape[0]:
-        raise ParseError(
-            f"y has {y.size} rows but X has {x.shape[0]}; the files do not match"
-        )
+        raise ParseError(f"y has {y.size} rows but X has {x.shape[0]}; the files do not match")
     # aopt-ihs selects m of the n rows; the SRHT keeps m of the padded rows
     rows = x.shape[0] if method == "aopt-ihs" else _next_pow2(x.shape[0])
     if method != "full" and args.m > rows:
@@ -292,19 +281,15 @@ def cmd_solve(args) -> int:
         x = x / stds
     beta_ls = full_ls(x, y)
 
-    ridge_weight = None  # the full solve takes no ridge
-    if method == "full":
-        trace = SolveTrace(
-            betas=[beta_ls],
-            objective=[0.5 * float(((x @ beta_ls - y) ** 2).sum())],
-            dist_to_ls=[0.0],
-        )
+    entry = SOLVERS.get(method)  # None for the full solve, which reads no setting
+    reads = entry.reads if entry else ()
+    ridge_weight = rule.resolve(x) if "lam" in reads else None
+    if entry is None:
+        trace = SolveTrace(betas=[beta_ls], dist_to_ls=[0.0],
+                           objective=[0.5 * float(((x @ beta_ls - y) ** 2).sum())])
     else:
-        ridge_weight = rule.resolve(x)
-        trace = SOLVERS[method](
-            x, y, args.m, args.n_iter, derive_rng(args.seed), ridge_weight,
-            beta_ls=beta_ls, tol=args.tol,
-        )
+        settings = entry.settings(rng=derive_rng(args.seed), lam=ridge_weight, tol=args.tol)
+        trace = entry.solve(x, y, args.m, args.n_iter, beta_ls=beta_ls, **settings)
 
     # alphas[t - 1] is the step to iterate t; unit-step methods record none
     trace_rows = [
@@ -316,20 +301,15 @@ def cmd_solve(args) -> int:
         "trace.csv": (["iter", "alpha", "objective", "dist_to_ls"], trace_rows),
         "beta.csv": (["beta"], [{"beta": v} for v in trace.final.tolist()]),
     }
-    config = {
-        "x": args.x,
-        "y": args.y,
-        "method": method,
-        "m": args.m,
-        "n_iter": args.n_iter,
-        "lam": lam,
-        "tol": args.tol,
-        "center": not args.no_center,
-        "scale": args.scale,
-        "seed": args.seed,
-    }
+    # the manifest records the flags the method reads, and its ridge weight
+    config = {"x": args.x, "y": args.y, "method": method}
+    if entry:
+        config.update(m=args.m, n_iter=args.n_iter)
+    flags = {"rng": ("seed", args.seed), "lam": ("lam", lam), "tol": ("tol", args.tol)}
+    config.update(flags[setting] for setting in reads if setting in flags)
+    config.update(center=not args.no_center, scale=args.scale)
     _write_outputs(args.out_dir, tables, "solve_manifest.json", "solve", config, started,
-                   {"ridge_weight": ridge_weight})
+                   {"ridge_weight": ridge_weight} if "lam" in reads else None)
     return 0
 
 
@@ -392,10 +372,10 @@ _CONFIG_KEYS = {
 }
 
 
-def _read_config(path: str, experiment: str) -> dict:
+def _read_config(path: str) -> dict:
     """The values of the JSON config file ``path``, each parsed by its
-    ``_CONFIG_KEYS`` entry.  An unknown or missing key, or a value its parser
-    rejects, raises ConfigError naming the key."""
+    ``_CONFIG_KEYS`` entry.  An unknown key, or a value its parser rejects,
+    raises ConfigError naming the key."""
     try:
         with open(path) as handle:
             raw = json.load(handle)
@@ -408,9 +388,6 @@ def _read_config(path: str, experiment: str) -> dict:
     unknown = sorted(set(raw) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError(unknown[0], f"unknown config key {unknown[0]!r}")
-    for key in ("dist", "d", "m", "n_iter", "reps", "n_grid" if experiment == "init" else "n"):
-        if key not in raw:
-            raise ConfigError(key)
     values = {}
     for key, value in raw.items():
         try:
@@ -420,25 +397,23 @@ def _read_config(path: str, experiment: str) -> dict:
     return values
 
 
-#: the value of each optional config key that a config file leaves out,
-#: but ``lambda_rule``, whose default is its distribution's profile
+#: the value of each optional config key that a config file leaves out;
+#: ``lambda_rule``'s is its distribution's profile
 _DEFAULTS = {
     **{f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING},
     "seed": 0, "sigma_noise": DataSpec.sigma_noise, "variants": DELTA_VARIANTS,
-    "proportions": tuple(round(0.1 * k, 1) for k in range(1, 11)),
+    "proportions": tuple(round(0.1 * k, 1) for k in range(1, 11)), "lambda_rule": None,
 }
 
 
-def _experiment_config(values: dict, experiment: str):
-    """The run configuration of ``experiment`` from config values with every
-    default filled in: run_init_comparison's keyword arguments for ``init``,
-    else an ExperimentConfig."""
-    if experiment == "init":
-        return {key: values[key] for key in
-                ("n_grid", "d", "m", "n_iter", "reps", "dist", "seed", "sigma_noise", "trim")}
-    spec = DataSpec(*(values[key] for key in ("dist", "n", "d", "seed", "sigma_noise")))
-    values = {**values, "data": spec, "lambda_rule": _ridge_rule(values["lambda_rule"])}
-    return ExperimentConfig(**{f.name: values[f.name] for f in fields(ExperimentConfig)})
+def _experiment_config(cfg: dict) -> ExperimentConfig:
+    """The ExperimentConfig of an experiment's read config.  Of the fields
+    without a default, one the experiment does not read takes a placeholder:
+    ``n_iter`` 0 or the concentrated ridge rule."""
+    given = {f.name: cfg[f.name] for f in fields(ExperimentConfig) if f.name in cfg}
+    return ExperimentConfig(**{
+        "n_iter": 0, **given, "data": DataSpec(*(cfg[key] for key in _DATA_KEYS)),
+        "lambda_rule": _ridge_rule(cfg.get("lambda_rule", "concentrated"))})
 
 
 def cmd_bench(args) -> int:
@@ -446,16 +421,23 @@ def cmd_bench(args) -> int:
     if args.threads < 1:
         raise ConfigError("--threads", f"--threads must be >= 1, got {args.threads}")
     exp = args.experiment
-    values = _read_config(args.config, exp)
-    config = {**_DEFAULTS, "lambda_rule": LambdaRule.for_distribution(values["dist"]).profile,
-              **values}
-    cfg = _experiment_config(config, exp)
-    name, header, run = BENCH_CSV[exp]
-    rows, meta = run(cfg, config, args.threads)
+    name, header, keys, run = BENCH_CSV[exp]
+    values = _read_config(args.config)
+    for key in keys:
+        if key not in values and key not in _DEFAULTS:
+            raise ConfigError(key)
+    defaults = {**_DEFAULTS,
+                "lambda_rule": LambdaRule.for_distribution(values["dist"]).profile}
+    config = {key: values[key] if key in values else defaults[key] for key in keys}
+    rows, meta = run(config, args.threads)
+    if "failures" in meta:  # init counts them by (n, estimator), keyed n/estimator here
+        meta["failures"] = {"/".join(map(str, key)) if isinstance(key, tuple) else key: count
+                            for key, count in meta["failures"].items()}
     _write_outputs(args.out_dir, {name: (header, rows)},
                    f"bench_{exp.replace('-', '_')}_manifest.json", f"bench {exp}",
                    config, started,
-                   {"threads": args.threads, "meta": meta, "timing_note": _TIMING_NOTE})
+                   {"unread": sorted(set(values) - set(keys)), "threads": args.threads,
+                    "meta": meta, "timing_note": _TIMING_NOTE})
     return 0
 
 

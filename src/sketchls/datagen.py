@@ -44,6 +44,8 @@ class DataSpec:
             raise ValueError(f"unknown distribution {self.dist!r}")
         if not self.n >= self.d >= 1:
             raise ValueError(f"need n >= d >= 1, got n={self.n}, d={self.d}")
+        if self.n < 2:
+            raise ValueError("centering needs at least two rows")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.sigma_noise < np.inf:
@@ -141,8 +143,6 @@ def make_dataset(spec: DataSpec) -> Dataset:
     x = _covariates(rng, spec.dist, spec.n, spec.d)
     beta_star = rng.standard_normal(spec.d)
     y = gen_response(x, beta_star, spec.sigma_noise, rng)
-    if spec.n < 2:
-        raise ValueError("centering needs at least two rows")
     x -= x.mean(axis=0)
     y -= y.mean()
     return Dataset(x=x, y=y, beta_star=beta_star, beta_ls=full_ls(x, y))

@@ -13,8 +13,10 @@ differ in how they precondition the gradient:
   ridged preconditioner from the same rows, and takes exact-line-search
   steps, which makes the objective sequence non-increasing by construction.
 
-:data:`METHODS` maps each solver's name to an adapter with one call
-signature; the benchmark harness and the CLI dispatch through it only.
+:data:`METHODS` maps each solver's name to the solver and the settings it
+reads; the benchmark harness and the CLI dispatch through it only, passing
+each solver only those.  A randomized solver's ``kind`` may be a row count
+m, for an SRHT of m rows, which is how the table calls it.
 
 Each method is a generator of its iterates, and all four run through one
 loop, :func:`_iterate`, which checks the inputs, times the method's setup,
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,6 +55,7 @@ from .sketch import SketchKind, _sketcher, aopt_select, draw_sketch
 
 __all__ = [
     "METHODS",
+    "Method",
     "SolveTrace",
     "IsometryReport",
     "full_ls",
@@ -206,7 +209,7 @@ def aopt_cs_estimate(x, y, m: int):
 def ihs_solve(
     x,
     y,
-    kind: SketchKind,
+    kind: SketchKind | int,
     n_iter: int,
     rng,
     beta0=None,
@@ -223,6 +226,7 @@ def ihs_solve(
     the closed-form oracle.  The sketches are successive :func:`draw_sketch`
     draws on ``rng``, set up once per solve, where a bad ``m`` raises.
     """
+    kind = _as_kind(kind)
     sketches = [] if record_sketches else None
 
     def run(x, y, beta, beta_ls):
@@ -401,6 +405,11 @@ def aopt_ihs_solve(
     return _iterate(x, y, None, beta_ls, n_iter, stop_at_dist, run)
 
 
+def _as_kind(kind) -> SketchKind:
+    """``kind``, or an SRHT of ``kind`` rows when it is a row count."""
+    return kind if isinstance(kind, SketchKind) else SketchKind("srht", kind)
+
+
 def _sketch_factor(x, y, kind, rng):
     """Cholesky factor of the Gram matrix of one sketch of ``(X, y)``."""
     return cholesky(gram(draw_sketch(x, y, kind, rng)[0]))
@@ -409,7 +418,7 @@ def _sketch_factor(x, y, kind, rng):
 def pw_gradient_solve(
     x,
     y,
-    kind: SketchKind,
+    kind: SketchKind | int,
     n_iter: int,
     rng,
     beta0=None,
@@ -426,6 +435,7 @@ def pw_gradient_solve(
     ``||beta_ls||`` (else ``||X'y||``, formed at setup) are roundoff, not
     growth, so an exact start does not read as divergent.
     """
+    kind = _as_kind(kind)
 
     def run(x, y, beta, beta_ls):
         fac = _sketch_factor(x, y, kind, rng)
@@ -448,7 +458,7 @@ def pw_gradient_solve(
 def acc_ihs_solve(
     x,
     y,
-    kind: SketchKind,
+    kind: SketchKind | int,
     n_iter: int,
     rng,
     beta0=None,
@@ -463,6 +473,7 @@ def acc_ihs_solve(
     quadratic.  Terminates in at most d steps in exact arithmetic.  The
     gradient is updated recursively, and ``X p`` also updates the residual.
     """
+    kind = _as_kind(kind)
 
     def run(x, y, beta, beta_ls):
         fac = _sketch_factor(x, y, kind, rng)
@@ -493,31 +504,24 @@ def acc_ihs_solve(
     return _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, run)
 
 
-def _sketched(solve):
-    """Registry adapter for a randomized solver on SRHT sketches of size m."""
+class Method(NamedTuple):
+    """A :data:`METHODS` entry: a solver, run as ``solve(x, y, m, n_iter,
+    beta_ls=None, stop_at_dist=0.0, **settings)`` on ``m`` sketch rows, and
+    the names ``reads`` that ``settings`` may hold (others are a TypeError)."""
 
-    def run(x, y, m, n_iter, rng, lam, beta0=None, beta_ls=None,
-            stop_at_dist=0.0, tol=0.0):
-        return solve(x, y, SketchKind("srht", m), n_iter, rng, beta0=beta0,
-                     beta_ls=beta_ls, stop_at_dist=stop_at_dist)
+    solve: Callable[..., SolveTrace]
+    reads: tuple
 
-    return run
-
-
-def _aopt_ihs(x, y, m, n_iter, rng, lam, beta0=None, beta_ls=None,
-              stop_at_dist=0.0, tol=0.0):
-    return aopt_ihs_solve(x, y, m, n_iter, lam, tol=tol, beta_ls=beta_ls,
-                          stop_at_dist=stop_at_dist)
+    def settings(self, **offered) -> dict:
+        """The entries of ``offered`` that this method reads."""
+        return {key: value for key, value in offered.items() if key in self.reads}
 
 
-#: The one table of iterative methods, by name.  Every entry is called as
-#: ``METHODS[name](x, y, m, n_iter, rng, lam, beta0=None, beta_ls=None,
-#: stop_at_dist=0.0, tol=0.0)``.  The randomized methods read ``rng`` and
-#: ``beta0`` and sketch with an SRHT of ``m`` rows; ``aopt-ihs`` reads
-#: ``lam`` and ``tol`` and starts from its own largest-norm-rows estimate.
-METHODS: dict[str, Callable[..., SolveTrace]] = {
-    "ihs": _sketched(ihs_solve),
-    "acc-ihs": _sketched(acc_ihs_solve),
-    "pw-gradient": _sketched(pw_gradient_solve),
-    "aopt-ihs": _aopt_ihs,
+#: The one table of iterative methods, by name.  ``aopt-ihs`` starts from its
+#: own largest-norm-rows estimate, so it reads no ``beta0``.
+METHODS: dict[str, Method] = {
+    "ihs": Method(ihs_solve, ("rng", "beta0")),
+    "acc-ihs": Method(acc_ihs_solve, ("rng", "beta0")),
+    "pw-gradient": Method(pw_gradient_solve, ("rng", "beta0")),
+    "aopt-ihs": Method(aopt_ihs_solve, ("lam", "tol")),
 }

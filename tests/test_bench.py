@@ -36,19 +36,19 @@ def fail_on_call(fn, k):
     return wrapped
 
 
-def diverge_on_call(solve, k):
-    """Wrap ``solve`` so that its ``k``-th call (0-based) returns its trace
-    marked ``diverge``."""
+def diverge_on_call(entry, k):
+    """The METHODS entry ``entry`` with its solver wrapped so that its
+    ``k``-th call (0-based) returns its trace marked ``diverge``."""
     calls = []
 
     def wrapped(*args, **kwargs):
         calls.append(None)
-        trace = solve(*args, **kwargs)
+        trace = entry.solve(*args, **kwargs)
         if len(calls) == k + 1:
             trace.status = "diverge"
         return trace
 
-    return wrapped
+    return entry._replace(solve=wrapped)
 
 
 def small_cfg(**kw):
@@ -170,7 +170,8 @@ class TestRunConvergence:
         def always_fails(*args, **kwargs):
             raise RankDeficient("injected")
 
-        monkeypatch.setitem(sketchls.bench.SOLVERS, "ihs", always_fails)
+        monkeypatch.setitem(sketchls.bench.SOLVERS, "ihs",
+                            sketchls.bench.SOLVERS["ihs"]._replace(solve=always_fails))
         after, meta = run_convergence(cfg)
         assert meta["failures"] == {"ihs": 3, "aopt-ihs": 0}
         assert [r["method"] for r in after] == ["aopt-ihs"] * 3
@@ -433,6 +434,18 @@ class TestKeysCheckedUpFront:
         monkeypatch.setattr(sketchls.bench, "make_dataset", _no_replication)
         with pytest.raises(ValueError, match=r"^trim must lie in \[0, 0.5\)$"):
             run_init_comparison([256], 3, 16, 4, 2, dist="normal", trim=0.6)
+
+
+@pytest.mark.parametrize("run", [run_convergence, run_time_to_precision])
+def test_ridge_weight_resolved_only_for_a_method_that_reads_it(run, monkeypatch):
+    resolved = []
+    resolve = LambdaRule.resolve
+    monkeypatch.setattr(LambdaRule, "resolve",
+                        lambda rule, x: resolved.append(rule) or resolve(rule, x))
+    run(small_cfg(methods=("ihs", "pw-gradient"), reps=2, n_iter=2))
+    assert resolved == []
+    run(small_cfg(methods=("ihs", "aopt-ihs"), reps=2, n_iter=2))
+    assert len(resolved) == 2  # once per replication
 
 
 def test_every_method_has_its_own_stream():

@@ -341,6 +341,40 @@ class TestSolve:
             assert not out.exists()
 
 
+#: the flags each solve method reads besides the data's, as its manifest
+#: records them
+SOLVE_READS = {
+    "full": set(),
+    "ihs": {"m", "n_iter", "seed"},
+    "acc-ihs": {"m", "n_iter", "seed"},
+    "pw-gradient": {"m", "n_iter", "seed"},
+    "aopt-ihs": {"m", "n_iter", "lam", "tol"},
+}
+
+
+@pytest.mark.parametrize("method", sorted(SOLVE_READS))
+def test_solve_manifest_records_only_what_the_method_reads(tmp_path, method):
+    data = tmp_path / "data"
+    run_cli("gen", "--dist", "normal", "--n", "128", "--d", "3", "--out-dir", str(data))
+    base = ["--x", str(data / "X.csv"), "--y", str(data / "y.csv"), "--method", method,
+            "--m", "64", "--n-iter", "3"]
+    flags = {"lam": "7", "tol": "1e-3", "seed": "4"}
+    unread = [arg for flag, value in flags.items() if flag not in SOLVE_READS[method]
+              for arg in (f"--{flag}", value)]
+    runs = {"plain": [], "unread": unread,
+            "all": [arg for flag, value in flags.items() for arg in (f"--{flag}", value)]}
+    for name, extra in runs.items():
+        assert run_cli("solve", *base, *extra, "--out-dir", str(tmp_path / name)) == 0
+    record = json.loads((tmp_path / "all" / "solve_manifest.json").read_text())
+    assert set(record["config"]) == {"x", "y", "method", "center", "scale"} | SOLVE_READS[method]
+    assert ("ridge_weight" in record) == (method == "aopt-ihs")
+    if method == "aopt-ihs":
+        assert (record["ridge_weight"], record["config"]["lam"]) == (7.0, 7.0)
+    for name in ("beta.csv", "trace.csv"):  # a flag the method does not read moves no byte
+        unread_run, plain_run = (tmp_path / run / name for run in ("unread", "plain"))
+        assert unread_run.read_bytes() == plain_run.read_bytes()
+
+
 #: each bench experiment's CSV and the library call it must reproduce, for the
 #: config written by TestBench.test_csv_matches_library_rows
 _DATA = DataSpec("normal", 256, 3, seed=5)
@@ -596,17 +630,18 @@ class TestBench:
     @pytest.mark.parametrize("experiment", list(BENCH_CSV))
     def test_manifest_config_reruns_the_command(self, tmp_path, experiment):
         """The manifest's config, saved as a config file, reruns the command
-        to the same CSV bytes, and it names every optional key."""
+        to the same CSV bytes, and it names every key the command reads, each
+        optional one with its default filled in."""
         cfg = self.write_cfg(tmp_path, dist="t2", n=256, d=3, m=32, n_iter=3, reps=3,
                              seed=2, n_grid=[128, 256], tol=1e-6, iter_cap=30)
-        name = BENCH_CSV[experiment][0]
+        name, _, keys, _ = BENCH_CSV[experiment]
         manifest = f"bench_{experiment.replace('-', '_')}_manifest.json"
         first, again = tmp_path / "first", tmp_path / "again"
         assert run_cli("bench", experiment, "--config", str(cfg), "--out-dir", str(first)) == 0
         config = json.loads((first / manifest).read_text())["config"]
-        assert {"seed", "sigma_noise", "lambda_rule", "methods", "trim", "tol", "init_policy",
-                "iter_cap", "variants", "proportions"} <= set(config)
-        assert config["lambda_rule"] == "heavy_tailed"
+        assert list(config) == list(keys)  # the optional ones among them filled in
+        if "lambda_rule" in keys:
+            assert config["lambda_rule"] == "heavy_tailed"
         rerun = tmp_path / "rerun.json"
         rerun.write_text(json.dumps(config))
         assert run_cli("bench", experiment, "--config", str(rerun), "--out-dir", str(again)) == 0
@@ -624,6 +659,51 @@ class TestBench:
         assert body(again) == body(first)
         if experiment != "time":
             assert (again / name).read_bytes() == (first / name).read_bytes()
+
+    @pytest.mark.parametrize("experiment", list(BENCH_CSV))
+    def test_shared_config_records_what_each_experiment_reads(self, tmp_path, experiment):
+        """One config file serves every experiment: each manifest's config is
+        exactly the keys its experiment reads, ``unread`` lists the rest of
+        the file's keys, and the config reruns to the same CSV bytes."""
+        cfg = self.write_cfg(tmp_path, dist="t2", n=256, d=3, m=32, n_iter=3, reps=3, seed=2,
+                             methods=["acc-ihs", "pw-gradient", "aopt-ihs"],
+                             variants=["zero", "rule", "srht", "identity"],
+                             proportions=[0.01, 0.1, 0.4], n_grid=[128, 256])
+        written = set(json.loads(cfg.read_text()))
+        name, _, keys, _ = BENCH_CSV[experiment]
+        manifest = f"bench_{experiment.replace('-', '_')}_manifest.json"
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run_cli("bench", experiment, "--config", str(cfg), "--out-dir", str(first)) == 0
+        record = json.loads((first / manifest).read_text())
+        assert set(record["config"]) == set(keys)
+        assert record["unread"] == sorted(written - set(keys))
+        if experiment == "converge":
+            assert record["unread"] == ["n_grid", "proportions", "variants"]
+        rerun = tmp_path / "rerun.json"
+        rerun.write_text(json.dumps(record["config"]))
+        assert run_cli("bench", experiment, "--config", str(rerun), "--out-dir", str(again)) == 0
+        assert json.loads((again / manifest).read_text())["unread"] == []
+
+        def body(out):
+            rows = read_rows(out / name)
+            for row in rows:
+                row.pop("mean_seconds", None)  # wall-clock seconds are not reproducible
+            return rows
+
+        assert body(again) == body(first)
+        if experiment != "time":
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
+    @pytest.mark.parametrize("experiment", ["delta", "time", "lambda-sweep"])
+    def test_runs_without_n_iter(self, tmp_path, experiment):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dist": "normal", "n": 256, "d": 3, "m": 32, "reps": 2}))
+        out = tmp_path / "out"
+        assert run_cli("bench", experiment, "--config", str(cfg), "--out-dir", str(out)) == 0
+        record = json.loads((out / f"bench_{experiment.replace('-', '_')}_manifest.json")
+                            .read_text())
+        assert "n_iter" not in record["config"] and record["unread"] == []
+        assert read_rows(out / BENCH_CSV[experiment][0])
 
     def test_threads_has_no_environment_source(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SKETCHLS_THREADS", "3")

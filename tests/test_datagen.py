@@ -155,6 +155,11 @@ class TestMakeDataset:
         with pytest.raises(ValueError, match="centering needs at least two rows"):
             make_dataset(DataSpec("normal", 1, 1, 0))
 
+    def test_one_row_spec_rejected_before_generation(self):
+        # a one-row spec used to build, and fail only once X was generated
+        with pytest.raises(ValueError, match="centering needs at least two rows"):
+            DataSpec("normal", 1, 1, 0)
+
     @pytest.mark.parametrize("sigma_noise", [-1.0, np.nan, np.inf])
     def test_sigma_noise_must_be_non_negative(self, sigma_noise):
         with pytest.raises(ValueError, match="sigma_noise"):

@@ -135,12 +135,14 @@ def test_mask_from_another_x(entry, xy):
 def _run(name, x, y, **kw):
     if name == "preconditioned_descent":
         return preconditioned_descent(x, y, kw.pop("beta0", None), lambda v: v, 2, **kw)
-    return METHODS[name](x, y, M, 2, derive_rng(1), 0.1, **kw)
+    entry = METHODS[name]
+    return entry.solve(x, y, M, 2, **entry.settings(rng=derive_rng(1), lam=0.1), **kw)
 
 
-#: aopt-ihs starts from its own estimate and ignores beta0 by the registry's
-#: contract, so only the other entries read (and check) it
-BETA0_READERS = sorted(set(METHODS) - {"aopt-ihs"}) + ["preconditioned_descent"]
+#: aopt-ihs starts from its own estimate and does not declare beta0, so only
+#: the entries that declare it read (and check) it
+BETA0_READERS = sorted(name for name, entry in METHODS.items() if "beta0" in entry.reads) + [
+    "preconditioned_descent"]
 BETA_LS_READERS = sorted(METHODS) + ["preconditioned_descent"]
 
 

@@ -26,6 +26,13 @@ from sketchls.solvers import METHODS
 N, D, M = 2**14, 50, 1000
 
 
+def _run(name, x, y, n_iter, rng, lam, **kw):
+    """The METHODS entry ``name``, passed the settings it reads of ``rng``
+    and ``lam``."""
+    entry = METHODS[name]
+    return entry.solve(x, y, M, n_iter, **entry.settings(rng=rng, lam=lam), **kw)
+
+
 class _CountedX(np.ndarray):
     """A view of X that counts the matrix products reading all N rows of X or
     X'.  Views (``.T``, slices) keep the class; every product or other ufunc
@@ -53,7 +60,7 @@ def counted(monkeypatch):
     def run(name, n_iter, ds, beta_ls):
         _CountedX.products = 0
         lam = LambdaRule("concentrated").resolve(ds.x)
-        trace = METHODS[name](ds.x, ds.y, M, n_iter, derive_rng(5), lam, beta_ls=beta_ls)
+        trace = _run(name, ds.x, ds.y, n_iter, derive_rng(5), lam, beta_ls=beta_ls)
         assert trace.iterations == n_iter and trace.status == "ok"
         return _CountedX.products
 
@@ -88,8 +95,8 @@ def _problem(name):
 def _carried_runs(x, y):
     lam = LambdaRule("concentrated").resolve(x)
     sub = cholesky(gram(x[: 2 * M]))  # a frozen preconditioner from a row block
-    yield "acc-ihs", METHODS["acc-ihs"](x, y, M, 100, derive_rng(1), lam)
-    yield "aopt-ihs", METHODS["aopt-ihs"](x, y, M, 100, derive_rng(1), lam)
+    yield "acc-ihs", _run("acc-ihs", x, y, 100, derive_rng(1), lam)
+    yield "aopt-ihs", _run("aopt-ihs", x, y, 100, derive_rng(1), lam)
     yield "descent", preconditioned_descent(x, y, None, lambda v: solve_spd(sub, v), 100)
 
 

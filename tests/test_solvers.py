@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -193,8 +194,47 @@ def _gradient_descent(x, y, m, n_iter, rng, lam, beta_ls=None, stop_at_dist=0.0)
     )
 
 
-TRACED = {**METHODS, "descent": _gradient_descent}
+def _registry_call(entry):
+    """A METHODS entry called with a generator and a ridge weight, of which
+    it is passed the ones it reads."""
+
+    def run(x, y, m, n_iter, rng, lam, **kw):
+        return entry.solve(x, y, m, n_iter, **entry.settings(rng=rng, lam=lam), **kw)
+
+    return run
+
+
+TRACED = {**{name: _registry_call(entry) for name, entry in METHODS.items()},
+          "descent": _gradient_descent}
 LINE_SEARCH = {"aopt-ihs", "acc-ihs", "descent"}
+
+
+#: the arguments every METHODS entry takes, which are not settings
+_COMMON = {"x", "y", "kind", "m", "n_iter", "beta_ls", "stop_at_dist", "record_sketches"}
+
+
+class TestMethodDeclarations:
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_reads_are_the_solver_settings(self, name):
+        entry = METHODS[name]
+        assert set(entry.reads) == set(inspect.signature(entry.solve).parameters) - _COMMON
+
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_an_unread_setting_is_refused(self, name):
+        ds = make_dataset(DataSpec("normal", 256, 4, seed=1))
+        entry = METHODS[name]
+        unread = {"rng": derive_rng(3), "beta0": None, "lam": 0.1, "tol": 0.0}
+        for setting in set(unread) - set(entry.reads):
+            with pytest.raises(TypeError, match=setting):
+                entry.solve(ds.x, ds.y, 128, 2, **{setting: unread[setting]})
+        assert entry.settings(**unread) == {key: unread[key] for key in entry.reads}
+
+    def test_a_row_count_is_an_srht(self):
+        ds = make_dataset(DataSpec("normal", 256, 4, seed=1))
+        for solve in (ihs_solve, acc_ihs_solve, pw_gradient_solve):
+            by_count, by_kind = (solve(ds.x, ds.y, kind, 4, derive_rng(3))
+                                 for kind in (128, SketchKind("srht", 128)))
+            np.testing.assert_array_equal(np.stack(by_count.betas), np.stack(by_kind.betas))
 
 
 class TestTraceContract:
@@ -580,15 +620,20 @@ class TestEarlyExits:
         assert (trace.status, trace.iterations) == ("converged", 0)
         np.testing.assert_array_equal(np.stack(trace.betas), [np.zeros(3)])
 
-    def test_pw_gradient_whose_first_step_overflows_diverges(self):
+    def test_pw_gradient_whose_first_step_overflows_diverges(self, monkeypatch):
+        # from the zero start (a finite objective), a finite step of 1e300
+        # gives a finite iterate whose objective overflows
+        import sketchls.solvers
+
         x, y, _ = exact_integer_fit()
-        beta0 = np.full(3, 1e306)  # X beta0 is finite, X'(y - X beta0) is not
-        with np.errstate(over="ignore"):
-            trace = pw_gradient_solve(x, y, SketchKind("srht", 32), 5, derive_rng(1),
-                                      beta0=beta0)
-        assert (trace.status, trace.iterations) == ("diverge", 0)
-        np.testing.assert_array_equal(np.stack(trace.betas), [beta0])
-        assert trace.alphas == [] and trace.elapsed == []
+        monkeypatch.setattr(sketchls.solvers, "solve_spd", lambda fac, b: np.full_like(b, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = pw_gradient_solve(x, y, SketchKind("srht", 32), 5, derive_rng(1))
+        assert (trace.status, trace.iterations) == ("diverge", 1)
+        np.testing.assert_array_equal(np.stack(trace.betas), [np.zeros(3), np.full(3, 1e300)])
+        assert np.isfinite(trace.objective[0]) and trace.objective[1] == np.inf
+        assert trace.alphas == [] and len(trace.elapsed) == 1
 
     @pytest.mark.parametrize("with_ls", [False, True], ids=["no-beta_ls", "beta_ls"])
     def test_pw_gradient_overflowing_start_diverges_without_warnings(self, with_ls):
