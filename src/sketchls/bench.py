@@ -2,17 +2,23 @@
 comparisons across n, preconditioner-quality tables, time/iterations to a
 target precision, ridge ablations, and ridge-weight sweeps.
 
-Replications run in a thread pool; each replication derives its own dataset
-seed (master seed XOR replication index) and per-method generator streams, and
-aggregation is a deterministic fold over replication order, so results are
-byte-identical regardless of the worker count.  Solvers are looked up by name
-in :data:`sketchls.solvers.METHODS`.
+Every experiment runs through one replication fold.  Replication r builds
+its dataset with seed ``seed ^ r`` (master seed XOR replication index) and
+passes it to the experiment's ``start(r, ds)``, which does the work the
+replication's entries share (a ridge weight, a start, a mask, the Gram
+matrix) and returns ``measure(key)``, which computes one entry: one method,
+estimator, variant or proportion.  Replications run in a thread pool, each
+entry with its own generator stream, and the fold hands each key's successful
+values, in replication order, to the experiment's ``row(key, values,
+failures)``, which yields that key's CSV rows.  So results are byte-identical
+regardless of the worker count.  Solvers are looked up by name in
+:data:`sketchls.solvers.METHODS`.
 
-Any library error (:class:`~sketchls.errors.SketchlsError`) raised inside a
-replication fails that replication only, for the affected method or variant
-(for all of them when it is raised while the replication is prepared), and
-never aborts the run.  Failed or divergent replications are excluded from the
-means and surfaced in a ``failures`` column (a ``diverge`` status in the time
+Any library error (:class:`~sketchls.errors.SketchlsError`) raised while
+replication r builds its dataset or in its ``start`` fails every entry of r;
+one raised in ``measure``, or a solve that ends ``diverge``, fails that
+entry only.  Neither aborts the run.  Failed entries are excluded from the
+means and counted in a ``failures`` column (a ``diverge`` status in the time
 table).  An invalid :class:`ExperimentConfig`, such as ``m > n`` or
 ``tol <= 0``, raises ``ValueError`` when it is built, as does an empty,
 repeated or unknown method, variant, proportion or row-count list, and
@@ -25,6 +31,7 @@ non-deterministic outputs.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,90 +134,82 @@ def trimmed_mean(values, frac: float) -> float:
     return float(values[k : values.size - k].mean())
 
 
-def _map_reps(fn, reps: int, threads: int):
-    """Apply ``fn`` to 0..reps-1, preserving replication order."""
-    if threads <= 1:
-        return [fn(r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(reps)))
-
-
-def _or_failure(fn, arg):
-    """``fn(arg)``, or None when it raises a library error."""
-    try:
-        return fn(arg)
-    except SketchlsError:
-        return None
-
-
-def _replicate(start, keys, reps: int, threads: int) -> dict:
-    """Run every replication and return, for each key, its successful values
-    in replication order; ``reps`` minus their count is the key's failures.
-
-    ``start(rep)`` prepares replication ``rep`` and returns ``measure(key)``,
-    which computes one entry.  A library error in ``measure`` fails that
-    entry only; one in ``start`` fails every entry of the replication.
-    """
+def _table(spec: DataSpec, start, keys, reps: int, threads: int, row):
+    """The replication fold of every experiment (see the module docstring)
+    over the datasets of ``spec``: the rows that ``row(key, values,
+    failures)`` yields for each key in order, and each key's failure count."""
 
     def one_rep(rep):
-        measure = _or_failure(start, rep)
-        return {key: None if measure is None else _or_failure(measure, key)
-                for key in keys}
+        values = dict.fromkeys(keys)  # None marks a failed entry
+        try:
+            ds = make_dataset(replace(spec, seed=spec.seed ^ rep))
+            measure = start(rep, ds)
+        except SketchlsError:
+            return values
+        for key in keys:
+            with suppress(SketchlsError):
+                values[key] = measure(key)
+        return values
 
-    per_rep = _map_reps(one_rep, reps, threads)
-    return {key: [r[key] for r in per_rep if r[key] is not None] for key in keys}
+    if threads <= 1:
+        per_rep = [one_rep(rep) for rep in range(reps)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            per_rep = list(pool.map(one_rep, range(reps)))
+    rows, failures = [], {}
+    for key in keys:
+        values = [r[key] for r in per_rep if r[key] is not None]
+        failures[key] = reps - len(values)
+        rows.extend(row(key, values, failures[key]))
+    return rows, failures
 
 
-def _curve_rows(label: str, per_key: dict, cfg: ExperimentConfig):
-    """Per-iteration trimmed means of the squared-error curves of each key.
+def _curves(cfg: ExperimentConfig, label: str, start, keys, threads: int):
+    """A squared-error curve experiment through :func:`_table`.  Each
+    ``measure`` gives ``((mse1, mse2), descent_violations)``.  A key with a
+    successful replication gets one row (label, iter, mse1, mse2, failures)
+    per iteration, holding the trimmed means at that iteration; the meta
+    sums the descent violations and counts each key's failures."""
+    violations = []
 
-    Each value is ``((mse1, mse2), descent_violations)``.  Rows follow
-    (label, iter, mse1, mse2, failures).
-    """
-    rows = []
-    meta = {"descent_violations": 0, "failures": {}}
-    for key, oks in per_key.items():
-        failures = cfg.reps - len(oks)
-        meta["failures"][key] = failures
-        meta["descent_violations"] += sum(v for _, v in oks)
+    def row(key, oks, failures):
+        violations.extend(v for _, v in oks)
         if not oks:
-            continue
+            return
         mse1 = np.stack([c[0] for c, _ in oks])
         mse2 = np.stack([c[1] for c, _ in oks])
         for it in range(cfg.n_iter + 1):
-            rows.append(
-                {
-                    label: key,
-                    "iter": it,
-                    "mse1": trimmed_mean(mse1[:, it], cfg.trim),
-                    "mse2": trimmed_mean(mse2[:, it], cfg.trim),
-                    "failures": failures,
-                }
-            )
-    return rows, meta
-
-
-def _mean_rows(label: str, per_key: dict, cfg: ExperimentConfig):
-    """Mean of each key's delta over the replications where it succeeded.
-
-    Rows follow (dist, d, label, delta_mean, failures).
-    """
-    rows = []
-    for key, vals in per_key.items():
-        rows.append(
-            {
-                "dist": cfg.data.dist,
-                "d": cfg.data.d,
+            yield {
                 label: key,
-                "delta_mean": float(np.mean(vals)) if vals else None,
-                "failures": cfg.reps - len(vals),
+                "iter": it,
+                "mse1": trimmed_mean(mse1[:, it], cfg.trim),
+                "mse2": trimmed_mean(mse2[:, it], cfg.trim),
+                "failures": failures,
             }
-        )
-    return rows
+
+    rows, failures = _table(cfg.data, start, keys, cfg.reps, threads, row)
+    return rows, {"descent_violations": sum(violations), "failures": failures}
 
 
-def _rep_dataset(spec: DataSpec, rep: int) -> Dataset:
-    return make_dataset(replace(spec, seed=spec.seed ^ rep))
+def _delta_row(cfg: ExperimentConfig, label: str):
+    """The ``row`` of a delta table: the mean delta over the replications
+    where a key succeeded, as (dist, d, label, delta_mean, failures)."""
+
+    def row(key, vals, failures):
+        yield {
+            "dist": cfg.data.dist,
+            "d": cfg.data.d,
+            label: key,
+            "delta_mean": float(np.mean(vals)) if vals else None,
+            "failures": failures,
+        }
+
+    return row
+
+
+def _reads(methods, setting: str) -> bool:
+    """Whether any of ``methods`` (unknown names aside) reads ``setting``."""
+    return any(setting in SOLVERS[name].reads for name in methods if name in SOLVERS)
 
 
 def _rep_rng(cfg: ExperimentConfig, rep: int, stream: str):
@@ -261,14 +260,12 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1):
     (method, iter, mse1, mse2, failures).
     """
 
-    reads_lam = any("lam" in SOLVERS[method].reads for method in cfg.methods)
+    reads_lam = _reads(cfg.methods, "lam")
+    shares_start = cfg.init_policy == "aopt-for-all" and _reads(cfg.methods, "beta0")
 
-    def start(rep):
-        ds = _rep_dataset(cfg.data, rep)
+    def start(rep, ds):
         lam = cfg.lambda_rule.resolve(ds.x) if reads_lam else None
-        beta0 = None
-        if cfg.init_policy == "aopt-for-all":
-            beta0 = aopt_cs_estimate(ds.x, ds.y, cfg.m)[0]
+        beta0 = aopt_cs_estimate(ds.x, ds.y, cfg.m)[0] if shares_start else None
 
         def measure(method):
             trace = _rep_solve(cfg, rep, ds, method, cfg.n_iter, lam=lam, beta0=beta0)
@@ -277,7 +274,7 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1):
 
         return measure
 
-    return _curve_rows("method", _replicate(start, cfg.methods, cfg.reps, threads), cfg)
+    return _curves(cfg, "method", start, cfg.methods, threads)
 
 
 def run_init_comparison(
@@ -304,11 +301,8 @@ def run_init_comparison(
     rows = []
     meta = {"budget": budget, "failures": {}}
     for n in n_grid:
-        spec = DataSpec(dist, int(n), d, seed, sigma_noise)
 
-        def start(rep):
-            ds = _rep_dataset(spec, rep)
-
+        def start(rep, ds):
             def measure(est):
                 if est == "full":
                     beta = ds.beta_ls
@@ -324,18 +318,19 @@ def run_init_comparison(
 
             return measure
 
-        for est, vals in _replicate(start, INITIALIZERS, reps, threads).items():
-            failures = reps - len(vals)
-            meta["failures"][(int(n), est)] = failures
+        def row(est, vals, failures):
             if vals:
-                rows.append(
-                    {
-                        "n": int(n),
-                        "estimator": est,
-                        "mse1": trimmed_mean(vals, trim),
-                        "failures": failures,
-                    }
-                )
+                yield {
+                    "n": int(n),
+                    "estimator": est,
+                    "mse1": trimmed_mean(vals, trim),
+                    "failures": failures,
+                }
+
+        spec = DataSpec(dist, int(n), d, seed, sigma_noise)
+        n_rows, failures = _table(spec, start, INITIALIZERS, reps, threads, row)
+        rows += n_rows
+        meta["failures"].update(((int(n), est), count) for est, count in failures.items())
     return rows, meta
 
 
@@ -349,8 +344,7 @@ def run_delta_table(cfg: ExperimentConfig, variants=DELTA_VARIANTS, threads: int
     """
     variants = _distinct("variants", variants, DELTA_VARIANTS + ("identity",))
 
-    def start(rep):
-        ds = _rep_dataset(cfg.data, rep)
+    def start(rep, ds):
         q = gram(ds.x)
         mask = aopt_select(ds.x, cfg.m)
         lam = cfg.lambda_rule.resolve(ds.x)
@@ -367,7 +361,7 @@ def run_delta_table(cfg: ExperimentConfig, variants=DELTA_VARIANTS, threads: int
 
         return measure
 
-    rows = _mean_rows("variant", _replicate(start, variants, cfg.reps, threads), cfg)
+    rows, _ = _table(cfg.data, start, variants, cfg.reps, threads, _delta_row(cfg, "variant"))
     return rows, {"lambda_profile": cfg.lambda_rule.profile}
 
 
@@ -383,10 +377,9 @@ def run_time_to_precision(cfg: ExperimentConfig, threads: int = 1):
     generation and the exact solve are excluded.
     """
 
-    reads_lam = any("lam" in SOLVERS[method].reads for method in cfg.methods)
+    reads_lam = _reads(cfg.methods, "lam")
 
-    def start(rep):
-        ds = _rep_dataset(cfg.data, rep)
+    def start(rep, ds):
         lam = cfg.lambda_rule.resolve(ds.x) if reads_lam else None
 
         def measure(method):
@@ -397,21 +390,20 @@ def run_time_to_precision(cfg: ExperimentConfig, threads: int = 1):
 
         return measure
 
-    rows = []
-    for method, results in _replicate(start, cfg.methods, cfg.reps, threads).items():
+    def row(method, results, failures):
         reached = [r for r in results if r[0]]
-        failed, capped = len(results) < cfg.reps, len(reached) < len(results)
-        status = "diverge" if failed else "cap" if capped else "ok"
-        rows.append(
-            {
-                "method": method,
-                "dist": cfg.data.dist,
-                "d": cfg.data.d,
-                "mean_seconds": float(np.mean([r[2] for r in reached])) if reached else None,
-                "mean_iters": float(np.mean([r[1] for r in reached])) if reached else None,
-                "status": status,
-            }
-        )
+        capped = len(reached) < len(results)
+        status = "diverge" if failures else "cap" if capped else "ok"
+        yield {
+            "method": method,
+            "dist": cfg.data.dist,
+            "d": cfg.data.d,
+            "mean_seconds": float(np.mean([r[2] for r in reached])) if reached else None,
+            "mean_iters": float(np.mean([r[1] for r in reached])) if reached else None,
+            "status": status,
+        }
+
+    rows, _ = _table(cfg.data, start, cfg.methods, cfg.reps, threads, row)
     return rows, {"tol": cfg.tol, "iter_cap": cfg.iter_cap}
 
 
@@ -423,8 +415,7 @@ def run_ridge_ablation(cfg: ExperimentConfig, threads: int = 1):
     (variant, iter, mse1, mse2, failures).
     """
 
-    def start(rep):
-        ds = _rep_dataset(cfg.data, rep)
+    def start(rep, ds):
         lam = cfg.lambda_rule.resolve(ds.x)
         beta0, mask = aopt_cs_estimate(ds.x, ds.y, cfg.m)
 
@@ -443,7 +434,7 @@ def run_ridge_ablation(cfg: ExperimentConfig, threads: int = 1):
 
         return measure
 
-    return _curve_rows("variant", _replicate(start, RIDGE_VARIANTS, cfg.reps, threads), cfg)
+    return _curves(cfg, "variant", start, RIDGE_VARIANTS, threads)
 
 
 def lambda_sweep(cfg: ExperimentConfig, proportions, threads: int = 1):
@@ -455,11 +446,12 @@ def lambda_sweep(cfg: ExperimentConfig, proportions, threads: int = 1):
     if any(p <= 0 for p in proportions):
         raise ValueError("proportions must be positive")
 
-    def start(rep):
-        ds = _rep_dataset(cfg.data, rep)
+    def start(rep, ds):
         q = gram(ds.x)
         mask = aopt_select(ds.x, cfg.m)
         total = float(row_sq_norms(ds.x).sum())
         return lambda prop: delta_measure(build_m(ds.x, mask, prop * total), q)
 
-    return _mean_rows("proportion", _replicate(start, proportions, cfg.reps, threads), cfg), {}
+    rows, _ = _table(cfg.data, start, proportions, cfg.reps, threads,
+                     _delta_row(cfg, "proportion"))
+    return rows, {}

@@ -37,6 +37,7 @@ from . import __version__
 from .bench import (
     DELTA_VARIANTS,
     ExperimentConfig,
+    _reads,
     lambda_sweep,
     run_convergence,
     run_delta_table,
@@ -56,10 +57,12 @@ PRNG_ALGORITHM = "numpy-pcg64"
 #: the config keys of a data set, read by every experiment but ``init``
 _DATA_KEYS = ("dist", "n", "d", "seed", "sigma_noise")
 
-#: each bench experiment: its CSV file and header, the config keys it reads,
-#: and the call giving its (rows, meta) from (read config, threads).  The
-#: calls look the library runners up in this module when they run, so a
-#: wrapper patched onto one of those names sees the call.
+#: each bench experiment: its CSV file and header, the config keys it reads
+#: (``converge`` and ``time`` read ``lambda_rule`` only when one of their
+#: ``methods`` reads a ridge weight), and the call giving its (rows, meta)
+#: from (read config, threads).  The calls look the library runners up in
+#: this module when they run, so a wrapper patched onto one of those names
+#: sees the call.
 BENCH_CSV = {
     "init": ("init_mse.csv", ["n", "estimator", "mse1", "failures"],
              ("dist", "n_grid", "d", "seed", "sigma_noise", "m", "n_iter", "reps", "trim"),
@@ -423,6 +426,8 @@ def cmd_bench(args) -> int:
     exp = args.experiment
     name, header, keys, run = BENCH_CSV[exp]
     values = _read_config(args.config)
+    if "methods" in keys and not _reads(values.get("methods", _DEFAULTS["methods"]), "lam"):
+        keys = tuple(key for key in keys if key != "lambda_rule")
     for key in keys:
         if key not in values and key not in _DEFAULTS:
             raise ConfigError(key)

@@ -448,6 +448,72 @@ def test_ridge_weight_resolved_only_for_a_method_that_reads_it(run, monkeypatch)
     assert len(resolved) == 2  # once per replication
 
 
+@pytest.mark.parametrize("methods, calls", [(("aopt-ihs",), 0), (("ihs", "aopt-ihs"), 3)])
+def test_aopt_for_all_forms_the_shared_start_only_for_a_method_that_reads_it(
+        methods, calls, monkeypatch):
+    # aopt-ihs forms its own start and reads no beta0
+    made = []
+    estimate = sketchls.bench.aopt_cs_estimate
+    monkeypatch.setattr(sketchls.bench, "aopt_cs_estimate",
+                        lambda *args: made.append(None) or estimate(*args))
+    run_convergence(small_cfg(methods=methods, init_policy="aopt-for-all", reps=3, n_iter=2))
+    assert len(made) == calls
+
+
+#: each experiment's run on small data, and the key of each of its rows
+_FOLD_RUNS = {
+    "converge": (lambda: run_convergence(small_cfg(methods=("ihs", "aopt-ihs"), reps=3,
+                                                   n_iter=2)), "method"),
+    "init": (lambda: run_init_comparison([256, 512], 3, 16, 4, reps=3, dist="normal", seed=3),
+             "estimator"),
+    "delta": (lambda: run_delta_table(small_cfg(reps=3)), "variant"),
+    "time": (lambda: run_time_to_precision(small_cfg(methods=("ihs", "aopt-ihs"), reps=3)),
+             "method"),
+    "ridge": (lambda: run_ridge_ablation(small_cfg(reps=3, n_iter=2)), "variant"),
+    "lambda-sweep": (lambda: lambda_sweep(small_cfg(reps=3), [0.1, 0.4]), "proportion"),
+}
+
+
+@pytest.mark.parametrize("where", ["start", "measure"])
+@pytest.mark.parametrize("experiment", list(_FOLD_RUNS))
+def test_fold_fails_a_replication_or_one_entry(experiment, where, monkeypatch):
+    """A library error in replication 1's ``start`` fails every key of that
+    replication; one in its ``measure`` of the first key fails that entry
+    only.  Each shows in the experiment's own output: the ``failures``
+    column, or ``time``'s ``diverge`` status."""
+    run, label = _FOLD_RUNS[experiment]
+    outcome = (lambda r: r["status"]) if experiment == "time" else (lambda r: r["failures"])
+    failed, ok = ("diverge", "ok") if experiment == "time" else (1, 0)
+    before, _ = run()
+    keys = list(dict.fromkeys(r[label] for r in before))
+    assert {outcome(r) for r in before} == {ok}
+    table = sketchls.bench._table
+
+    def failing_table(spec, start, fold_keys, reps, threads, row):
+        def failing_start(rep, ds):
+            if where == "start" and rep == 1:
+                raise RankDeficient("injected")
+            measure = start(rep, ds)
+
+            def failing_measure(key):
+                if where == "measure" and rep == 1 and key == fold_keys[0]:
+                    raise RankDeficient("injected")
+                return measure(key)
+
+            return failing_measure
+
+        return table(spec, failing_start, fold_keys, reps, threads, row)
+
+    monkeypatch.setattr(sketchls.bench, "_table", failing_table)
+    after, _ = run()
+    hit = keys if where == "start" else keys[:1]
+    assert {(r[label], outcome(r)) for r in after} == {
+        (key, failed if key in hit else ok) for key in keys}
+    if where == "measure" and experiment != "time":  # wall-clock columns differ
+        assert [r for r in after if r[label] not in hit] == [
+            r for r in before if r[label] not in hit]
+
+
 def test_every_method_has_its_own_stream():
     # a method without a tag used to abort the run with a KeyError
     tags = sketchls.bench._STREAMS

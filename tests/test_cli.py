@@ -694,6 +694,30 @@ class TestBench:
         if experiment != "time":
             assert (again / name).read_bytes() == (first / name).read_bytes()
 
+    @pytest.mark.parametrize("experiment", ["converge", "time"])
+    def test_lambda_rule_recorded_only_when_a_method_reads_it(self, tmp_path, experiment):
+        """With no configured method that reads a ridge weight, the manifest
+        leaves ``lambda_rule`` out of ``config`` and lists it as unread when
+        the file sets it; its ``config`` still reruns to the same CSV."""
+        name = BENCH_CSV[experiment][0]
+        manifest = f"bench_{experiment.replace('-', '_')}_manifest.json"
+        first, again = tmp_path / "first", tmp_path / "again"
+        cfg = self.write_cfg(tmp_path, n=256, d=3, m=32, n_iter=3, reps=2, methods=["ihs"],
+                             lambda_rule="heavy_tailed", tol=1e-6)
+        assert run_cli("bench", experiment, "--config", str(cfg), "--out-dir", str(first)) == 0
+        record = json.loads((first / manifest).read_text())
+        assert "lambda_rule" not in record["config"] and "lambda_rule" in record["unread"]
+        rerun = tmp_path / "rerun.json"
+        rerun.write_text(json.dumps(record["config"]))
+        assert run_cli("bench", experiment, "--config", str(rerun), "--out-dir", str(again)) == 0
+        assert json.loads((again / manifest).read_text())["config"] == record["config"]
+        rows = [read_rows(out / name) for out in (first, again)]
+        for row in rows[0] + rows[1]:
+            row.pop("mean_seconds", None)  # wall-clock seconds are not reproducible
+        assert rows[0] == rows[1]
+        if experiment != "time":
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
     @pytest.mark.parametrize("experiment", ["delta", "time", "lambda-sweep"])
     def test_runs_without_n_iter(self, tmp_path, experiment):
         cfg = tmp_path / "cfg.json"
