@@ -33,6 +33,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -291,10 +292,14 @@ def run_init_comparison(
 ):
     """One-shot estimator comparison across row counts with a fixed total
     sketch budget ``M = n_iter * m`` rows (the budget an iterative run would
-    consume).  Rows follow (n, estimator, mse1, failures).
+    consume).  Rows follow (n, estimator, mse1, failures).  ``n_grid``
+    lists whole row counts (512.0 runs as 512).
     """
     _check_sizes(m, n_iter, reps, trim, least_iter=1)
     n_grid = _distinct("n_grid", n_grid)
+    if not all(isinstance(n, Real) and float(n).is_integer() for n in n_grid):
+        raise ValueError(f"n_grid must list whole row counts, got {list(n_grid)}")
+    n_grid = [int(n) for n in n_grid]
     budget = n_iter * m
     if min(n_grid) < budget:
         raise ValueError(f"n={min(n_grid)} is smaller than the sketch budget {budget}")
@@ -321,16 +326,16 @@ def run_init_comparison(
         def row(est, vals, failures):
             if vals:
                 yield {
-                    "n": int(n),
+                    "n": n,
                     "estimator": est,
                     "mse1": trimmed_mean(vals, trim),
                     "failures": failures,
                 }
 
-        spec = DataSpec(dist, int(n), d, seed, sigma_noise)
+        spec = DataSpec(dist, n, d, seed, sigma_noise)
         n_rows, failures = _table(spec, start, INITIALIZERS, reps, threads, row)
         rows += n_rows
-        meta["failures"].update(((int(n), est), count) for est, count in failures.items())
+        meta["failures"].update(((n, est), count) for est, count in failures.items())
     return rows, meta
 
 

@@ -189,6 +189,13 @@ def _fill(out: np.ndarray, s: int, r0: int, x, y, signs) -> None:
     when given, and rows at or past x's row count are zero."""
     f, t, _ = out.shape
     n, xc = x.shape
+    if s == t:  # the slabs tile the padded panel (n_pad <= 4096): fill it whole
+        panel = out.reshape(f * t, -1)
+        np.multiply(x, signs[:n, None], out=panel[:n, :xc])
+        if y is not None:
+            np.multiply(y, signs[:n], out=panel[:n, xc])
+        panel[n:] = 0.0
+        return
     full = min(f, max(0, (n - r0 - t) // s + 1))  # slabs with all t rows in x
     part = min(t, n - full * s - r0) if full < f else 0
     out[full:] = 0.0
@@ -289,7 +296,7 @@ def rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
 def _srht_from_parts(x, y, signs: np.ndarray, rows: np.ndarray, m: int, work=None):
     """The SRHT of ``(X, y)`` given the sign diagonal (one sign per padded
     row) and the kept row indices: sqrt(n_pad/m) * (H / sqrt(n_pad)) =
-    H / sqrt(m).
+    H / sqrt(m).  A y of None gives ``(SX, None)``.
 
     The padded data are transformed in column panels of at most 64, each
     read straight from X and y by :func:`_transform`'s first factor.
@@ -297,23 +304,33 @@ def _srht_from_parts(x, y, signs: np.ndarray, rows: np.ndarray, m: int, work=Non
     when None).
     """
     d = x.shape[1]
-    width = min(_PANEL, d + 1)
+    k = d + (y is not None)
+    width = min(_PANEL, k)
     plan = _plan_rows(signs.size, rows)
     if work is None:
         work = _workspace(signs.size, width, plan[0])
-    out = np.empty((rows.size, d + 1))
-    for j in range(0, d + 1, width):
-        c = min(width, d + 1 - j)
+    out = np.empty((rows.size, k))
+    for j in range(0, k, width):
+        c = min(width, k - j)
         out[:, j : j + c] = _transform(x[:, j : j + c], y if j + c > d else None, signs,
                                        rows, plan, work)
     out /= np.sqrt(m)
-    return np.ascontiguousarray(out[:, :d]), out[:, d].copy()
+    return np.ascontiguousarray(out[:, :d]), None if y is None else out[:, d].copy()
+
+
+def _rows(x, y, idx, scale):
+    """Rows ``idx`` of X and of y (None stays None), times ``scale``: a
+    number, or one factor per row."""
+    col = scale[:, None] if np.ndim(scale) else scale
+    return x[idx] * col, None if y is None else y[idx] * scale
 
 
 def _sketcher(x, y, variant: str, m: int, rng: np.random.Generator | None):
     """Successive size-``m`` sketches of a checked ``(X, y)``: each call of the
     returned function gives the next ``(SX, Sy)``, drawing from ``rng`` as one
-    call of the family's public sampler does.  The per-solve work (SRHT
+    call of the family's public sampler does.  A y of None gives ``(SX,
+    None)``; an SRHT then transforms one column fewer, so its SX can differ
+    from the one beside Sy in the last bits.  The per-solve work (SRHT
     workspace, leverage probabilities, scale, largest-norm rows) is done here
     once, and an ``m`` out of range raises here with the sampler's error."""
     n, d = x.shape
@@ -321,7 +338,7 @@ def _sketcher(x, y, variant: str, m: int, rng: np.random.Generator | None):
         n_pad = _next_pow2(n)
         if not 1 <= m <= n_pad:
             raise NotEnoughRows(f"sketch size {m} not in 1..{n_pad} (padded rows)")
-        work = _workspace(n_pad, min(_PANEL, d + 1), _factors(n_pad, m))
+        work = _workspace(n_pad, min(_PANEL, d + (y is not None)), _factors(n_pad, m))
 
         def draw():
             signs = rademacher(rng, n_pad)
@@ -336,21 +353,15 @@ def _sketcher(x, y, variant: str, m: int, rng: np.random.Generator | None):
 
         def draw():
             idx = rng.choice(n, size=m, replace=True, p=p)
-            scale = 1.0 / np.sqrt(m * p[idx])
-            return x[idx] * scale[:, None], y[idx] * scale
+            return _rows(x, y, idx, 1.0 / np.sqrt(m * p[idx]))
         return draw
     if variant == "uniform":
         if not 1 <= m <= n:
             raise NotEnoughRows(f"sketch size {m} not in 1..{n}")
         scale = np.sqrt(n / m)
-
-        def draw():
-            idx = rng.choice(n, size=m, replace=False)
-            return scale * x[idx], scale * y[idx]
-        return draw
-    idx = aopt_select(x, m).indices  # deterministic: every draw is this pair
-    scale = np.sqrt(n / m)
-    pair = scale * x[idx], scale * y[idx]
+        return lambda: _rows(x, y, rng.choice(n, size=m, replace=False), scale)
+    # deterministic: every draw is this pair
+    pair = _rows(x, y, aopt_select(x, m).indices, np.sqrt(n / m))
     return lambda: pair
 
 

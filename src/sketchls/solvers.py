@@ -51,7 +51,8 @@ from .errors import (
 from .linalg import (_check_coef, _check_xy, as_matrix, as_vector, cholesky, gram,
                      solve_spd, sym_eigvals)
 from .precond import build_m
-from .sketch import SketchKind, _sketcher, aopt_select, draw_sketch
+from .sketch import SketchKind, _sketcher, aopt_select
+from .sketch import draw_sketch  # noqa: F401 -- perfbench/tracer.py wraps it here
 
 __all__ = [
     "METHODS",
@@ -88,8 +89,8 @@ class SolveTrace:
     per-iteration wall-clock seconds; one-time work (sketching, factoring,
     initial estimate, the start's residual) is in ``setup_seconds``.
     ``status`` is ``diverge`` when the last iterate's objective is not finite,
-    whatever the method.  ``sketches`` holds the sketched matrices when
-    :func:`ihs_solve` is asked to record them.
+    whatever the method.  ``sketches`` holds the sketched matrices SX, one
+    per step, when :func:`ihs_solve` is asked to record them.
     """
 
     betas: list = field(default_factory=list)
@@ -223,14 +224,17 @@ def ihs_solve(
     Newton-like update ``beta += ((S_t X)^T S_t X)^{-1} X^T (y - X beta)``.
     The default initializer is the zero vector.  With ``record_sketches``
     the sketched matrices are attached to the trace (``trace.sketches``) for
-    the closed-form oracle.  The sketches are successive :func:`draw_sketch`
-    draws on ``rng``, set up once per solve, where a bad ``m`` raises.
+    the closed-form oracle.  The sketches are of X alone, drawn on ``rng`` as
+    successive :func:`draw_sketch` calls draw them, from one sketcher set up
+    when the solve starts, where a bad ``m`` raises.  Without y's column an
+    SRHT's panels are one column narrower, so its SX can differ from
+    :func:`draw_sketch`'s in the last bits.
     """
     kind = _as_kind(kind)
     sketches = [] if record_sketches else None
 
     def run(x, y, beta, beta_ls):
-        draw = _sketcher(x, y, kind.variant, kind.m, rng)
+        draw = _sketcher(x, None, kind.variant, kind.m, rng)
         resid = y - x @ beta
         yield beta, None, "ok", resid
         while True:
@@ -410,9 +414,9 @@ def _as_kind(kind) -> SketchKind:
     return kind if isinstance(kind, SketchKind) else SketchKind("srht", kind)
 
 
-def _sketch_factor(x, y, kind, rng):
-    """Cholesky factor of the Gram matrix of one sketch of ``(X, y)``."""
-    return cholesky(gram(draw_sketch(x, y, kind, rng)[0]))
+def _sketch_factor(x, kind, rng):
+    """Cholesky factor of the Gram matrix of one sketch of a checked X."""
+    return cholesky(gram(_sketcher(x, None, kind.variant, kind.m, rng)()[0]))
 
 
 def pw_gradient_solve(
@@ -438,7 +442,7 @@ def pw_gradient_solve(
     kind = _as_kind(kind)
 
     def run(x, y, beta, beta_ls):
-        fac = _sketch_factor(x, y, kind, rng)
+        fac = _sketch_factor(x, kind, rng)
         floor = np.sqrt(np.finfo(float).eps) * np.linalg.norm(
             x.T @ y if beta_ls is None else beta_ls)
         status, best = "ok", np.inf
@@ -476,7 +480,7 @@ def acc_ihs_solve(
     kind = _as_kind(kind)
 
     def run(x, y, beta, beta_ls):
-        fac = _sketch_factor(x, y, kind, rng)
+        fac = _sketch_factor(x, kind, rng)
         resid = y - x @ beta
         yield beta, None, "ok", resid
         r = x.T @ resid  # later gradients are updated recursively

@@ -215,6 +215,25 @@ class TestRunInitComparison:
         with pytest.raises(ValueError, match="n_grid"):
             run_init_comparison(n_grid, 4, 32, 4, reps=2)
 
+    def test_whole_float_row_counts_run_as_ints(self):
+        # 512.0 used to abort with a bare TypeError from derive_rng in the
+        # first srht-cs entry, after building the dataset
+        args = (3, 16, 4)
+        kw = dict(reps=2, dist="normal")
+        rows, meta = run_init_comparison([512.0], *args, **kw)
+        assert rows == run_init_comparison([512], *args, **kw)[0]
+        assert all(type(row["n"]) is int for row in rows)
+        assert all(type(n) is int for n, _ in meta["failures"])
+
+    def test_non_whole_row_count_rejected_before_any_dataset(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dataset built before the n_grid check")
+
+        monkeypatch.setattr(sketchls.bench, "make_dataset", forbidden)
+        for n_grid in ([1024, 512.5], [1024, "512"]):
+            with pytest.raises(ValueError, match="n_grid"):
+                run_init_comparison(n_grid, 3, 16, 4, reps=2, dist="normal")
+
     def test_library_error_fails_one_replication(self, monkeypatch):
         args = ([512], 4, 32, 4)
         kw = dict(reps=6, dist="normal", seed=3)

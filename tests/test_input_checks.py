@@ -199,8 +199,8 @@ X_SCANS = {
         x, y, np.zeros(SCAN_D), [x[:SCAN_M], x[SCAN_M : 2 * SCAN_M]])),
     "ihs_solve-1-iter": (1, lambda x, y: ihs_solve(x, y, SCAN_SRHT, 1, derive_rng(1))),
     "ihs_solve-5-iter": (1, lambda x, y: ihs_solve(x, y, SCAN_SRHT, 5, derive_rng(1))),
-    "pw_gradient_solve": (2, lambda x, y: pw_gradient_solve(x, y, SCAN_SRHT, 3, derive_rng(1))),
-    "acc_ihs_solve": (2, lambda x, y: acc_ihs_solve(x, y, SCAN_SRHT, 3, derive_rng(1))),
+    "pw_gradient_solve": (1, lambda x, y: pw_gradient_solve(x, y, SCAN_SRHT, 3, derive_rng(1))),
+    "acc_ihs_solve": (1, lambda x, y: acc_ihs_solve(x, y, SCAN_SRHT, 3, derive_rng(1))),
     "preconditioned_descent": (1, lambda x, y: preconditioned_descent(
         x, y, None, lambda v: v, 3)),
     "isometry_check": (1, lambda x, y: isometry_check(x, x[:SCAN_M])),
@@ -217,7 +217,8 @@ X_SCANS = {
 
 @pytest.mark.parametrize("entry", sorted(X_SCANS))
 def test_x_scans_per_call(entry, monkeypatch):
-    # aopt_ihs_solve used to check X 6 times, closed_form_trajectory 4
+    # aopt_ihs_solve used to check X 6 times, closed_form_trajectory 4, and
+    # pw_gradient_solve and acc_ihs_solve twice (their sketch checked X again)
     rng = np.random.default_rng(2)
     x, y = rng.standard_normal((SCAN_N, SCAN_D)), rng.standard_normal(SCAN_N)
     real, scans = sketchls.linalg.as_matrix, []

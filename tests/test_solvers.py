@@ -33,6 +33,7 @@ from sketchls import (
     cholesky,
     solve_spd,
 )
+from sketchls.sketch import _sketcher
 from sketchls.solvers import METHODS
 
 IDENTITY = lambda n: SketchKind("uniform", n)  # m = n keeps every row
@@ -153,10 +154,14 @@ class TestIhs:
 
     # every kind sets up once per solve, and its draws must still be those of
     # successive draw_sketch calls on the same stream.  (3000, 70, 100) has
-    # d + 1 > 64 and m * 16 < n_pad: several SRHT panels and the kept-row path
+    # d + 1 > 64 and m * 16 < n_pad: several SRHT panels and the kept-row
+    # path; desk is the benchmark's scale.  The solver sketches X alone, so
+    # an SRHT equals a fresh sketcher of X alone per draw, and draw_sketch's
+    # SX, whose panels carry y's column too, up to the last bits
     @pytest.mark.parametrize("variant, n, d, m", [
         pytest.param("srht", 3000, 70, 100, id="3000-70-100"),
         pytest.param("srht", 256, 5, 64, id="256-5-64"),
+        pytest.param("srht", 1 << 14, 50, 1000, id="desk"),
         *(pytest.param(v, 3000, 70, 100, id=f"{v}-3000-70-100")
           for v in ("leverage", "uniform", "aopt")),
     ])
@@ -164,9 +169,29 @@ class TestIhs:
         ds = make_dataset(DataSpec("lognormal", n, d, seed=3))
         kind = SketchKind(variant, m)
         trace = ihs_solve(ds.x, ds.y, kind, 4, derive_rng(7), record_sketches=True)
-        stream = derive_rng(7)
+        stream, mirror = derive_rng(7), derive_rng(7)
         for sx in trace.sketches:
-            np.testing.assert_array_equal(sx, draw_sketch(ds.x, ds.y, kind, stream)[0])
+            ref = draw_sketch(ds.x, ds.y, kind, stream)[0]
+            if variant == "srht":
+                np.testing.assert_array_equal(sx, _sketcher(ds.x, None, "srht", m, mirror)()[0])
+                np.testing.assert_allclose(sx, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+            else:
+                np.testing.assert_array_equal(sx, ref)
+
+    @pytest.mark.parametrize("cond", [1e7, 1e8])
+    def test_accurate_on_an_ill_conditioned_design(self, cond):
+        # X = U diag(s) V' with log-spaced s: each step recomputes the exact
+        # residual, so ihs gets near cond(X) eps of lstsq (9.2e-10 and 3.2e-8
+        # measured).  SRHTs transformed in float32 ended at 0.84 at 1e8
+        rng = np.random.default_rng(11)
+        n, d = 1 << 14, 50
+        u, _ = np.linalg.qr(rng.standard_normal((n, d)))
+        v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        x = (u * np.logspace(0.0, -np.log10(cond), d)) @ v.T
+        y = x @ rng.standard_normal(d) + 1e-3 * rng.standard_normal(n)
+        ref = np.linalg.lstsq(x, y, rcond=None)[0]
+        trace = ihs_solve(x, y, SketchKind("srht", 1000), 40, derive_rng(12))
+        assert np.linalg.norm(trace.final - ref) <= 1e-6 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n_iter", [0, 3])
     @pytest.mark.parametrize("variant, error", [
@@ -578,6 +603,28 @@ class TestAccIhs:
         )
         for beta in trace.betas:
             assert np.linalg.norm(beta - ds.beta_ls) <= 1e-10 * np.linalg.norm(ds.beta_ls)
+
+
+@pytest.mark.parametrize("solve", [acc_ihs_solve, pw_gradient_solve])
+def test_frozen_sketch_is_the_first_draw_of_the_stream(solve, monkeypatch):
+    # the sketch behind the frozen factor is of X alone, taken in one draw
+    # from rng: draw_sketch's first draw up to the last bits (see TestIhs)
+    import sketchls.solvers
+
+    ds = make_dataset(DataSpec("lognormal", 3000, 70, seed=3))
+    kind, grams = SketchKind("srht", 100), []
+
+    def recording(a):
+        grams.append(a)
+        return gram(a)
+
+    monkeypatch.setattr(sketchls.solvers, "gram", recording)
+    rng, stream = derive_rng(7), derive_rng(7)
+    solve(ds.x, ds.y, kind, 3, rng)
+    ref = draw_sketch(ds.x, ds.y, kind, stream)[0]
+    assert len(grams) == 1
+    np.testing.assert_allclose(grams[0], ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+    assert rng.bit_generator.state == stream.bit_generator.state
 
 
 def exact_integer_fit():
