@@ -5,14 +5,17 @@ target precision, ridge ablations, and ridge-weight sweeps.
 Every experiment runs through one replication fold.  Replication r builds
 its dataset with seed ``seed ^ r`` (master seed XOR replication index) and
 passes it to the experiment's ``start(r, ds)``, which does the work the
-replication's entries share (a ridge weight, a start, a mask, the Gram
-matrix) and returns ``measure(key)``, which computes one entry: one method,
-estimator, variant or proportion.  Replications run in a thread pool, each
-entry with its own generator stream, and the fold hands each key's successful
-values, in replication order, to the experiment's ``row(key, values,
-failures)``, which yields that key's CSV rows.  So results are byte-identical
-regardless of the worker count.  Solvers are looked up by name in
-:data:`sketchls.solvers.METHODS`.
+replication's entries share (a ridge weight, a start, a mask) and returns
+``measure(key)``, which computes one entry: one method, estimator, variant or
+proportion.  The delta tables read the Gram matrix ``ds.gram`` that
+:func:`~sketchls.datagen.make_dataset` formed for ``beta_ls``.  X was
+checked when it was generated, so ``start`` and ``measure`` call the
+library's unchecked cores on it, and only each public solve scans it again.
+Replications run in a thread pool, each entry with its own generator stream,
+and the fold hands each key's successful values, in replication order, to
+the experiment's ``row(key, values, failures)``, which yields that key's CSV
+rows.  So results are byte-identical regardless of the worker count.
+Solvers are looked up by name in :data:`sketchls.solvers.METHODS`.
 
 Any library error (:class:`~sketchls.errors.SketchlsError`) raised while
 replication r builds its dataset or in its ``start`` fails every entry of r;
@@ -39,11 +42,16 @@ import numpy as np
 
 from .datagen import DataSpec, Dataset, make_dataset
 from .errors import EmptyInput, SketchlsError
-from .linalg import gram, row_sq_norms
-from .precond import LambdaRule, build_m, delta_from_matrix, delta_measure
-from .sketch import aopt_select, derive_rng, leverage_sample, srht_apply
+from .linalg import _gram, _row_sq_norms
+from .precond import LambdaRule, _build_m, delta_from_matrix, delta_measure
+from .sketch import _aopt_select, _sketcher, derive_rng
 from .solvers import METHODS as SOLVERS
-from .solvers import SolveTrace, aopt_cs_estimate, cs_estimate, preconditioned_descent
+from .solvers import SolveTrace, _aopt_cs_estimate, cs_estimate, preconditioned_descent
+# perfbench/tracer.py wraps these names here; the experiments call their cores
+from .linalg import gram  # noqa: F401
+from .precond import build_m  # noqa: F401
+from .sketch import leverage_sample, srht_apply  # noqa: F401
+from .solvers import aopt_cs_estimate  # noqa: F401
 
 __all__ = [
     "METHODS",
@@ -265,8 +273,8 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1):
     shares_start = cfg.init_policy == "aopt-for-all" and _reads(cfg.methods, "beta0")
 
     def start(rep, ds):
-        lam = cfg.lambda_rule.resolve(ds.x) if reads_lam else None
-        beta0 = aopt_cs_estimate(ds.x, ds.y, cfg.m)[0] if shares_start else None
+        lam = cfg.lambda_rule._resolve(ds.x) if reads_lam else None
+        beta0 = _aopt_cs_estimate(ds.x, ds.y, cfg.m)[0] if shares_start else None
 
         def measure(method):
             trace = _rep_solve(cfg, rep, ds, method, cfg.n_iter, lam=lam, beta0=beta0)
@@ -311,14 +319,12 @@ def run_init_comparison(
             def measure(est):
                 if est == "full":
                     beta = ds.beta_ls
-                elif est == "srht-cs":
-                    rng = derive_rng(seed, n, rep, _STREAMS["srht-cs"])
-                    beta = cs_estimate(*srht_apply(ds.x, ds.y, budget, rng))
-                elif est == "lev-cs":
-                    rng = derive_rng(seed, n, rep, _STREAMS["lev-cs"])
-                    beta = cs_estimate(*leverage_sample(ds.x, ds.y, budget, rng))
+                elif est == "aopt-cs":
+                    beta = _aopt_cs_estimate(ds.x, ds.y, budget)[0]
                 else:
-                    beta = aopt_cs_estimate(ds.x, ds.y, budget)[0]
+                    rng = derive_rng(seed, n, rep, _STREAMS[est])
+                    variant = "srht" if est == "srht-cs" else "leverage"
+                    beta = cs_estimate(*_sketcher(ds.x, ds.y, variant, budget, rng)())
                 return float(((beta - ds.beta_star) ** 2).sum())
 
             return measure
@@ -350,18 +356,18 @@ def run_delta_table(cfg: ExperimentConfig, variants=DELTA_VARIANTS, threads: int
     variants = _distinct("variants", variants, DELTA_VARIANTS + ("identity",))
 
     def start(rep, ds):
-        q = gram(ds.x)
-        mask = aopt_select(ds.x, cfg.m)
-        lam = cfg.lambda_rule.resolve(ds.x)
+        q = ds.gram
+        mask = _aopt_select(ds.x, cfg.m)
+        lam = cfg.lambda_rule._resolve(ds.x)
 
         def measure(variant):
             if variant == "zero":
-                return delta_measure(build_m(ds.x, mask, 0.0), q)
+                return delta_measure(_build_m(ds.x, mask, 0.0), q)
             if variant == "rule":
-                return delta_measure(build_m(ds.x, mask, lam), q)
+                return delta_measure(_build_m(ds.x, mask, lam), q)
             if variant == "srht":
-                sx, _ = srht_apply(ds.x, ds.y, cfg.m, _rep_rng(cfg, rep, "delta-srht"))
-                return delta_from_matrix(gram(sx), q)
+                draw = _sketcher(ds.x, ds.y, "srht", cfg.m, _rep_rng(cfg, rep, "delta-srht"))
+                return delta_from_matrix(_gram(draw()[0]), q)
             return delta_from_matrix(lam * np.eye(ds.x.shape[1]), q)
 
         return measure
@@ -385,7 +391,7 @@ def run_time_to_precision(cfg: ExperimentConfig, threads: int = 1):
     reads_lam = _reads(cfg.methods, "lam")
 
     def start(rep, ds):
-        lam = cfg.lambda_rule.resolve(ds.x) if reads_lam else None
+        lam = cfg.lambda_rule._resolve(ds.x) if reads_lam else None
 
         def measure(method):
             trace = _rep_solve(cfg, rep, ds, method, cfg.iter_cap, lam=lam,
@@ -421,14 +427,14 @@ def run_ridge_ablation(cfg: ExperimentConfig, threads: int = 1):
     """
 
     def start(rep, ds):
-        lam = cfg.lambda_rule.resolve(ds.x)
-        beta0, mask = aopt_cs_estimate(ds.x, ds.y, cfg.m)
+        lam = cfg.lambda_rule._resolve(ds.x)
+        beta0, mask = _aopt_cs_estimate(ds.x, ds.y, cfg.m)
 
         def measure(variant):
             if variant == "ridged":
-                apply_inv = build_m(ds.x, mask, lam).solve
+                apply_inv = _build_m(ds.x, mask, lam).solve
             elif variant == "raw":
-                apply_inv = build_m(ds.x, mask, 0.0).solve
+                apply_inv = _build_m(ds.x, mask, 0.0).solve
             else:
                 apply_inv = lambda v: v
             trace = preconditioned_descent(
@@ -452,10 +458,9 @@ def lambda_sweep(cfg: ExperimentConfig, proportions, threads: int = 1):
         raise ValueError("proportions must be positive")
 
     def start(rep, ds):
-        q = gram(ds.x)
-        mask = aopt_select(ds.x, cfg.m)
-        total = float(row_sq_norms(ds.x).sum())
-        return lambda prop: delta_measure(build_m(ds.x, mask, prop * total), q)
+        mask = _aopt_select(ds.x, cfg.m)
+        total = float(_row_sq_norms(ds.x).sum())
+        return lambda prop: delta_measure(_build_m(ds.x, mask, prop * total), ds.gram)
 
     rows, _ = _table(cfg.data, start, proportions, cfg.reps, threads,
                      _delta_row(cfg, "proportion"))

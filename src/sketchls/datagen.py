@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_coef, _check_xy, as_matrix
+from .linalg import _check_coef, _check_xy, _gram, as_matrix
 from .linalg import as_vector  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .sketch import derive_rng
-from .solvers import full_ls
+from .solvers import _full_ls
 
 __all__ = [
     "DISTRIBUTIONS",
@@ -54,12 +54,14 @@ class DataSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Centered design/response pair with its ground truth and exact solution."""
+    """Centered design/response pair with its ground truth, its exact
+    solution and the Gram matrix X'X that solution was formed from."""
 
     x: np.ndarray
     y: np.ndarray
     beta_star: np.ndarray
     beta_ls: np.ndarray
+    gram: np.ndarray
 
 
 def make_sigma(d: int) -> np.ndarray:
@@ -136,8 +138,9 @@ def make_dataset(spec: DataSpec) -> Dataset:
     Draw order is fixed: covariates, then beta_star (d i.i.d. standard
     normals), then response noise.  X is built in one array and centered in
     place, as :func:`center` would, so no X-sized temporary is held beside
-    it.  The exact least-squares solution is computed once on the centered
-    pair; centering leaves beta_star the ground truth of the centered model.
+    it.  X is checked once, by :func:`gen_response`.  The Gram matrix and
+    the exact least-squares solution are computed once on the centered pair;
+    centering leaves beta_star the ground truth of the centered model.
     """
     rng = derive_rng(spec.seed)
     x = _covariates(rng, spec.dist, spec.n, spec.d)
@@ -145,4 +148,5 @@ def make_dataset(spec: DataSpec) -> Dataset:
     y = gen_response(x, beta_star, spec.sigma_noise, rng)
     x -= x.mean(axis=0)
     y -= y.mean()
-    return Dataset(x=x, y=y, beta_star=beta_star, beta_ls=full_ls(x, y))
+    q = _gram(x)
+    return Dataset(x=x, y=y, beta_star=beta_star, beta_ls=_full_ls(x, y, q), gram=q)

@@ -7,6 +7,10 @@ The kernels are backed by LAPACK through ``numpy.linalg``, which has no
 triangular solver: each Cholesky factor L is inverted once (d x d), and every
 solve against it is a product with L^{-1}.  Results are deterministic for a
 fixed BLAS build.
+
+A public kernel that reads a data matrix X checks it and hands it to a
+private core (:func:`_gram`, :func:`_row_sq_norms`); the library calls the
+cores on arrays it has already checked, so each X is scanned once per entry.
 """
 
 from __future__ import annotations
@@ -106,7 +110,11 @@ class CholeskyFactor:
 
 def gram(x) -> np.ndarray:
     """Gram matrix X.T @ X, symmetrized to guard against rounding skew."""
-    x = as_matrix(x)
+    return _gram(as_matrix(x))
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """:func:`gram` of a checked X."""
     g = x.T @ x
     return (g + g.T) * 0.5
 
@@ -171,6 +179,10 @@ def _spectrum_cond(ev: np.ndarray, what: str) -> float:
 
 def row_sq_norms(x) -> np.ndarray:
     """Squared Euclidean norm of each row."""
-    x = as_matrix(x)
+    return _row_sq_norms(as_matrix(x))
+
+
+def _row_sq_norms(x: np.ndarray) -> np.ndarray:
+    """:func:`row_sq_norms` of a checked X."""
     return np.einsum("ij,ij->i", x, x)
 

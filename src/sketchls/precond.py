@@ -19,15 +19,16 @@ import numpy as np
 
 from .linalg import (
     CholeskyFactor,
+    _gram,
+    _row_sq_norms,
     _spectrum_cond,
     as_matrix,
     cholesky,
     cond_spd,
-    gram,
-    row_sq_norms,
     solve_spd,
     sym_eigvals,
 )
+from .linalg import gram  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .sketch import SubsampleMask, _check_mask
 
 __all__ = [
@@ -67,9 +68,13 @@ class LambdaRule:
 
     def resolve(self, x) -> float:
         """Ridge weight for a data matrix."""
+        return self._resolve(x if self.profile == "explicit" else as_matrix(x))
+
+    def _resolve(self, x: np.ndarray) -> float:
+        """:meth:`resolve` for a checked X."""
         if self.profile == "explicit":
             return float(self.explicit)
-        return self.coefficient * float(row_sq_norms(x).sum())
+        return self.coefficient * float(_row_sq_norms(x).sum())
 
     @classmethod
     def for_distribution(cls, dist: str) -> "LambdaRule":
@@ -97,12 +102,16 @@ def build_m(x, mask: SubsampleMask, lam: float) -> Preconditioner:
     Raises :class:`NotPositiveDefinite` when ``lam == 0`` and the selected
     rows are rank deficient.
     """
-    x = _check_mask(x, mask)
+    return _build_m(_check_mask(x, mask), mask, lam)
+
+
+def _build_m(x: np.ndarray, mask: SubsampleMask, lam: float) -> Preconditioner:
+    """:func:`build_m` of a checked X and a mask of its rows."""
     if lam < 0:
         raise ValueError(f"ridge weight must be >= 0, got {lam}")
     n, d = x.shape
     selected = x[mask.indices]
-    m_matrix = (n / mask.m) * gram(selected) + lam * np.eye(d)
+    m_matrix = (n / mask.m) * _gram(selected) + lam * np.eye(d)
     return Preconditioner(m_matrix, cholesky(m_matrix))
 
 
@@ -135,9 +144,9 @@ def _bound_pieces(x, mask: SubsampleMask, c_lower: float):
     if c_lower <= 0:
         raise ValueError(f"c_lower must be > 0, got {c_lower}")
     x = _check_mask(x, mask)
-    ev = sym_eigvals(gram(x))
+    ev = sym_eigvals(_gram(x))
     kappa = _spectrum_cond(ev, "Gram matrix")
-    excluded = float(row_sq_norms(x)[mask.delta == 0].sum())
+    excluded = float(_row_sq_norms(x)[mask.delta == 0].sum())
     d = x.shape[1]
     return float(ev[0]), kappa, d + kappa / c_lower * excluded
 

@@ -23,7 +23,7 @@ from .errors import (
     NotPowerOfTwo,
     RankDeficient,
 )
-from .linalg import _check_xy, as_matrix, as_vector, cholesky, gram, row_sq_norms
+from .linalg import _check_xy, _gram, _row_sq_norms, as_matrix, as_vector, cholesky
 
 __all__ = [
     "SketchKind",
@@ -348,7 +348,7 @@ def _sketcher(x, y, variant: str, m: int, rng: np.random.Generator | None):
     if variant == "leverage":
         if m < 1:
             raise BadSubsampleSize(f"sketch size must be >= 1, got {m}")
-        scores = leverage_scores(x)
+        scores = _leverage_scores(x)
         p = scores / scores.sum()
 
         def draw():
@@ -361,7 +361,7 @@ def _sketcher(x, y, variant: str, m: int, rng: np.random.Generator | None):
         scale = np.sqrt(n / m)
         return lambda: _rows(x, y, rng.choice(n, size=m, replace=False), scale)
     # deterministic: every draw is this pair
-    pair = _rows(x, y, aopt_select(x, m).indices, np.sqrt(n / m))
+    pair = _rows(x, y, _aopt_select(x, m).indices, np.sqrt(n / m))
     return lambda: pair
 
 
@@ -401,12 +401,16 @@ def leverage_scores(x) -> np.ndarray:
     :class:`RankDeficient` when X has fewer rows than columns or its Gram
     matrix is not positive definite.
     """
-    x = as_matrix(x)
+    return _leverage_scores(as_matrix(x))
+
+
+def _leverage_scores(x: np.ndarray) -> np.ndarray:
+    """:func:`leverage_scores` of a checked X."""
     n, d = x.shape
     if n < d:
         raise RankDeficient(f"need rows >= cols for leverage scores, got {n} x {d}")
     try:
-        fac = cholesky(gram(x))
+        fac = cholesky(_gram(x))
     except NotPositiveDefinite:
         raise RankDeficient("X does not have full column rank") from None
     inv_t = fac.inv_lower.T
@@ -438,7 +442,12 @@ def aopt_select(x, m: int) -> SubsampleMask:
     identical inputs always give identical masks regardless of thread count.
     Selection uses a partial partition (expected O(n)) rather than a full sort.
     """
-    sq = row_sq_norms(x)
+    return _aopt_select(as_matrix(x), m)
+
+
+def _aopt_select(x: np.ndarray, m: int) -> SubsampleMask:
+    """:func:`aopt_select` of a checked X."""
+    sq = _row_sq_norms(x)
     n = sq.size
     if not 1 <= m <= n:
         raise BadSubsampleSize(f"subsample size {m} not in 1..{n}")

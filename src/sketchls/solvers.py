@@ -43,16 +43,20 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     HypothesisViolated,
     NotPositiveDefinite,
     RankDeficient,
     ZeroDirection,
 )
-from .linalg import (_check_coef, _check_xy, as_matrix, as_vector, cholesky, gram,
+from .linalg import (_check_coef, _check_xy, _gram, as_matrix, as_vector, cholesky,
                      solve_spd, sym_eigvals)
-from .precond import build_m
-from .sketch import SketchKind, _sketcher, aopt_select
-from .sketch import draw_sketch  # noqa: F401 -- perfbench/tracer.py wraps it here
+from .precond import _build_m
+from .sketch import SketchKind, _aopt_select, _sketcher
+# perfbench/tracer.py wraps these names here; the solvers call their cores
+from .linalg import gram  # noqa: F401
+from .precond import build_m  # noqa: F401
+from .sketch import aopt_select, draw_sketch  # noqa: F401
 
 __all__ = [
     "METHODS",
@@ -180,8 +184,13 @@ def _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, run):
 
 def full_ls(x, y) -> np.ndarray:
     """Exact least-squares solution via Cholesky of the Gram matrix."""
-    x, y = _check_xy(x, y)
-    return solve_spd(cholesky(gram(x)), x.T @ y)
+    return _full_ls(*_check_xy(x, y))
+
+
+def _full_ls(x: np.ndarray, y: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+    """:func:`full_ls` of a checked ``(X, y)``, given X's Gram matrix ``q``
+    when it is already formed."""
+    return solve_spd(cholesky(_gram(x) if q is None else q), x.T @ y)
 
 
 def cs_estimate(sx, sy) -> np.ndarray:
@@ -191,7 +200,10 @@ def cs_estimate(sx, sy) -> np.ndarray:
 
 def hs_estimate(sx, xty) -> np.ndarray:
     """Hessian sketch: sketched Gram matrix against the exact gradient X^T y."""
-    return solve_spd(cholesky(gram(sx)), as_vector(xty))
+    sx, xty = as_matrix(sx), as_vector(xty)
+    if xty.size != sx.shape[1]:
+        raise DimensionMismatch(f"xty has length {xty.size}, sx has {sx.shape[1]} columns")
+    return solve_spd(cholesky(_gram(sx)), xty)
 
 
 def aopt_cs_estimate(x, y, m: int):
@@ -201,10 +213,14 @@ def aopt_cs_estimate(x, y, m: int):
     preconditioner from the same rows.  The 1/m sketch scaling cancels in the
     normal equations, so the fit runs on the raw selected rows.
     """
-    x, y = _check_xy(x, y)
-    mask = aopt_select(x, m)
+    return _aopt_cs_estimate(*_check_xy(x, y), m)
+
+
+def _aopt_cs_estimate(x: np.ndarray, y: np.ndarray, m: int):
+    """:func:`aopt_cs_estimate` of a checked ``(X, y)``."""
+    mask = _aopt_select(x, m)
     idx = mask.indices
-    return full_ls(x[idx], y[idx]), mask
+    return _full_ls(x[idx], y[idx]), mask
 
 
 def ihs_solve(
@@ -239,7 +255,7 @@ def ihs_solve(
         yield beta, None, "ok", resid
         while True:
             sx, _ = draw()
-            fac = cholesky(gram(sx))
+            fac = cholesky(_gram(sx))
             if sketches is not None:
                 sketches.append(sx)
             beta = beta + solve_spd(fac, x.T @ resid)
@@ -264,12 +280,13 @@ def closed_form_trajectory(x, y, beta0, sketches) -> np.ndarray:
     """
     x, y = _check_xy(x, y)
     beta0 = _check_coef(x, beta0, "beta0")
-    q = gram(x)
-    beta_ls = solve_spd(cholesky(q), x.T @ y)
     d = x.shape[1]
+    sketches = [_check_sketch(sx, d, f"sketches[{i}]") for i, sx in enumerate(sketches)]
+    q = _gram(x)
+    beta_ls = _full_ls(x, y, q)
     prod = np.eye(d)
     for sx in sketches:
-        a = solve_spd(cholesky(gram(sx)), q)
+        a = solve_spd(cholesky(_gram(sx)), q)
         prod = (np.eye(d) - a) @ prod
     return prod @ beta0 + (np.eye(d) - prod) @ beta_ls
 
@@ -281,9 +298,10 @@ def isometry_check(x, sx) -> IsometryReport:
     factorization (products with the inverse Cholesky factor of X^T X)
     and reports its eigenvalue defects around 1.
     """
-    sx = as_matrix(sx)
+    x = as_matrix(x)
+    sx = _check_sketch(sx, x.shape[1], "sx")
     try:
-        fac = cholesky(gram(x))
+        fac = cholesky(_gram(x))
     except NotPositiveDefinite:
         raise RankDeficient("X does not have full column rank") from None
     w = fac.inv_lower @ sx.T
@@ -298,6 +316,15 @@ def isometry_check(x, sx) -> IsometryReport:
         eps2=eps2,
         satisfies=bool(eps1 < 0.5 and eps2 < 1.0 - eps1),
     )
+
+
+def _check_sketch(sx, d: int, name: str) -> np.ndarray:
+    """A sketch ``name`` of an X with d columns: a finite float64 2-D array
+    with d columns."""
+    sx = as_matrix(sx)
+    if sx.shape[1] != d:
+        raise DimensionMismatch(f"{name} has {sx.shape[1]} columns, X has {d}")
+    return sx
 
 
 def contraction_bound(eps1: float, eps2: float, t: int, init_err: float) -> float:
@@ -331,9 +358,11 @@ def exact_alpha(v, u, p) -> float:
     1e-162), which signals that the gradient has vanished and the iterate is
     already optimal.
     """
-    v = as_vector(v)
-    u = as_vector(u)
-    p = as_vector(p)
+    return _exact_alpha(as_vector(v), as_vector(u), as_vector(p))
+
+
+def _exact_alpha(v: np.ndarray, u: np.ndarray, p: np.ndarray) -> float:
+    """:func:`exact_alpha` of checked vectors."""
     denom = float(p @ p)
     if denom <= 0.0:
         raise ZeroDirection("line-search direction is numerically zero")
@@ -352,7 +381,7 @@ def _descent(x, y, beta, apply_inv, tol):
         u = apply_inv(v)
         p = x @ u
         try:
-            alpha = exact_alpha(v, u, p)
+            alpha = _exact_alpha(v, u, p)
         except ZeroDirection:
             return "converged"
         done = tol > 0.0 and abs(alpha) * float(np.linalg.norm(u)) <= tol
@@ -403,8 +432,8 @@ def aopt_ihs_solve(
     """
 
     def run(x, y, beta0, beta_ls):
-        start, mask = aopt_cs_estimate(x, y, m)
-        return (yield from _descent(x, y, start, build_m(x, mask, lam).solve, tol))
+        start, mask = _aopt_cs_estimate(x, y, m)
+        return (yield from _descent(x, y, start, _build_m(x, mask, lam).solve, tol))
 
     return _iterate(x, y, None, beta_ls, n_iter, stop_at_dist, run)
 
@@ -416,7 +445,7 @@ def _as_kind(kind) -> SketchKind:
 
 def _sketch_factor(x, kind, rng):
     """Cholesky factor of the Gram matrix of one sketch of a checked X."""
-    return cholesky(gram(_sketcher(x, None, kind.variant, kind.m, rng)()[0]))
+    return cholesky(_gram(_sketcher(x, None, kind.variant, kind.m, rng)()[0]))
 
 
 def pw_gradient_solve(

@@ -238,9 +238,10 @@ class TestRunInitComparison:
         args = ([512], 4, 32, 4)
         kw = dict(reps=6, dist="normal", seed=3)
         before, _ = run_init_comparison(*args, **kw)
-        monkeypatch.setattr(
-            sketchls.bench, "leverage_sample", fail_on_call(sketchls.bench.leverage_sample, 2)
-        )
+        sketcher = sketchls.bench._sketcher
+        failing = fail_on_call(sketcher, 2)  # the third leverage sample
+        monkeypatch.setattr(sketchls.bench, "_sketcher", lambda x, y, variant, *rest: (
+            failing if variant == "leverage" else sketcher)(x, y, variant, *rest))
         after, meta = run_init_comparison(*args, **kw)
         assert meta["failures"][(512, "lev-cs")] == 1
         assert [r for r in after if r["estimator"] != "lev-cs"] == [
@@ -339,7 +340,7 @@ class TestRunRidgeAblation:
     def test_setup_error_fails_every_variant_of_one_replication(self, monkeypatch):
         cfg = small_cfg(reps=3, n_iter=4)
         monkeypatch.setattr(
-            sketchls.bench, "aopt_cs_estimate", fail_on_call(sketchls.bench.aopt_cs_estimate, 1)
+            sketchls.bench, "_aopt_cs_estimate", fail_on_call(sketchls.bench._aopt_cs_estimate, 1)
         )
         rows, meta = run_ridge_ablation(cfg)
         assert meta["failures"] == {"ridged": 1, "raw": 1, "identity": 1}
@@ -458,8 +459,8 @@ class TestKeysCheckedUpFront:
 @pytest.mark.parametrize("run", [run_convergence, run_time_to_precision])
 def test_ridge_weight_resolved_only_for_a_method_that_reads_it(run, monkeypatch):
     resolved = []
-    resolve = LambdaRule.resolve
-    monkeypatch.setattr(LambdaRule, "resolve",
+    resolve = LambdaRule._resolve
+    monkeypatch.setattr(LambdaRule, "_resolve",
                         lambda rule, x: resolved.append(rule) or resolve(rule, x))
     run(small_cfg(methods=("ihs", "pw-gradient"), reps=2, n_iter=2))
     assert resolved == []
@@ -472,8 +473,8 @@ def test_aopt_for_all_forms_the_shared_start_only_for_a_method_that_reads_it(
         methods, calls, monkeypatch):
     # aopt-ihs forms its own start and reads no beta0
     made = []
-    estimate = sketchls.bench.aopt_cs_estimate
-    monkeypatch.setattr(sketchls.bench, "aopt_cs_estimate",
+    estimate = sketchls.bench._aopt_cs_estimate
+    monkeypatch.setattr(sketchls.bench, "_aopt_cs_estimate",
                         lambda *args: made.append(None) or estimate(*args))
     run_convergence(small_cfg(methods=methods, init_policy="aopt-for-all", reps=3, n_iter=2))
     assert len(made) == calls

@@ -17,8 +17,10 @@ from sketchls import (
     DataSpec,
     DimensionMismatch,
     HypothesisViolated,
+    LambdaRule,
     RankDeficient,
     SketchKind,
+    SubsampleMask,
     acc_ihs_solve,
     aopt_cs_estimate,
     aopt_ihs_solve,
@@ -32,12 +34,17 @@ from sketchls import (
     derive_rng,
     draw_sketch,
     full_ls,
+    gen_response,
+    gram,
     hs_covariance_trace_bound,
+    hs_estimate,
     ihs_solve,
     isometry_check,
     leverage_sample,
+    leverage_scores,
     preconditioned_descent,
     pw_gradient_solve,
+    row_sq_norms,
     srht_apply,
     trace_inverse_bound,
     uniform_sample,
@@ -63,8 +70,8 @@ def no_numerics(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("numerical work before the input check")
 
-    for name in ("draw_sketch", "_sketcher", "aopt_cs_estimate", "gram", "cholesky",
-                 "build_m"):
+    for name in ("draw_sketch", "_sketcher", "aopt_cs_estimate", "_aopt_cs_estimate", "gram",
+                 "_gram", "cholesky", "build_m", "_build_m"):
         monkeypatch.setattr(sketchls.solvers, name, forbidden)
 
 
@@ -189,14 +196,34 @@ def test_absent_beta0_is_the_zero_start(xy):
 
 SCAN_N, SCAN_D, SCAN_M = 512, 5, 64
 SCAN_SRHT = SketchKind("srht", SCAN_M)
+#: the first SCAN_M rows, a mask made without reading X
+SCAN_MASK = SubsampleMask(np.arange(SCAN_N) < SCAN_M, SCAN_M)
 
-#: full checks of X (as_matrix on an X-shaped array) per call
+#: full checks of X (as_matrix on an X-shaped array) per call: one per public
+#: entry, whatever it calls inside
 X_SCANS = {
-    "aopt_ihs_solve": (4, lambda x, y: aopt_ihs_solve(x, y, SCAN_M, 3, 0.1)),
-    "aopt_cs_estimate": (2, lambda x, y: aopt_cs_estimate(x, y, SCAN_M)),
+    "aopt_ihs_solve": (1, lambda x, y: aopt_ihs_solve(x, y, SCAN_M, 3, 0.1)),
+    "aopt_cs_estimate": (1, lambda x, y: aopt_cs_estimate(x, y, SCAN_M)),
     "aopt_select": (1, lambda x, y: aopt_select(x, SCAN_M)),
-    "closed_form_trajectory": (2, lambda x, y: closed_form_trajectory(
+    "closed_form_trajectory": (1, lambda x, y: closed_form_trajectory(
         x, y, np.zeros(SCAN_D), [x[:SCAN_M], x[SCAN_M : 2 * SCAN_M]])),
+    "full_ls": (1, lambda x, y: full_ls(x, y)),
+    "gen_response": (1, lambda x, y: gen_response(x, np.ones(SCAN_D), 1.0, derive_rng(1))),
+    "gram": (1, lambda x, y: gram(x)),
+    "row_sq_norms": (1, lambda x, y: row_sq_norms(x)),
+    "leverage_scores": (1, lambda x, y: leverage_scores(x)),
+    "leverage_sample": (1, lambda x, y: leverage_sample(x, y, SCAN_M, derive_rng(1))),
+    "srht_apply": (1, lambda x, y: srht_apply(x, y, SCAN_M, derive_rng(1))),
+    **{
+        f"draw_sketch-{variant}": (1, lambda x, y, v=variant: draw_sketch(
+            x, y, SketchKind(v, SCAN_M), derive_rng(1)))
+        for variant in ("srht", "leverage", "uniform", "aopt")
+    },
+    "build_m": (1, lambda x, y: build_m(x, SCAN_MASK, 0.1)),
+    "LambdaRule.resolve": (1, lambda x, y: LambdaRule("concentrated").resolve(x)),
+    "trace_inverse_bound": (1, lambda x, y: trace_inverse_bound(x, SCAN_MASK, 1.0)),
+    "hs_covariance_trace_bound": (1, lambda x, y: hs_covariance_trace_bound(
+        x, SCAN_MASK, 1.0)),
     "ihs_solve-1-iter": (1, lambda x, y: ihs_solve(x, y, SCAN_SRHT, 1, derive_rng(1))),
     "ihs_solve-5-iter": (1, lambda x, y: ihs_solve(x, y, SCAN_SRHT, 5, derive_rng(1))),
     "pw_gradient_solve": (1, lambda x, y: pw_gradient_solve(x, y, SCAN_SRHT, 3, derive_rng(1))),
@@ -204,12 +231,12 @@ X_SCANS = {
     "preconditioned_descent": (1, lambda x, y: preconditioned_descent(
         x, y, None, lambda v: v, 3)),
     "isometry_check": (1, lambda x, y: isometry_check(x, x[:SCAN_M])),
-    # each kind's per-solve work (leverage scores: a check and a Gram matrix;
-    # the largest-norm rows: one check) is done once, not at every iteration
+    # each kind's per-solve work (leverage scores, the largest-norm rows)
+    # reads the X the solver checked
     **{
-        f"ihs_solve-{variant}-{n_iter}-iter": (scans, lambda x, y, v=variant, t=n_iter: ihs_solve(
+        f"ihs_solve-{variant}-{n_iter}-iter": (1, lambda x, y, v=variant, t=n_iter: ihs_solve(
             x, y, SketchKind(v, SCAN_M), t, derive_rng(1)))
-        for variant, scans in (("leverage", 3), ("uniform", 1), ("aopt", 2))
+        for variant in ("leverage", "uniform", "aopt")
         for n_iter in (1, 5)
     },
 }
@@ -217,8 +244,8 @@ X_SCANS = {
 
 @pytest.mark.parametrize("entry", sorted(X_SCANS))
 def test_x_scans_per_call(entry, monkeypatch):
-    # aopt_ihs_solve used to check X 6 times, closed_form_trajectory 4, and
-    # pw_gradient_solve and acc_ihs_solve twice (their sketch checked X again)
+    # aopt_ihs_solve used to check X 6 times, then 4; closed_form_trajectory
+    # 4, then 2; trace_inverse_bound 3; ihs_solve 3 times with a leverage kind
     rng = np.random.default_rng(2)
     x, y = rng.standard_normal((SCAN_N, SCAN_D)), rng.standard_normal(SCAN_N)
     real, scans = sketchls.linalg.as_matrix, []
@@ -290,4 +317,24 @@ def _rank_deficient_x():
 def test_bad_argument_error_names_it(call, error, message):
     with pytest.raises(error) as exc:
         call()
+    assert str(exc.value) == message
+
+
+def _x64x5():
+    rng = np.random.default_rng(3)
+    return rng.standard_normal((64, 5)), rng.standard_normal(64)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda x, y: isometry_check(x, x[:20, :4]), "sx has 4 columns, X has 5",
+                 id="isometry_check"),
+    pytest.param(lambda x, y: closed_form_trajectory(x, y, np.zeros(5), [x[:20], x[:20, :4]]),
+                 "sketches[1] has 4 columns, X has 5", id="closed_form_trajectory"),
+    pytest.param(lambda x, y: hs_estimate(x[:20, :4], x.T @ y),
+                 "xty has length 5, sx has 4 columns", id="hs_estimate"),
+])
+def test_sketch_of_the_wrong_width_named(call, message):
+    # these used to fail in numpy's matmul or with the factor's dimension
+    with pytest.raises(DimensionMismatch) as exc:
+        call(*_x64x5())
     assert str(exc.value) == message

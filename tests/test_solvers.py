@@ -618,7 +618,7 @@ def test_frozen_sketch_is_the_first_draw_of_the_stream(solve, monkeypatch):
         grams.append(a)
         return gram(a)
 
-    monkeypatch.setattr(sketchls.solvers, "gram", recording)
+    monkeypatch.setattr(sketchls.solvers, "_gram", recording)
     rng, stream = derive_rng(7), derive_rng(7)
     solve(ds.x, ds.y, kind, 3, rng)
     ref = draw_sketch(ds.x, ds.y, kind, stream)[0]
@@ -723,6 +723,14 @@ class TestRunEnds:
         monkeypatch.setattr(sketchls.solvers, "solve_spd",
                             lambda fac, b: np.full_like(b, np.nan))
         trace = RANDOMIZED[name](x, y, SketchKind("srht", 32), 5, derive_rng(1))
+        assert (trace.status, trace.iterations) == ("diverge", 1)
+        assert np.isnan(trace.betas[-1]).all() and np.isnan(trace.objective[-1])
+
+    def test_nan_direction_of_descent_diverges(self):
+        # the exact step used to check its vectors and raise ValueError
+        x, _, _ = exact_integer_fit()
+        y = np.random.default_rng(5).standard_normal(64)
+        trace = preconditioned_descent(x, y, None, lambda v: np.full_like(v, np.nan), 5)
         assert (trace.status, trace.iterations) == ("diverge", 1)
         assert np.isnan(trace.betas[-1]).all() and np.isnan(trace.objective[-1])
 
