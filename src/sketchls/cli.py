@@ -20,13 +20,13 @@ stderr with an ``error:`` prefix and a non-zero exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 import time
 from dataclasses import MISSING, asdict, fields
 from itertools import zip_longest
@@ -45,12 +45,13 @@ from .bench import (
     run_ridge_ablation,
     run_time_to_precision,
 )
-from .datagen import DISTRIBUTIONS, DataSpec, center, make_dataset
+from .datagen import DISTRIBUTIONS, DataSpec, _center, make_dataset
 from .errors import ConfigError, ParseError, SketchlsError
+from .linalg import _check_xy
 from .precond import LambdaRule
 from .sketch import _next_pow2, derive_rng
 from .solvers import METHODS as SOLVERS
-from .solvers import SolveTrace, full_ls
+from .solvers import SolveTrace, _full_ls
 
 PRNG_ALGORITHM = "numpy-pcg64"
 
@@ -99,31 +100,39 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file + rename so readers never see a partial file."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A text handle on a new file beside ``path``, which replaces ``path``
+    when the block ends and is removed on an error, so readers never see a
+    partial file.  Its mode is that of a plain ``open``: 0o666 less the umask."""
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{secrets.token_hex(8)}.part")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
+
+
+def _atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through :func:`_atomic_open`."""
+    with _atomic_open(path) as handle:
+        handle.write(text)
 
 
 def _write_outputs(out: str, tables: dict, manifest: str, command: str, config: dict,
                    started: float, extra=None) -> None:
     """Write each ``{file: (header, rows)}`` table as an RFC 4180 CSV into
-    ``out`` (created when missing), then the manifest file ``manifest``."""
+    ``out`` (created when missing), then the manifest file ``manifest``.
+    Each row is a sequence in header order, written as it is read."""
     os.makedirs(out, exist_ok=True)
     for name, (header, rows) in tables.items():
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(row[key]) for key in header] for row in rows)
-        _atomic_write_text(os.path.join(out, name), buf.getvalue())
+        with _atomic_open(os.path.join(out, name)) as handle:
+            writer = csv.writer(handle, lineterminator="\r\n")
+            writer.writerow(header)
+            writer.writerows(map(_fmt, row) for row in rows)
     record = {
         "command": command,
         "config": config,
@@ -236,11 +245,11 @@ def cmd_gen(args) -> int:
     started = time.time()
     spec = DataSpec(args.dist, args.n, args.d, args.seed, args.sigma_noise)
     ds = make_dataset(spec)
-    columns = [f"x{j}" for j in range(ds.x.shape[1])]
+    # one row of Python floats at a time
     tables = {
-        "X.csv": (columns, [dict(zip(columns, row)) for row in ds.x.tolist()]),
-        "y.csv": (["y"], [{"y": v} for v in ds.y.tolist()]),
-        "beta_star.csv": (["beta_star"], [{"beta_star": v} for v in ds.beta_star.tolist()]),
+        "X.csv": ([f"x{j}" for j in range(spec.d)], map(np.ndarray.tolist, ds.x)),
+        "y.csv": (["y"], map(np.ndarray.tolist, ds.y[:, None])),
+        "beta_star.csv": (["beta_star"], map(np.ndarray.tolist, ds.beta_star[:, None])),
     }
     _write_outputs(args.out_dir, tables, "gen_manifest.json", "gen", asdict(spec), started)
     return 0
@@ -274,19 +283,21 @@ def cmd_solve(args) -> int:
     rows = x.shape[0] if method == "aopt-ihs" else _next_pow2(x.shape[0])
     if method != "full" and args.m > rows:
         raise ConfigError("--m", f"--m must be <= {rows} for method {method!r}, got {args.m}")
+    # X is checked once after centering and scaling, and once by the solve
     if not args.no_center:
-        x, y = center(x, y)
+        x, y = _center(x, y)
     if args.scale:
         stds = x.std(axis=0)
         flat = np.flatnonzero(stds == 0.0)
         if flat.size:
             raise ParseError(f"{args.x}: column {flat[0] + 1} is constant, cannot scale")
         x = x / stds
-    beta_ls = full_ls(x, y)
+    x, y = _check_xy(x, y)
+    beta_ls = _full_ls(x, y)
 
     entry = SOLVERS.get(method)  # None for the full solve, which reads no setting
     reads = entry.reads if entry else ()
-    ridge_weight = rule.resolve(x) if "lam" in reads else None
+    ridge_weight = rule._resolve(x) if "lam" in reads else None
     if entry is None:
         trace = SolveTrace(betas=[beta_ls], dist_to_ls=[0.0],
                            objective=[0.5 * float(((x @ beta_ls - y) ** 2).sum())])
@@ -295,14 +306,11 @@ def cmd_solve(args) -> int:
         trace = entry.solve(x, y, args.m, args.n_iter, beta_ls=beta_ls, **settings)
 
     # alphas[t - 1] is the step to iterate t; unit-step methods record none
-    trace_rows = [
-        {"iter": it, "alpha": alpha, "objective": trace.objective[it],
-         "dist_to_ls": trace.dist_to_ls[it]}
-        for it, alpha in zip_longest(range(len(trace.betas)), [None, *trace.alphas])
-    ]
+    trace_rows = [(it, alpha, trace.objective[it], trace.dist_to_ls[it])
+                  for it, alpha in zip_longest(range(len(trace.betas)), [None, *trace.alphas])]
     tables = {
         "trace.csv": (["iter", "alpha", "objective", "dist_to_ls"], trace_rows),
-        "beta.csv": (["beta"], [{"beta": v} for v in trace.final.tolist()]),
+        "beta.csv": (["beta"], map(np.ndarray.tolist, trace.final[:, None])),
     }
     # the manifest records the flags the method reads, and its ridge weight
     config = {"x": args.x, "y": args.y, "method": method}
@@ -438,7 +446,8 @@ def cmd_bench(args) -> int:
     if "failures" in meta:  # init counts them by (n, estimator), keyed n/estimator here
         meta["failures"] = {"/".join(map(str, key)) if isinstance(key, tuple) else key: count
                             for key, count in meta["failures"].items()}
-    _write_outputs(args.out_dir, {name: (header, rows)},
+    table = (header, ([row[key] for key in header] for row in rows))
+    _write_outputs(args.out_dir, {name: table},
                    f"bench_{exp.replace('-', '_')}_manifest.json", f"bench {exp}",
                    config, started,
                    {"unread": sorted(set(values) - set(keys)), "threads": args.threads,

@@ -126,7 +126,11 @@ def gen_response(x, beta_star, sigma: float, rng: np.random.Generator) -> np.nda
 def center(x, y):
     """Subtract column means from X and the mean from y (removes the
     intercept).  Idempotent."""
-    x, y = _check_xy(x, y)
+    return _center(*_check_xy(x, y))
+
+
+def _center(x: np.ndarray, y: np.ndarray):
+    """:func:`center` of a checked ``(X, y)``."""
     if x.shape[0] < 2:
         raise ValueError("centering needs at least two rows")
     return x - x.mean(axis=0), y - y.mean()

@@ -149,12 +149,12 @@ def _plan_rows(n: int, rows: np.ndarray):
     :func:`_factors` and, for the kept-row stage, the rows sorted by high
     index, the group bounds, and each sorted row's rows of the two Sylvester
     blocks whose Kronecker product is the low part, H_lo = H_q (x) H_r with
-    q = min(lo, 128) (None on the all-dense path).  One plan serves every
-    panel."""
+    q = min(lo, 128) (None on the all-dense path, whose factors multiply to
+    n).  One plan serves every panel."""
     factors = _factors(n, rows.size)
-    if rows.size * _SPARSE >= n:
-        return factors, None
     lo = n // math.prod(factors)
+    if lo == 1:
+        return factors, None
     groups, low = np.divmod(rows, lo)
     order = np.argsort(groups, kind="stable")
     bounds = np.searchsorted(groups[order], np.arange(n // lo + 1))
@@ -175,39 +175,26 @@ def _workspace(n: int, k: int, factors: list):
     return bufs, bufs[1] if len(bufs) > 1 else np.empty(min(n, _CHUNK) * k)
 
 
-def _slabs(v: np.ndarray, s: int, count: int, t: int) -> np.ndarray:
-    """Read-only view of rows i * s .. i * s + t of ``v`` for i < count,
-    shaped (count, t, ...)."""
-    return np.lib.stride_tricks.as_strided(
-        v, (count, t, *v.shape[1:]), (s * v.strides[0], *v.strides), writeable=False)
-
-
 def _fill(out: np.ndarray, s: int, r0: int, x, y, signs) -> None:
     """Write the rows i * s + r0 .. i * s + r0 + t of the padded panel D [x | y]
     into out[i] for each slab i, (f, t, k) = out.shape.  D is the diagonal
     of ``signs`` (one per padded row), y (None for none) is the last column
-    when given, and rows at or past x's row count are zero."""
-    f, t, _ = out.shape
+    when given, and rows at or past x's row count are zero.  The complete
+    slabs of x, y and the signs are reshape views of their first full * s
+    rows; the partial slab of the last rem rows is one more product."""
+    t = out.shape[1]
     n, xc = x.shape
-    if s == t:  # the slabs tile the padded panel (n_pad <= 4096): fill it whole
-        panel = out.reshape(f * t, -1)
-        np.multiply(x, signs[:n, None], out=panel[:n, :xc])
-        if y is not None:
-            np.multiply(y, signs[:n], out=panel[:n, xc])
-        panel[n:] = 0.0
-        return
-    full = min(f, max(0, (n - r0 - t) // s + 1))  # slabs with all t rows in x
-    part = min(t, n - full * s - r0) if full < f else 0
+    full, rem = divmod(n, s)
     out[full:] = 0.0
-    for i, count, rows in ((0, full, t), (full, 1, part)):
-        if count == 0 or rows <= 0:
-            continue
-        first = i * s + r0
-        sign = _slabs(signs[first:], s, count, rows)
-        dst = out[i : i + count, :rows]
-        np.multiply(_slabs(x[first:], s, count, rows), sign[..., None], out=dst[..., :xc])
+    # the complete slabs, then the partial one when this chunk reaches it
+    for i, count, size in ((0, full, s), (full, 1, rem))[: 1 + (rem > r0)]:
+        rows = slice(i * s, i * s + count * size)
+        sign = signs[rows].reshape(count, size)[:, r0 : r0 + t]
+        dst = out[i : i + count, : sign.shape[1]]
+        np.multiply(x[rows].reshape(count, size, xc)[:, r0 : r0 + t], sign[..., None],
+                    out=dst[..., :xc])
         if y is not None:
-            np.multiply(_slabs(y[first:], s, count, rows), sign, out=dst[..., xc])
+            np.multiply(y[rows].reshape(count, size)[:, r0 : r0 + t], sign, out=dst[..., xc])
 
 
 def _transform(x, y, signs: np.ndarray, rows: np.ndarray, plan, work) -> np.ndarray:
@@ -218,9 +205,10 @@ def _transform(x, y, signs: np.ndarray, rows: np.ndarray, plan, work) -> np.ndar
 
     H_n is a Kronecker product of Sylvester factors of at most 128, each
     applied as one batched dense product (BLAS-3).  The first factor H_f
-    reads A in chunks, min(n, 4096) / f rows of each of its f slabs of n / f
-    rows at a time, and writes into the first buffer, so A itself is never
-    formed; further factors ping-pong with the second buffer.  When fewer
+    (H_1 when n = 1) reads A in chunks, min(n, 4096) / f rows of each of its
+    f slabs of n / f rows at a time, and writes into the first buffer, so A
+    itself is never formed; further factors ping-pong with the second
+    buffer.  When fewer
     than n / 16 rows are wanted, the factors stop at a low part H_lo = H_q
     (x) H_r of lo rows, and each high-index group forms its kept rows from
     its lo x k block: one product with the group's rows of H_q, then the
@@ -231,17 +219,13 @@ def _transform(x, y, signs: np.ndarray, rows: np.ndarray, plan, work) -> np.ndar
     factors, kept = plan
     bufs, chunk = work
     src = bufs[0][: n * k].reshape(n, k)
-    if not factors:
-        _fill(src[None], n, 0, x, y, signs)
-    else:
-        f = factors[0]
-        s, t = n // f, min(n, _CHUNK) // f
-        step = chunk[: f * t * k].reshape(f, t, k)
-        wide = src.reshape(f, s * k)
-        for r0 in range(0, s, t):
-            _fill(step, s, r0, x, y, signs)
-            np.matmul(_HADAMARD[f], step.reshape(f, t * k), out=wide[:, r0 * k : (r0 + t) * k])
     pre = factors[0] if factors else 1
+    s, t = n // pre, min(n, _CHUNK) // pre
+    step = chunk[: pre * t * k].reshape(pre, t, k)
+    wide = src.reshape(pre, s * k)
+    for r0 in range(0, s, t):
+        _fill(step, s, r0, x, y, signs)
+        np.matmul(_HADAMARD[pre], step.reshape(pre, t * k), out=wide[:, r0 * k : (r0 + t) * k])
     dst = bufs[-1][: n * k].reshape(n, k)
     for f in factors[1:]:
         shape = (pre, f, n // (pre * f) * k)

@@ -1,8 +1,10 @@
 import csv
 import json
 import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +64,31 @@ def test_failed_atomic_write_leaves_the_target(tmp_path):
     assert os.listdir(tmp_path) == ["out.csv"]
 
 
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_outputs_get_the_permissions_of_a_plain_open(tmp_path, umask_022):
+    # the temporary file of each write used to keep mkstemp's 0o600
+    gen, solve, bench = tmp_path / "gen", tmp_path / "solve", tmp_path / "bench"
+    assert run_cli("gen", "--dist", "normal", "--n", "64", "--d", "3",
+                   "--out-dir", str(gen)) == 0
+    assert run_cli("solve", "--x", str(gen / "X.csv"), "--y", str(gen / "y.csv"),
+                   "--method", "ihs", "--m", "16", "--n-iter", "2", "--out-dir", str(solve)) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dist": "normal", "n": 64, "d": 3, "m": 16, "reps": 2,
+                               "variants": ["identity"]}))
+    assert run_cli("bench", "delta", "--config", str(cfg), "--out-dir", str(bench)) == 0
+    for out in (gen / "X.csv", gen / "gen_manifest.json", solve / "trace.csv",
+                solve / "solve_manifest.json", bench / "delta.csv",
+                bench / "bench_delta_manifest.json"):
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644, out
+    assert sorted(os.listdir(bench)) == ["bench_delta_manifest.json", "delta.csv"]
+
+
 class TestGen:
     def test_shapes_and_schema(self, tmp_path):
         out = tmp_path / "g"
@@ -94,6 +121,19 @@ class TestGen:
                        "--seed", "-1", "--out-dir", str(out)) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
+
+    def test_x_is_written_a_row_at_a_time(self, tmp_path):
+        # X.csv used to be formatted whole in memory: a peak of 13.9 times
+        # the bytes of X at this size
+        n, d = 1 << 14, 50
+        tracemalloc.start()
+        try:
+            assert run_cli("gen", "--dist", "normal", "--n", str(n), "--d", str(d),
+                           "--out-dir", str(tmp_path)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * d * 8
 
     def test_invalid_distribution_flag(self, tmp_path):
         proc = subprocess.run(

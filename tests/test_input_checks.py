@@ -49,6 +49,7 @@ from sketchls import (
     trace_inverse_bound,
     uniform_sample,
 )
+from sketchls.cli import main
 from sketchls.linalg import as_vector
 from sketchls.solvers import METHODS
 
@@ -242,25 +243,56 @@ X_SCANS = {
 }
 
 
-@pytest.mark.parametrize("entry", sorted(X_SCANS))
-def test_x_scans_per_call(entry, monkeypatch):
-    # aopt_ihs_solve used to check X 6 times, then 4; closed_form_trajectory
-    # 4, then 2; trace_inverse_bound 3; ihs_solve 3 times with a leverage kind
+#: full checks of X per ``sketchls solve`` run: one after centering and
+#: scaling, and the solve's own
+SOLVE_SCANS = {"full": 1, **{method: 2 for method in METHODS}}
+
+
+def scan_data():
     rng = np.random.default_rng(2)
-    x, y = rng.standard_normal((SCAN_N, SCAN_D)), rng.standard_normal(SCAN_N)
+    return rng.standard_normal((SCAN_N, SCAN_D)), rng.standard_normal(SCAN_N)
+
+
+def count_scans(monkeypatch) -> list:
+    """The list that each full check of an X-shaped array appends to."""
     real, scans = sketchls.linalg.as_matrix, []
 
     def counting(a, *args, **kwargs):
-        if np.shape(a) == x.shape:
+        if np.shape(a) == (SCAN_N, SCAN_D):
             scans.append(a)
         return real(a, *args, **kwargs)
 
     for module in (sketchls.linalg, sketchls.sketch, sketchls.solvers, sketchls.precond,
                    sketchls.datagen):
         monkeypatch.setattr(module, "as_matrix", counting)
+    return scans
+
+
+@pytest.mark.parametrize("entry", sorted(X_SCANS))
+def test_x_scans_per_call(entry, monkeypatch):
+    # aopt_ihs_solve used to check X 6 times, then 4; closed_form_trajectory
+    # 4, then 2; trace_inverse_bound 3; ihs_solve 3 times with a leverage kind
+    x, y = scan_data()
+    scans = count_scans(monkeypatch)
     expected, call = X_SCANS[entry]
     call(x, y)
     assert len(scans) == expected
+
+
+@pytest.mark.parametrize("scale", [False, True])
+@pytest.mark.parametrize("method", sorted(SOLVE_SCANS))
+def test_x_scans_per_cli_solve(method, scale, tmp_path, monkeypatch):
+    # aopt-ihs used to check X 4 times, the other iterative methods 3 times
+    # and full twice
+    x, y = scan_data()
+    header = ",".join(f"x{j}" for j in range(SCAN_D))
+    np.savetxt(tmp_path / "X.csv", x, delimiter=",", header=header, comments="")
+    np.savetxt(tmp_path / "y.csv", y, header="y", comments="")
+    scans = count_scans(monkeypatch)
+    assert main(["solve", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "y.csv"),
+                 "--method", method, "--m", str(SCAN_M), "--n-iter", "3",
+                 "--out-dir", str(tmp_path / "out"), *(["--scale"] if scale else [])]) == 0
+    assert len(scans) == SOLVE_SCANS[method]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
