@@ -42,7 +42,7 @@ import numpy as np
 
 from .datagen import DataSpec, Dataset, make_dataset
 from .errors import EmptyInput, SketchlsError
-from .linalg import _gram, _row_sq_norms
+from .linalg import _gram, _row_sq_norms, _whole
 from .precond import LambdaRule, _build_m, delta_from_matrix, delta_measure
 from .sketch import _aopt_select, _sketcher, derive_rng
 from .solvers import METHODS as SOLVERS
@@ -97,7 +97,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_sizes(self.m, self.n_iter, self.reps, self.trim)
-        if self.iter_cap < 1:
+        if _whole(self.iter_cap, "iter_cap") < 1:
             raise ValueError(f"iter_cap must be >= 1, got {self.iter_cap}")
         if self.m > self.data.n:
             raise ValueError(f"m must lie in [1, n = {self.data.n}], got {self.m}")
@@ -109,10 +109,10 @@ class ExperimentConfig:
 
 
 def _check_sizes(m: int, n_iter: int, reps: int, trim: float, least_iter: int = 0):
-    """The size checks of every run: m and reps at least 1, n_iter at least
-    ``least_iter`` and a trim fraction in [0, 0.5)."""
+    """The size checks of every run: whole m and reps at least 1, a whole
+    n_iter at least ``least_iter`` and a trim fraction in [0, 0.5)."""
     for name, value, least in (("m", m, 1), ("n_iter", n_iter, least_iter), ("reps", reps, 1)):
-        if value < least:
+        if _whole(value, name) < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
     if not 0.0 <= trim < 0.5:
         raise ValueError("trim must lie in [0, 0.5)")

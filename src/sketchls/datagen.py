@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_coef, _check_xy, _gram, as_matrix
+from .linalg import _check_coef, _check_xy, _gram, _whole, as_matrix
 from .linalg import as_vector  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .sketch import derive_rng
 from .solvers import _full_ls
@@ -42,6 +42,8 @@ class DataSpec:
     def __post_init__(self):
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.dist!r}")
+        for name in ("n", "d", "seed"):
+            _whole(getattr(self, name), name)
         if not self.n >= self.d >= 1:
             raise ValueError(f"need n >= d >= 1, got n={self.n}, d={self.d}")
         if self.n < 2:

@@ -15,6 +15,7 @@ cores on arrays it has already checked, so each X is scanned once per entry.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,6 +83,16 @@ def _check_coef(x: np.ndarray, v, name: str) -> np.ndarray:
     if v.size != x.shape[1]:
         raise DimensionMismatch(f"{name} has length {v.size}, X has {x.shape[1]} columns")
     return v
+
+
+def _whole(value, name: str, error: type = ValueError) -> int:
+    """``value`` as an int when ``operator.index`` accepts it (an int or a
+    numpy integer, not 20.0 or 20.5), else ``error`` naming ``name``: the one
+    check of a size where it enters the library."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be a whole number, got {value!r}") from None
 
 
 def _require_symmetric(a: np.ndarray) -> None:

@@ -23,7 +23,8 @@ from .errors import (
     NotPowerOfTwo,
     RankDeficient,
 )
-from .linalg import _check_xy, _gram, _row_sq_norms, as_matrix, as_vector, cholesky
+from .linalg import (_check_xy, _gram, _row_sq_norms, _whole, as_matrix, as_vector,
+                     cholesky)
 
 __all__ = [
     "SketchKind",
@@ -60,7 +61,7 @@ class SketchKind:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown sketch variant {self.variant!r}")
-        if self.m < 1:
+        if _whole(self.m, "m", BadSubsampleSize) < 1:
             raise BadSubsampleSize(f"sketch size must be >= 1, got {self.m}")
 
 
@@ -320,7 +321,7 @@ def _sketcher(x, y, variant: str, m: int, rng: np.random.Generator | None):
     n, d = x.shape
     if variant == "srht":
         n_pad = _next_pow2(n)
-        if not 1 <= m <= n_pad:
+        if not 1 <= _whole(m, "sketch size", NotEnoughRows) <= n_pad:
             raise NotEnoughRows(f"sketch size {m} not in 1..{n_pad} (padded rows)")
         work = _workspace(n_pad, min(_PANEL, d + (y is not None)), _factors(n_pad, m))
 
@@ -330,7 +331,7 @@ def _sketcher(x, y, variant: str, m: int, rng: np.random.Generator | None):
             return _srht_from_parts(x, y, signs, rows, m, work)
         return draw
     if variant == "leverage":
-        if m < 1:
+        if _whole(m, "sketch size", BadSubsampleSize) < 1:
             raise BadSubsampleSize(f"sketch size must be >= 1, got {m}")
         scores = _leverage_scores(x)
         p = scores / scores.sum()
@@ -340,7 +341,7 @@ def _sketcher(x, y, variant: str, m: int, rng: np.random.Generator | None):
             return _rows(x, y, idx, 1.0 / np.sqrt(m * p[idx]))
         return draw
     if variant == "uniform":
-        if not 1 <= m <= n:
+        if not 1 <= _whole(m, "sketch size", NotEnoughRows) <= n:
             raise NotEnoughRows(f"sketch size {m} not in 1..{n}")
         scale = np.sqrt(n / m)
         return lambda: _rows(x, y, rng.choice(n, size=m, replace=False), scale)
@@ -431,10 +432,10 @@ def aopt_select(x, m: int) -> SubsampleMask:
 
 def _aopt_select(x: np.ndarray, m: int) -> SubsampleMask:
     """:func:`aopt_select` of a checked X."""
-    sq = _row_sq_norms(x)
-    n = sq.size
-    if not 1 <= m <= n:
+    n = x.shape[0]
+    if not 1 <= _whole(m, "subsample size", BadSubsampleSize) <= n:
         raise BadSubsampleSize(f"subsample size {m} not in 1..{n}")
+    sq = _row_sq_norms(x)
     if m == n:
         return SubsampleMask(np.ones(n, dtype=np.uint8), n)
     threshold = np.partition(sq, n - m)[n - m]

@@ -1,43 +1,38 @@
 """Least-squares estimators and iterative sketched solvers.
 
-The iterative schemes all minimize f(beta) = 0.5 * ||X beta - y||^2 and
-differ in how they precondition the gradient:
+The iterative schemes all minimize f(beta) = 0.5 * ||X beta - y||^2.  Each
+is a start (``beta0``, or for ``aopt-ihs`` the fit on the largest-norm
+rows), a source of the ``M_t^{-1}`` of each step t and a step rule:
 
-* :func:`ihs_solve` re-sketches the Gram matrix every iteration and takes
-  unit Newton-like steps;
-* :func:`pw_gradient_solve` freezes a single sketch (unit steps, may
-  diverge);
-* :func:`acc_ihs_solve` freezes a single sketch and runs preconditioned
-  conjugate gradient on the normal equations;
-* :func:`aopt_ihs_solve` initializes from the largest-norm rows, builds one
-  ridged preconditioner from the same rows, and takes exact-line-search
-  steps, which makes the objective sequence non-increasing by construction.
+* sources: a fresh sketch per step (``ihs``) or one frozen sketch
+  (``pw-gradient``, ``acc-ihs``), both from :func:`_sketch_inv`; the ridged
+  Gram matrix of the start's rows (``aopt-ihs``); a given ``apply_inv``
+  (:func:`preconditioned_descent`);
+* steps: the unit step :func:`_unit` (``ihs``, and ``pw-gradient`` with its
+  growth test as a status hook); the exact line search :func:`_descent`,
+  which never increases the objective; conjugate gradient :func:`_cg`.
 
 :data:`METHODS` maps each solver's name to the solver and the settings it
 reads; the benchmark harness and the CLI dispatch through it only, passing
 each solver only those.  A randomized solver's ``kind`` may be a row count
 m, for an SRHT of m rows, which is how the table calls it.
 
-Each method is a generator of its iterates, and all four run through one
-loop, :func:`_iterate`, which checks the inputs, times the method's setup,
-owns the trace and ends a run at the target or at a non-finite iterate.  A
-method does its setup, then yields each iterate with its residual
-``y - X beta``, so it owns the residual: a step that forms the image ``X u``
-of its direction carries ``r - alpha X u`` forward, and the others form
-``y - X beta``.  Every method reads X twice per iteration (``ihs`` also draws
-one sketch).
-
-Each solver returns a :class:`SolveTrace` holding the full iterate history,
-so correctness oracles (the closed-form trajectory, isometry reports, the
-geometric contraction bound) can audit a run after the fact.  Gradients and
-objective values are always computed against the unpadded data; zero padding
-exists only inside the SRHT.
+Every solve runs through one loop, :func:`_iterate`, which checks the
+inputs, times the setup, drives the step and ends a run at the target or at
+a non-finite iterate.  Its :class:`SolveTrace` holds the full iterate
+history, so correctness oracles (the closed-form trajectory, isometry
+reports, the contraction bound) can audit a run after the fact.  A step
+yields each iterate with its residual ``y - X beta``, carried forward as
+``r - alpha X u`` by a step that forms the image ``X u`` of its direction.
+Every step reads X twice.  Gradients and objective values are always
+computed against the unpadded data; zero padding exists only inside the SRHT.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -49,8 +44,8 @@ from .errors import (
     RankDeficient,
     ZeroDirection,
 )
-from .linalg import (_check_coef, _check_xy, _gram, as_matrix, as_vector, cholesky,
-                     solve_spd, sym_eigvals)
+from .linalg import (_check_coef, _check_xy, _gram, _whole, as_matrix, as_vector,
+                     cholesky, solve_spd, sym_eigvals)
 from .precond import _build_m
 from .sketch import SketchKind, _aopt_select, _sketcher
 # perfbench/tracer.py wraps these names here; the solvers call their cores
@@ -130,31 +125,35 @@ class IsometryReport:
     satisfies: bool
 
 
-def _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, run):
-    """The one entry and loop of the iterative solvers.  It checks ``(X, y)``,
-    ``beta0`` (zero when None) and ``beta_ls`` (None allowed), then drives the
-    generator ``run(x, y, beta0, beta_ls)``.
-
-    ``run`` does its setup and yields ``(beta, alpha, status, resid)`` for the
-    start and then for each step, with ``resid = y - X beta`` and ``alpha``
-    None for the start and for unit steps.  It returns a status to end the run
-    without a new iterate.  The loop records each yield: the iterate, its
-    objective ``0.5 r.r``, its distance to ``beta_ls`` and its step length.
-    It stops after ``n_iter`` steps (the start only when ``n_iter <= 0``), at
-    a yield whose status is not ``"ok"``, at the first iterate (the start
-    included) within ``stop_at_dist`` of ``beta_ls``, and as ``diverge`` at
-    the first with a non-finite objective, so numpy's overflow and invalid
-    warnings are off.  A :class:`NotPositiveDefinite` from the setup or step t
-    leaves with ``iteration`` 0 or t, named in its message.  The first yield
-    is timed as ``setup_seconds``, so that covers the setup and the start's
-    residual; each step's seconds cover its work and its recording.
+def _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup, step):
+    """The one entry and loop of the iterative solvers.  It checks
+    ``n_iter``, ``(X, y)``, ``beta0`` (zero when None) and ``beta_ls`` (None
+    allowed), then drives ``step(x, y, *setup(x, y, beta0, beta_ls))``:
+    ``setup`` does the one-time work and gives the start, the source and any
+    hook, and the step yields ``(beta, alpha, status, resid)`` for the start
+    and each step (``resid = y - X beta``, ``alpha`` None for the start and
+    unit steps) or returns a status to end without a new iterate.  The loop
+    records each iterate, its objective ``0.5 r.r``, its distance to
+    ``beta_ls`` and its step length.  It stops after ``n_iter`` steps (the
+    start only when ``n_iter <= 0``), at a status other than ``"ok"``, at the
+    first iterate (the start included) within ``stop_at_dist`` of
+    ``beta_ls``, and as ``diverge`` at the first with a non-finite objective,
+    so numpy's overflow and invalid warnings are off.  A
+    :class:`NotPositiveDefinite` from the setup or step t leaves with
+    ``iteration`` 0 or t, named in its message.  The first yield is timed as
+    ``setup_seconds``: the setup and the start's residual.
     """
+    n_iter = _whole(n_iter, "n_iter")
     x, y = _check_xy(x, y)
     beta0 = np.zeros(x.shape[1]) if beta0 is None else _check_coef(x, beta0, "beta0")
     beta_ls = None if beta_ls is None else _check_coef(x, beta_ls, "beta_ls")
     trace = SolveTrace(dist_to_ls=None if beta_ls is None else [])
     targeted = stop_at_dist > 0.0 and beta_ls is not None
-    iterates = run(x, y, beta0, beta_ls)
+
+    def run():
+        return (yield from step(x, y, *setup(x, y, beta0, beta_ls)))
+
+    iterates = run()
     for t in range(max(n_iter, 0) + 1):
         tic = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
@@ -180,6 +179,100 @@ def _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, run):
             break
     trace.setup_seconds = trace.elapsed.pop(0)
     return trace
+
+
+def _sketch_inv(x, kind, rng, fresh=False, record=None):
+    """The source ``v -> ((S X)' S X)^{-1} v`` of ``kind`` sketches S of a
+    checked X (a row count m is an SRHT of m rows), from one sketcher set up
+    here, where a bad ``m`` raises.  It draws and factors one frozen sketch
+    here, or with ``fresh`` a new one at each call (each step), and appends
+    each SX to ``record`` when that is a list."""
+    kind = kind if isinstance(kind, SketchKind) else SketchKind("srht", kind)
+    draw = _sketcher(x, None, kind.variant, kind.m, rng)
+
+    def factor():
+        sx = draw()[0]
+        if record is not None:
+            record.append(sx)
+        return cholesky(_gram(sx))
+
+    if fresh:
+        return lambda v: solve_spd(factor(), v)
+    fac = factor()  # the frozen source keeps the factor, not the sketch buffers
+    return lambda v: solve_spd(fac, v)
+
+
+def _unit(x, y, beta, inv, watch=None):
+    """The unit step ``beta + M_t^{-1} X' (y - X beta)``.  ``watch(beta,
+    resid)`` gives each iterate's status and the gradient if it formed it."""
+    resid = y - x @ beta
+    while True:
+        status, grad = ("ok", None) if watch is None else watch(beta, resid)
+        yield beta, None, status, resid
+        beta = beta + inv(x.T @ resid if grad is None else grad)
+        resid = y - x @ beta
+
+
+def _growth(x, y, beta_ls):
+    """:func:`pw_gradient_solve`'s growth test, as a status hook."""
+    floor = np.sqrt(np.finfo(float).eps) * np.linalg.norm(x.T @ y if beta_ls is None else beta_ls)
+    best = [np.inf]  # the least error so far
+
+    def watch(beta, resid):
+        grad = None if beta_ls is not None else x.T @ resid
+        err = float(np.linalg.norm(beta - beta_ls if grad is None else grad))
+        status = "diverge" if err > max(DIVERGENCE_GROWTH * best[0], floor) else "ok"
+        best[0] = min(best[0], err)
+        return status, grad
+
+    return watch
+
+
+def _descent(x, y, beta, inv, tol):
+    """The exact line-search step along ``u = M_t^{-1} X' r``, whose image
+    ``X u`` also gives the next residual.  A vanished direction ends the run
+    as ``converged``, as does a step that moves beta by at most ``tol`` > 0."""
+    resid = y - x @ beta
+    yield beta, None, "ok", resid
+    while True:
+        v = x.T @ resid
+        u = inv(v)
+        p = x @ u
+        try:
+            alpha = _exact_alpha(v, u, p)
+        except ZeroDirection:
+            return "converged"
+        done = tol > 0.0 and abs(alpha) * float(np.linalg.norm(u)) <= tol
+        beta = beta + alpha * u
+        resid = resid - alpha * p
+        yield beta, alpha, "converged" if done else "ok", resid
+
+
+def _cg(x, y, beta, inv):
+    """Preconditioned conjugate gradient on the normal equations, for a
+    frozen source: the gradient is updated recursively, and ``X p`` also
+    updates the residual.  A curvature <= 0 ends the run as ``converged``."""
+    resid = y - x @ beta
+    yield beta, None, "ok", resid
+    r = x.T @ resid  # later gradients are updated recursively
+    p = inv(r)
+    rz = float(r @ p)
+    while True:
+        if rz <= 0.0:
+            return "converged"
+        xp = x @ p
+        w = x.T @ xp
+        pw = float(p @ w)
+        if pw <= 0.0:
+            return "converged"
+        alpha = rz / pw
+        r_next = r - alpha * w
+        z_next = inv(r_next)
+        mix = float(z_next @ (r_next - r)) / rz
+        beta = beta + alpha * p
+        resid = resid - alpha * xp
+        r, rz, p = r_next, float(r_next @ z_next), z_next + mix * p
+        yield beta, alpha, "ok", resid
 
 
 def full_ls(x, y) -> np.ndarray:
@@ -240,29 +333,13 @@ def ihs_solve(
     Newton-like update ``beta += ((S_t X)^T S_t X)^{-1} X^T (y - X beta)``.
     The default initializer is the zero vector.  With ``record_sketches``
     the sketched matrices are attached to the trace (``trace.sketches``) for
-    the closed-form oracle.  The sketches are of X alone, drawn on ``rng`` as
-    successive :func:`draw_sketch` calls draw them, from one sketcher set up
-    when the solve starts, where a bad ``m`` raises.  Without y's column an
-    SRHT's panels are one column narrower, so its SX can differ from
-    :func:`draw_sketch`'s in the last bits.
+    the closed-form oracle.  The sketches are of X alone, drawn on ``rng``
+    as successive :func:`draw_sketch` calls draw them; without y's column an
+    SRHT's SX can differ from :func:`draw_sketch`'s in the last bits.
     """
-    kind = _as_kind(kind)
     sketches = [] if record_sketches else None
-
-    def run(x, y, beta, beta_ls):
-        draw = _sketcher(x, None, kind.variant, kind.m, rng)
-        resid = y - x @ beta
-        yield beta, None, "ok", resid
-        while True:
-            sx, _ = draw()
-            fac = cholesky(_gram(sx))
-            if sketches is not None:
-                sketches.append(sx)
-            beta = beta + solve_spd(fac, x.T @ resid)
-            resid = y - x @ beta
-            yield beta, None, "ok", resid
-
-    trace = _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, run)
+    setup = lambda x, y, beta0, beta_ls: (beta0, _sketch_inv(x, kind, rng, True, sketches))
+    trace = _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup, _unit)
     trace.sketches = sketches
     return trace
 
@@ -369,27 +446,6 @@ def _exact_alpha(v: np.ndarray, u: np.ndarray, p: np.ndarray) -> float:
     return float(v @ u) / denom
 
 
-def _descent(x, y, beta, apply_inv, tol):
-    """The iterates of :func:`preconditioned_descent` and
-    :func:`aopt_ihs_solve` on a checked ``(X, y)``: each step reads X twice,
-    for the gradient and for the image ``p = X u`` that gives both the step
-    length and the next residual."""
-    resid = y - x @ beta
-    yield beta, None, "ok", resid
-    while True:
-        v = x.T @ resid
-        u = apply_inv(v)
-        p = x @ u
-        try:
-            alpha = _exact_alpha(v, u, p)
-        except ZeroDirection:
-            return "converged"
-        done = tol > 0.0 and abs(alpha) * float(np.linalg.norm(u)) <= tol
-        beta = beta + alpha * u
-        resid = resid - alpha * p
-        yield beta, alpha, "converged" if done else "ok", resid
-
-
 def preconditioned_descent(
     x,
     y,
@@ -407,8 +463,8 @@ def preconditioned_descent(
     a fixed point).  When ``tol`` > 0 the run also stops once the iterate
     moves by at most ``tol`` in Euclidean norm.
     """
-    return _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist,
-                    lambda x, y, beta0, beta_ls: _descent(x, y, beta0, apply_inv, tol))
+    setup = lambda x, y, beta0, beta_ls: (beta0, apply_inv)
+    return _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup, partial(_descent, tol=tol))
 
 
 def aopt_ihs_solve(
@@ -431,21 +487,11 @@ def aopt_ihs_solve(
     on the iterate displacement (0 disables it).
     """
 
-    def run(x, y, beta0, beta_ls):
+    def setup(x, y, beta0, beta_ls):
         start, mask = _aopt_cs_estimate(x, y, m)
-        return (yield from _descent(x, y, start, _build_m(x, mask, lam).solve, tol))
+        return start, _build_m(x, mask, lam).solve
 
-    return _iterate(x, y, None, beta_ls, n_iter, stop_at_dist, run)
-
-
-def _as_kind(kind) -> SketchKind:
-    """``kind``, or an SRHT of ``kind`` rows when it is a row count."""
-    return kind if isinstance(kind, SketchKind) else SketchKind("srht", kind)
-
-
-def _sketch_factor(x, kind, rng):
-    """Cholesky factor of the Gram matrix of one sketch of a checked X."""
-    return cholesky(_gram(_sketcher(x, None, kind.variant, kind.m, rng)()[0]))
+    return _iterate(x, y, None, beta_ls, n_iter, stop_at_dist, setup, partial(_descent, tol=tol))
 
 
 def pw_gradient_solve(
@@ -463,29 +509,12 @@ def pw_gradient_solve(
     Convergence is not guaranteed: when the error grows by 10x over the best
     seen so far, the run stops with status ``diverge`` instead of crashing.
     The error metric is the distance to the exact solution when available,
-    the gradient norm otherwise; that gradient is then the next step's, so
-    either way an iteration reads X twice.  Errors up to sqrt(eps) times
-    ``||beta_ls||`` (else ``||X'y||``, formed at setup) are roundoff, not
-    growth, so an exact start does not read as divergent.
+    the gradient norm otherwise, which the next step then takes.  Errors up
+    to sqrt(eps) times ``||beta_ls||`` (else ``||X'y||``, formed at setup)
+    are roundoff, not growth, so an exact start does not read as divergent.
     """
-    kind = _as_kind(kind)
-
-    def run(x, y, beta, beta_ls):
-        fac = _sketch_factor(x, kind, rng)
-        floor = np.sqrt(np.finfo(float).eps) * np.linalg.norm(
-            x.T @ y if beta_ls is None else beta_ls)
-        status, best = "ok", np.inf
-        while True:
-            resid = y - x @ beta
-            grad = None if beta_ls is not None else x.T @ resid
-            err = float(np.linalg.norm(beta - beta_ls if grad is None else grad))
-            if err > max(DIVERGENCE_GROWTH * best, floor):
-                status = "diverge"
-            best = min(best, err)
-            yield beta, None, status, resid
-            beta = beta + solve_spd(fac, x.T @ resid if grad is None else grad)
-
-    return _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, run)
+    setup = lambda x, y, beta0, beta_ls: (beta0, _sketch_inv(x, kind, rng), _growth(x, y, beta_ls))
+    return _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup, _unit)
 
 
 def acc_ihs_solve(
@@ -503,38 +532,10 @@ def acc_ihs_solve(
 
     The preconditioner is the sketched Gram matrix; directions use the
     Polak-Ribiere update, which coincides with Fletcher-Reeves on an exact
-    quadratic.  Terminates in at most d steps in exact arithmetic.  The
-    gradient is updated recursively, and ``X p`` also updates the residual.
+    quadratic.  Terminates in at most d steps in exact arithmetic.
     """
-    kind = _as_kind(kind)
-
-    def run(x, y, beta, beta_ls):
-        fac = _sketch_factor(x, kind, rng)
-        resid = y - x @ beta
-        yield beta, None, "ok", resid
-        r = x.T @ resid  # later gradients are updated recursively
-        p = solve_spd(fac, r)
-        rz = float(r @ p)
-        while True:
-            if rz <= 0.0:
-                return "converged"
-            xp = x @ p
-            w = x.T @ xp
-            pw = float(p @ w)
-            if pw <= 0.0:
-                return "converged"
-            alpha = rz / pw
-            r_next = r - alpha * w
-            z_next = solve_spd(fac, r_next)
-            rz_next = float(r_next @ z_next)
-            mix = float(z_next @ (r_next - r)) / rz
-            beta = beta + alpha * p
-            resid = resid - alpha * xp
-            p = z_next + mix * p
-            r, rz = r_next, rz_next
-            yield beta, alpha, "ok", resid
-
-    return _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, run)
+    setup = lambda x, y, beta0, beta_ls: (beta0, _sketch_inv(x, kind, rng))
+    return _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup, _cg)
 
 
 class Method(NamedTuple):

@@ -8,16 +8,20 @@ import warnings
 import numpy as np
 import pytest
 
+import sketchls.bench
 import sketchls.datagen
 import sketchls.linalg
 import sketchls.precond
 import sketchls.sketch
 import sketchls.solvers
 from sketchls import (
+    BadSubsampleSize,
     DataSpec,
     DimensionMismatch,
+    ExperimentConfig,
     HypothesisViolated,
     LambdaRule,
+    NotEnoughRows,
     RankDeficient,
     SketchKind,
     SubsampleMask,
@@ -45,6 +49,7 @@ from sketchls import (
     preconditioned_descent,
     pw_gradient_solve,
     row_sq_norms,
+    run_init_comparison,
     srht_apply,
     trace_inverse_bound,
     uniform_sample,
@@ -370,3 +375,70 @@ def test_sketch_of_the_wrong_width_named(call, message):
     with pytest.raises(DimensionMismatch) as exc:
         call(*_x64x5())
     assert str(exc.value) == message
+
+
+def _config(**sizes):
+    spec = DataSpec("normal", 64, 3, 0)
+    return ExperimentConfig(**{"data": spec, "m": 16, "n_iter": 2, "reps": 2,
+                               "lambda_rule": LambdaRule("concentrated"), **sizes})
+
+
+#: a size that is not a whole number, with the error and message it gives
+WHOLE_SIZES = {
+    "DataSpec-n": (lambda x, y: DataSpec("normal", 200.5, 3, 0), ValueError,
+                   "n must be a whole number, got 200.5"),
+    "DataSpec-d": (lambda x, y: DataSpec("normal", 200, 3.0, 0), ValueError,
+                   "d must be a whole number, got 3.0"),
+    "DataSpec-seed": (lambda x, y: DataSpec("normal", 200, 3, 0.5), ValueError,
+                      "seed must be a whole number, got 0.5"),
+    **{f"ExperimentConfig-{name}": (lambda x, y, name=name: _config(**{name: 10.5}),
+                                    ValueError, f"{name} must be a whole number, got 10.5")
+       for name in ("m", "n_iter", "reps", "iter_cap")},
+    "run_init_comparison": (lambda x, y: run_init_comparison([512], 3, 16.5, 2, 2), ValueError,
+                            "m must be a whole number, got 16.5"),
+    "SketchKind": (lambda x, y: SketchKind("srht", 20.5), BadSubsampleSize,
+                   "m must be a whole number, got 20.5"),
+    "srht_apply": (lambda x, y: srht_apply(x, y, 20.5, derive_rng(1)), NotEnoughRows,
+                   "sketch size must be a whole number, got 20.5"),
+    "uniform_sample": (lambda x, y: uniform_sample(x, y, 20.5, derive_rng(1)), NotEnoughRows,
+                       "sketch size must be a whole number, got 20.5"),
+    "leverage_sample": (lambda x, y: leverage_sample(x, y, 20.5, derive_rng(1)),
+                        BadSubsampleSize, "sketch size must be a whole number, got 20.5"),
+    "aopt_select": (lambda x, y: aopt_select(x, 20.5), BadSubsampleSize,
+                    "subsample size must be a whole number, got 20.5"),
+    "aopt_ihs_solve-m": (lambda x, y: aopt_ihs_solve(x, y, 20.5, 2, 0.1), BadSubsampleSize,
+                         "subsample size must be a whole number, got 20.5"),
+    "ihs_solve-m": (lambda x, y: ihs_solve(x, y, 20.5, 2, derive_rng(1)), BadSubsampleSize,
+                    "m must be a whole number, got 20.5"),
+    **{f"{name}-n_iter": (lambda x, y, e=entry: e.solve(
+        x, y, M, 2.5, **e.settings(rng=derive_rng(1), lam=0.1)), ValueError,
+        "n_iter must be a whole number, got 2.5") for name, entry in METHODS.items()},
+    "preconditioned_descent-n_iter": (lambda x, y: preconditioned_descent(
+        x, y, None, lambda v: v, 2.5), ValueError, "n_iter must be a whole number, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WHOLE_SIZES))
+def test_size_that_is_not_whole_is_named_before_any_work(entry, xy, monkeypatch):
+    # each used to pass every check and fail deep in numpy with a TypeError,
+    # run_init_comparison after building its datasets
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work before the size check")
+
+    for module, name in ((sketchls.bench, "make_dataset"), (sketchls.sketch, "_row_sq_norms"),
+                         (sketchls.sketch, "_leverage_scores"), (sketchls.sketch, "_workspace"),
+                         (sketchls.solvers, "_sketcher"), (sketchls.solvers, "_gram")):
+        monkeypatch.setattr(module, name, forbidden)
+    call, error, message = WHOLE_SIZES[entry]
+    with pytest.raises(error) as exc:
+        call(*xy)
+    assert str(exc.value) == message
+
+
+def test_numpy_integer_sizes_accepted(xy):
+    x, y = xy
+    m, n_iter = np.int64(M), np.int64(2)
+    assert DataSpec("normal", np.int64(64), np.int64(3), np.int64(0)).n == 64
+    assert SketchKind("srht", m).m == M
+    assert aopt_select(x, m).m == M
+    assert ihs_solve(x, y, SketchKind("uniform", m), n_iter, derive_rng(1)).iterations == 2

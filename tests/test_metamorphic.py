@@ -3,14 +3,16 @@
 orthogonal) to the rotated iterates ``Q' beta_t`` and a scaled response
 ``c y`` to ``c beta_t``, and ``aopt-ihs``, whose sketch is the largest-norm
 rows, does not see the order of the rows.  Each entry is passed only the
-settings it declares."""
+settings it declares.  ``ihs`` and ``pw-gradient`` take the same unit step,
+so they run alike wherever their sketches agree."""
 
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from sketchls import DataSpec, LambdaRule, derive_rng, make_dataset
+from sketchls import (DataSpec, LambdaRule, SketchKind, derive_rng, ihs_solve,
+                      make_dataset, pw_gradient_solve)
 from sketchls.datagen import DISTRIBUTIONS
 from sketchls.solvers import METHODS
 
@@ -65,3 +67,36 @@ def test_aopt_ihs_does_not_see_the_row_order(dist, seed):
     perm = np.random.default_rng(200 + seed).permutation(N)
     _assert_maps(_betas("aopt-ihs", x, y, seed, lam),
                  _betas("aopt-ihs", x[perm], y[perm], seed, lam), lambda betas: betas)
+
+
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_ihs_and_pw_gradient_agree_on_a_fixed_sketch(dist):
+    # the largest-norm sketch is the same at every draw, so a fresh sketch
+    # per step and one frozen sketch are one preconditioner
+    x, y, _ = _data(dist, 0)
+    kind = SketchKind("aopt", M)
+    ihs = ihs_solve(x, y, kind, N_ITER, derive_rng(0))
+    pw = pw_gradient_solve(x, y, kind, N_ITER, derive_rng(0))
+    assert ihs.iterations == N_ITER
+    np.testing.assert_array_equal(np.stack(ihs.betas), np.stack(pw.betas))
+    assert (ihs.objective, ihs.status) == (pw.objective, pw.status)
+
+
+@pytest.mark.parametrize("variant", ["srht", "uniform", "leverage"])
+@pytest.mark.parametrize("dist, seed", CASES)
+def test_ihs_and_pw_gradient_take_the_same_first_step(dist, seed, variant):
+    # from one seed, ihs's first fresh sketch is pw-gradient's frozen one
+    x, y, _ = _data(dist, seed)
+    kind = SketchKind(variant, M)
+    ihs = ihs_solve(x, y, kind, 1, derive_rng(seed))
+    pw = pw_gradient_solve(x, y, kind, 1, derive_rng(seed))
+    np.testing.assert_array_equal(ihs.betas[1], pw.betas[1])
+
+
+@pytest.mark.parametrize("stop_at_dist", [0.0, 1e-6])
+def test_ihs_records_one_sketch_per_step(stop_at_dist):
+    ds = make_dataset(DataSpec("t2", N, D, 0))
+    trace = ihs_solve(ds.x, ds.y, SketchKind("srht", M), 50, derive_rng(0), beta_ls=ds.beta_ls,
+                      record_sketches=True, stop_at_dist=stop_at_dist)
+    assert 0 < trace.iterations == len(trace.sketches)
+    assert (trace.iterations < 50) == (stop_at_dist > 0.0)

@@ -747,13 +747,17 @@ class TestRunEnds:
         assert trace.dist_to_ls == [0.0]
 
     @pytest.mark.parametrize("name, iteration", [
-        ("ihs", 1), ("acc-ihs", 0), ("pw-gradient", 0)])
+        ("ihs", 1), ("acc-ihs", 0), ("pw-gradient", 0), ("aopt-ihs", 0)])
     def test_npd_names_its_iteration(self, name, iteration):
         # a one-row sketch has a rank-one Gram matrix: ihs draws its first
-        # sketch in step 1, the frozen-sketch methods in their setup
-        x = np.random.default_rng(7).standard_normal((8, 2))
+        # sketch in step 1, the frozen-sketch methods in their setup, and
+        # aopt-ihs fits its start on its one largest-norm row in its setup
+        x, y = np.random.default_rng(7).standard_normal((8, 2)), np.zeros(8)
         with pytest.raises(NotPositiveDefinite, match=f"at iteration {iteration}$") as exc:
-            RANDOMIZED[name](x, np.zeros(8), SketchKind("uniform", 1), 3, derive_rng(2))
+            if name == "aopt-ihs":
+                aopt_ihs_solve(x, y, 1, 3, 0.0)
+            else:
+                RANDOMIZED[name](x, y, SketchKind("uniform", 1), 3, derive_rng(2))
         assert exc.value.iteration == iteration
 
     @pytest.mark.parametrize("with_ls", [False, True], ids=["no-beta_ls", "beta_ls"])
