@@ -146,7 +146,10 @@ def trimmed_mean(values, frac: float) -> float:
 def _table(spec: DataSpec, start, keys, reps: int, threads: int, row):
     """The replication fold of every experiment (see the module docstring)
     over the datasets of ``spec``: the rows that ``row(key, values,
-    failures)`` yields for each key in order, and each key's failure count."""
+    failures)`` yields for each key in order, and each key's failure count.
+    ``threads`` is checked before the first replication."""
+    if _whole(threads, "threads") < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
     def one_rep(rep):
         values = dict.fromkeys(keys)  # None marks a failed entry

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -201,7 +202,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and returned by every
+    later one: parsing reads it and never changes it."""
     parser = _Parser(prog="sketchls", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -260,6 +264,8 @@ def cmd_solve(args) -> int:
     for flag, value in (("--n-iter", args.n_iter), ("--tol", args.tol), ("--seed", args.seed)):
         if not value >= 0:
             raise ConfigError(flag, f"{flag} must be >= 0, got {value}")
+    if not math.isfinite(args.tol):  # an inf tol would stop after one step
+        raise ConfigError("--tol", f"--tol must be finite, got {args.tol}")
     try:
         lam = float(args.lam)
     except ValueError:
@@ -456,8 +462,7 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "gen":
             return cmd_gen(args)

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from sketchls import (
     row_sq_norms,
 )
 from sketchls.bench import DELTA_VARIANTS
-from sketchls.cli import (BENCH_CSV, _atomic_write_text, _fmt, main, read_matrix_csv,
+from sketchls.cli import (BENCH_CSV, _atomic_write_text, _fmt, _Parser, main, read_matrix_csv,
                           read_vector_csv)
 
 FIXTURES = Path(__file__).parent / "data"
@@ -281,7 +282,7 @@ class TestSolve:
 
 
     @pytest.mark.parametrize("n_iter, tol, code", [
-        ("-1", "0", 1), ("20", "-0.5", 1), ("20", "nan", 1), ("0", "0", 0),
+        ("-1", "0", 1), ("20", "-0.5", 1), ("20", "nan", 1), ("20", "inf", 1), ("0", "0", 0),
     ])
     def test_n_iter_and_tol_must_not_be_negative(self, tmp_path, capsys, n_iter, tol, code):
         data = tmp_path / "data"
@@ -784,3 +785,75 @@ class TestBench:
                        "--threads", threads) == 1
         assert capsys.readouterr().err == f"error: --threads must be >= 1, got {threads}\n"
         assert not out.exists()
+
+    # main builds its parser on its first call in a process, and every later
+    # call, from any thread, parses with that one parser
+
+    def test_three_calls_build_at_most_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        init = _Parser.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.prog == "sketchls":  # the top of the tree, not a subcommand
+                built.append(self)
+
+        monkeypatch.setattr(_Parser, "__init__", spy)
+        for k in range(3):
+            assert run_cli("gen", "--dist", "normal", "--n", "16", "--d", "2",
+                           "--out-dir", str(tmp_path / str(k))) == 0
+        assert len(built) <= 1
+
+    def test_concurrent_bench_calls_write_the_serial_bytes(self, tmp_path):
+        cfg = self.write_cfg(tmp_path)
+
+        def bench(out):
+            return run_cli("bench", "delta", "--config", str(cfg), "--out-dir", str(out))
+
+        assert bench(tmp_path / "serial") == 0
+        expected = (tmp_path / "serial" / "delta.csv").read_bytes()
+        codes, start = {}, threading.Barrier(4)
+
+        def worker(k):
+            start.wait(timeout=60)
+            codes[k] = bench(tmp_path / f"thread{k}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert codes == dict.fromkeys(range(4), 0)
+        for k in range(4):
+            assert (tmp_path / f"thread{k}" / "delta.csv").read_bytes() == expected
+
+    def test_call_after_a_usage_error_runs(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "delta", "--config", str(cfg), "--bogus", "1"])
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --bogus 1" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert run_cli("bench", "delta", "--config", str(cfg), "--out-dir", str(out)) == 0
+        assert read_rows(out / "delta.csv")
+        assert capsys.readouterr().err == ""
+
+    def test_console_path_in_a_fresh_process(self, tmp_path):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sketchls.cli", "bench", "lambda-sweep",
+             "--config", str(cfg), "--out-dir", str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert [float(row["proportion"]) for row in read_rows(out / "lambda_sweep.csv")] == [
+            round(0.1 * k, 1) for k in range(1, 11)]
+        manifest = json.loads((out / "bench_lambda_sweep_manifest.json").read_text())
+        assert manifest["command"] == "bench lambda-sweep"

@@ -44,12 +44,17 @@ from sketchls import (
     hs_estimate,
     ihs_solve,
     isometry_check,
+    lambda_sweep,
     leverage_sample,
     leverage_scores,
     preconditioned_descent,
     pw_gradient_solve,
     row_sq_norms,
+    run_convergence,
+    run_delta_table,
     run_init_comparison,
+    run_ridge_ablation,
+    run_time_to_precision,
     srht_apply,
     trace_inverse_bound,
     uniform_sample,
@@ -350,6 +355,9 @@ def _rank_deficient_x():
      "c_lower must be > 0, got 0.0"),
     (lambda: hs_covariance_trace_bound(np.eye(4), aopt_select(np.eye(4), 2), -1.0),
      ValueError, "c_lower must be > 0, got -1.0"),
+    (lambda: run_convergence(_config(), threads=0), ValueError, "threads must be >= 1, got 0"),
+    (lambda: run_init_comparison([512], 3, 16, 2, 2, threads=-3), ValueError,
+     "threads must be >= 1, got -3"),
 ])
 def test_bad_argument_error_names_it(call, error, message):
     with pytest.raises(error) as exc:
@@ -396,6 +404,14 @@ WHOLE_SIZES = {
        for name in ("m", "n_iter", "reps", "iter_cap")},
     "run_init_comparison": (lambda x, y: run_init_comparison([512], 3, 16.5, 2, 2), ValueError,
                             "m must be a whole number, got 16.5"),
+    **{f"{name}-threads": (lambda x, y, run=run: run(2.5), ValueError,
+                           "threads must be a whole number, got 2.5") for name, run in {
+        "run_init_comparison": lambda t: run_init_comparison([512], 3, 16, 2, 2, threads=t),
+        "run_convergence": lambda t: run_convergence(_config(), t),
+        "run_delta_table": lambda t: run_delta_table(_config(), threads=t),
+        "run_time_to_precision": lambda t: run_time_to_precision(_config(), t),
+        "run_ridge_ablation": lambda t: run_ridge_ablation(_config(), t),
+        "lambda_sweep": lambda t: lambda_sweep(_config(), [0.1], t)}.items()},
     "SketchKind": (lambda x, y: SketchKind("srht", 20.5), BadSubsampleSize,
                    "m must be a whole number, got 20.5"),
     "srht_apply": (lambda x, y: srht_apply(x, y, 20.5, derive_rng(1)), NotEnoughRows,
