@@ -7,10 +7,10 @@ from a JSON config file, the one source of every setting of a run besides
 its outputs with the settings the run read (a ``solve`` manifest: the flags
 its method reads, and the ridge weight it resolved), library version, and
 PRNG algorithm.  A bench manifest's ``config`` holds the config keys its
-experiment reads (:data:`BENCH_CSV`), defaults filled in, and ``unread``
-names the others the file set: written to a file and passed as
-``--config``, ``config`` reruns the command and reproduces its CSV byte for
-byte (wall-clock columns aside).
+experiment reads (:data:`BENCH_CSV`), defaults filled in from
+``_CONFIG_KEYS``, and ``unread`` names the others the file set: written to
+a file and passed as ``--config``, ``config`` reruns the command and
+reproduces its CSV byte for byte (wall-clock columns aside).
 
 CSV conventions: RFC 4180 with a header row; floats are serialized with 17
 significant digits so a read-write round trip is exact.  All errors go to
@@ -29,7 +29,7 @@ import os
 import secrets
 import sys
 import time
-from dataclasses import MISSING, asdict, fields
+from dataclasses import asdict, fields
 from itertools import zip_longest
 
 import numpy as np
@@ -59,16 +59,21 @@ PRNG_ALGORITHM = "numpy-pcg64"
 #: the config keys of a data set, read by every experiment but ``init``
 _DATA_KEYS = ("dist", "n", "d", "seed", "sigma_noise")
 
+
+def _flat_failures(rows, meta):  # init's failures, keyed n/estimator, not (n, estimator)
+    return rows, {**meta, "failures": {f"{n}/{e}": k for (n, e), k in meta["failures"].items()}}
+
+
 #: each bench experiment: its CSV file and header, the config keys it reads
 #: (``converge`` and ``time`` read ``lambda_rule`` only when one of their
 #: ``methods`` reads a ridge weight), and the call giving its (rows, meta)
-#: from (read config, threads).  The calls look the library runners up in
-#: this module when they run, so a wrapper patched onto one of those names
-#: sees the call.
+#: from (read config, threads), with meta's failure counts keyed by strings.
+#: The calls look the library runners up in this module when they run, so a
+#: wrapper patched onto one of those names sees the call.
 BENCH_CSV = {
     "init": ("init_mse.csv", ["n", "estimator", "mse1", "failures"],
              ("dist", "n_grid", "d", "seed", "sigma_noise", "m", "n_iter", "reps", "trim"),
-             lambda cfg, threads: run_init_comparison(threads=threads, **cfg)),
+             lambda cfg, threads: _flat_failures(*run_init_comparison(threads=threads, **cfg))),
     "converge": ("converge_mse.csv", ["method", "iter", "mse1", "mse2", "failures"],
                  (*_DATA_KEYS, "m", "n_iter", "reps", "lambda_rule", "methods", "trim",
                   "init_policy"),
@@ -123,10 +128,10 @@ def _atomic_write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _write_outputs(out: str, tables: dict, manifest: str, command: str, config: dict,
-                   started: float, extra=None) -> None:
+def _write_outputs(out: str, tables: dict, command: str, config: dict, started: float,
+                   extra=None) -> None:
     """Write each ``{file: (header, rows)}`` table as an RFC 4180 CSV into
-    ``out`` (created when missing), then the manifest file ``manifest``.
+    ``out`` (created when missing), then the manifest file of ``command``.
     Each row is a sequence in header order, written as it is read."""
     os.makedirs(out, exist_ok=True)
     for name, (header, rows) in tables.items():
@@ -143,6 +148,7 @@ def _write_outputs(out: str, tables: dict, manifest: str, command: str, config: 
         "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         **(extra or {}),
     }
+    manifest = command.replace(" ", "_").replace("-", "_") + "_manifest.json"
     _atomic_write_text(os.path.join(out, manifest),
                        json.dumps(record, indent=2, default=str) + "\n")
 
@@ -255,7 +261,7 @@ def cmd_gen(args) -> int:
         "y.csv": (["y"], map(np.ndarray.tolist, ds.y[:, None])),
         "beta_star.csv": (["beta_star"], map(np.ndarray.tolist, ds.beta_star[:, None])),
     }
-    _write_outputs(args.out_dir, tables, "gen_manifest.json", "gen", asdict(spec), started)
+    _write_outputs(args.out_dir, tables, "gen", asdict(spec), started)
     return 0
 
 
@@ -325,7 +331,7 @@ def cmd_solve(args) -> int:
     flags = {"rng": ("seed", args.seed), "lam": ("lam", lam), "tol": ("tol", args.tol)}
     config.update(flags[setting] for setting in reads if setting in flags)
     config.update(center=not args.no_center, scale=args.scale)
-    _write_outputs(args.out_dir, tables, "solve_manifest.json", "solve", config, started,
+    _write_outputs(args.out_dir, tables, "solve", config, started,
                    {"ridge_weight": ridge_weight} if "lam" in reads else None)
     return 0
 
@@ -379,20 +385,25 @@ def _lambda_rule(value):
     return value
 
 
-#: every config key and the parser of its JSON value
+#: every config key: the parser of its JSON value, and its value when a config
+#: file leaves it out (None: every file sets it; ``lambda_rule``'s is the
+#: profile of the file's ``dist``)
 _CONFIG_KEYS = {
-    "dist": _STR, "n": _INT, "d": _INT, "m": _INT, "n_iter": _INT, "reps": _INT,
-    "seed": _INT, "sigma_noise": _REAL, "lambda_rule": _lambda_rule,
-    "methods": _list_of(_STR), "trim": _REAL, "tol": _REAL, "init_policy": _STR,
-    "iter_cap": _INT, "n_grid": _list_of(_INT), "proportions": _list_of(_REAL),
-    "variants": _list_of(_STR),
+    "dist": (_STR, None), "n_grid": (_list_of(_INT), None),
+    **dict.fromkeys(("n", "d", "m", "n_iter", "reps"), (_INT, None)), "seed": (_INT, 0),
+    "sigma_noise": (_REAL, DataSpec.sigma_noise),
+    "lambda_rule": (_lambda_rule, lambda cfg: LambdaRule.for_distribution(cfg["dist"]).profile),
+    "methods": (_list_of(_STR), ExperimentConfig.methods), "trim": (_REAL, ExperimentConfig.trim),
+    "tol": (_REAL, ExperimentConfig.tol), "init_policy": (_STR, ExperimentConfig.init_policy),
+    "iter_cap": (_INT, ExperimentConfig.iter_cap), "variants": (_list_of(_STR), DELTA_VARIANTS),
+    "proportions": (_list_of(_REAL), tuple(round(0.1 * k, 1) for k in range(1, 11))),
 }
 
 
-def _read_config(path: str) -> dict:
-    """The values of the JSON config file ``path``, each parsed by its
-    ``_CONFIG_KEYS`` entry.  An unknown key, or a value its parser rejects,
-    raises ConfigError naming the key."""
+def _resolve_config(path: str, keys) -> tuple:
+    """The config of an experiment reading ``keys`` from the JSON file ``path``
+    (``lambda_rule`` only if one of the ``methods`` reads a ridge weight) and
+    the file's other keys, sorted.  ConfigError names a bad or missing key."""
     try:
         with open(path) as handle:
             raw = json.load(handle)
@@ -408,19 +419,18 @@ def _read_config(path: str) -> dict:
     values = {}
     for key, value in raw.items():
         try:
-            values[key] = _CONFIG_KEYS[key](value)
+            values[key] = _CONFIG_KEYS[key][0](value)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(key, f"invalid {key}: {json.dumps(value)}") from None
-    return values
-
-
-#: the value of each optional config key that a config file leaves out;
-#: ``lambda_rule``'s is its distribution's profile
-_DEFAULTS = {
-    **{f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING},
-    "seed": 0, "sigma_noise": DataSpec.sigma_noise, "variants": DELTA_VARIANTS,
-    "proportions": tuple(round(0.1 * k, 1) for k in range(1, 11)), "lambda_rule": None,
-}
+    config = {}
+    for key in keys:
+        value = values.get(key, _CONFIG_KEYS[key][1])
+        if value is None:
+            raise ConfigError(key)
+        config[key] = value(values) if callable(value) else value
+    if "methods" in config and not _reads(config["methods"], "lam"):
+        config.pop("lambda_rule", None)
+    return config, sorted(set(values) - set(config))
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
@@ -437,27 +447,12 @@ def cmd_bench(args) -> int:
     started = time.time()
     if args.threads < 1:
         raise ConfigError("--threads", f"--threads must be >= 1, got {args.threads}")
-    exp = args.experiment
-    name, header, keys, run = BENCH_CSV[exp]
-    values = _read_config(args.config)
-    if "methods" in keys and not _reads(values.get("methods", _DEFAULTS["methods"]), "lam"):
-        keys = tuple(key for key in keys if key != "lambda_rule")
-    for key in keys:
-        if key not in values and key not in _DEFAULTS:
-            raise ConfigError(key)
-    defaults = {**_DEFAULTS,
-                "lambda_rule": LambdaRule.for_distribution(values["dist"]).profile}
-    config = {key: values[key] if key in values else defaults[key] for key in keys}
+    name, header, keys, run = BENCH_CSV[args.experiment]
+    config, unread = _resolve_config(args.config, keys)
     rows, meta = run(config, args.threads)
-    if "failures" in meta:  # init counts them by (n, estimator), keyed n/estimator here
-        meta["failures"] = {"/".join(map(str, key)) if isinstance(key, tuple) else key: count
-                            for key, count in meta["failures"].items()}
-    table = (header, ([row[key] for key in header] for row in rows))
-    _write_outputs(args.out_dir, {name: table},
-                   f"bench_{exp.replace('-', '_')}_manifest.json", f"bench {exp}",
-                   config, started,
-                   {"unread": sorted(set(values) - set(keys)), "threads": args.threads,
-                    "meta": meta, "timing_note": _TIMING_NOTE})
+    extra = {"unread": unread, "threads": args.threads, "meta": meta, "timing_note": _TIMING_NOTE}
+    _write_outputs(args.out_dir, {name: (header, ([row[k] for k in header] for row in rows))},
+                   f"bench {args.experiment}", config, started, extra)
     return 0
 
 
@@ -469,7 +464,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(args)
         return cmd_bench(args)
-    except (SketchlsError, ValueError, OSError) as err:
+    except (SketchlsError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

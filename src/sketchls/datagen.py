@@ -146,13 +146,18 @@ def make_dataset(spec: DataSpec) -> Dataset:
     place, as :func:`center` would, so no X-sized temporary is held beside
     it.  X is checked once, by :func:`gen_response`.  The Gram matrix and
     the exact least-squares solution are computed once on the centered pair;
-    centering leaves beta_star the ground truth of the centered model.
+    centering leaves beta_star the ground truth of the centered model.  A
+    ``sigma_noise`` so large that y or beta_ls overflows raises ValueError.
     """
     rng = derive_rng(spec.seed)
     x = _covariates(rng, spec.dist, spec.n, spec.d)
     beta_star = rng.standard_normal(spec.d)
-    y = gen_response(x, beta_star, spec.sigma_noise, rng)
-    x -= x.mean(axis=0)
-    y -= y.mean()
-    q = _gram(x)
-    return Dataset(x=x, y=y, beta_star=beta_star, beta_ls=_full_ls(x, y, q), gram=q)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
+        y = gen_response(x, beta_star, spec.sigma_noise, rng)
+        x -= x.mean(axis=0)
+        y -= y.mean()
+        q = _gram(x)
+        beta_ls = _full_ls(x, y, q)
+    if not (np.isfinite(y).all() and np.isfinite(beta_ls).all()):
+        raise ValueError(f"sigma_noise = {spec.sigma_noise} overflows the response")
+    return Dataset(x=x, y=y, beta_star=beta_star, beta_ls=beta_ls, gram=q)

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sketchls.bench
+import sketchls.cli
 from sketchls import (
     DataSpec,
     ExperimentConfig,
@@ -27,8 +29,9 @@ from sketchls import (
     row_sq_norms,
 )
 from sketchls.bench import DELTA_VARIANTS
-from sketchls.cli import (BENCH_CSV, _atomic_write_text, _fmt, _Parser, main, read_matrix_csv,
-                          read_vector_csv)
+from sketchls.cli import (_CONFIG_KEYS, BENCH_CSV, _atomic_write_text, _fmt, _Parser,
+                          _resolve_config, main, read_matrix_csv, read_vector_csv)
+from sketchls.errors import ConfigError
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -135,6 +138,14 @@ class TestGen:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * n * d * 8
+
+    def test_overflowing_sigma_noise_writes_nothing(self, tmp_path, capsys):
+        # y.csv used to hold -inf, with exit 0
+        out = tmp_path / "g"
+        assert run_cli("gen", "--dist", "normal", "--n", "64", "--d", "3",
+                       "--sigma-noise", "1e308", "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == "error: sigma_noise = 1e+308 overflows the response\n"
+        assert not out.exists()
 
     def test_invalid_distribution_flag(self, tmp_path):
         proc = subprocess.run(
@@ -428,6 +439,10 @@ _LIBRARY_RUNS = {
     "ridge": ("ridge_mse.csv", run_ridge_ablation),
     "lambda-sweep": ("lambda_sweep.csv", lambda cfg: lambda_sweep(cfg, [0.05, 0.5])),
 }
+
+#: the library runners that ``sketchls.cli`` looks up by name when it runs
+_RUNNERS = ("run_init_comparison", "run_convergence", "run_delta_table",
+            "run_time_to_precision", "run_ridge_ablation", "lambda_sweep")
 
 
 class TestBench:
@@ -857,3 +872,88 @@ class TestBench:
             round(0.1 * k, 1) for k in range(1, 11)]
         manifest = json.loads((out / "bench_lambda_sweep_manifest.json").read_text())
         assert manifest["command"] == "bench lambda-sweep"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_memory_error_is_an_error_line(self, tmp_path, capsys, monkeypatch, threads):
+        # a config too large for memory used to end in numpy's traceback
+        def no_memory(spec):
+            raise MemoryError(f"Unable to allocate {spec.n * spec.d * 8} bytes")
+
+        monkeypatch.setattr(sketchls.bench, "make_dataset", no_memory)
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("bench", "delta", "--config", str(cfg), "--out-dir", str(out),
+                       "--threads", threads) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 16384 bytes\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, runner", [
+        ("init", "run_init_comparison"), ("converge", "run_convergence"),
+        ("delta", "run_delta_table"), ("time", "run_time_to_precision"),
+        ("ridge", "run_ridge_ablation"), ("lambda-sweep", "lambda_sweep"),
+    ])
+    def test_each_bench_call_goes_through_its_runner_name(self, tmp_path, monkeypatch,
+                                                          experiment, runner):
+        """A wrapper patched onto a runner's name in ``sketchls.cli`` (as the
+        benchmark tracer does) sees exactly one call per ``bench`` command."""
+        calls = dict.fromkeys(_RUNNERS, 0)
+
+        def spy(name, run):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return run(*args, **kwargs)
+            return wrapper
+
+        for name in _RUNNERS:
+            monkeypatch.setattr(sketchls.cli, name, spy(name, getattr(sketchls.cli, name)))
+        cfg = self.write_cfg(tmp_path, n=256, m=32, n_iter=2, reps=2, n_grid=[128],
+                             methods=["ihs"], iter_cap=20, tol=1e-6)
+        assert run_cli("bench", experiment, "--config", str(cfg),
+                       "--out-dir", str(tmp_path / "out")) == 0
+        assert calls == {name: int(name == runner) for name in _RUNNERS}
+
+
+def _readme_section():
+    """README's bench key table, as {experiment: (required, optional)}, and
+    its example config file."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    start = text.index("| experiment | required keys | optional keys |")
+    table = {}
+    for line in text[start:].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        exp, *cells = (cell.strip(" `") for cell in line.strip("|").split("|"))
+        table[exp] = tuple([key.strip(" `") for key in cell.split(",")] for cell in cells)
+    example = text[text.index("```json", start) + len("```json"):]
+    return table, json.loads(example[:example.index("```")])
+
+
+def test_readme_key_table_matches_the_declared_keys():
+    table, _ = _readme_section()
+    assert list(table) == list(BENCH_CSV)
+    for exp, (required, optional) in table.items():
+        keys = BENCH_CSV[exp][2]
+        assert required == [key for key in keys if _CONFIG_KEYS[key][1] is None], exp
+        assert optional == [key for key in keys if _CONFIG_KEYS[key][1] is not None], exp
+
+
+@pytest.mark.parametrize("experiment", list(BENCH_CSV))
+def test_readme_example_config_resolves(tmp_path, experiment):
+    """README's example config, read by each experiment, gives exactly the
+    keys README lists for it, or names the first required one it leaves out."""
+    table, example = _readme_section()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(example))
+    required, optional = table[experiment]
+    missing = [key for key in required if key not in example]
+    if missing:
+        with pytest.raises(ConfigError) as err:
+            _resolve_config(str(path), BENCH_CSV[experiment][2])
+        assert err.value.key == missing[0]
+        return
+    config, unread = _resolve_config(str(path), BENCH_CSV[experiment][2])
+    assert set(config) == set(required + optional)  # the example's aopt-ihs reads lambda_rule
+    assert {key: config[key] for key in example if key in config} == {
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in example.items() if key in config}
+    assert unread == sorted(set(example) - set(config))

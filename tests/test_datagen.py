@@ -165,6 +165,19 @@ class TestMakeDataset:
         with pytest.raises(ValueError, match="sigma_noise"):
             DataSpec("normal", 16, 2, seed=0, sigma_noise=sigma_noise)
 
+    # a finite sigma_noise near the float range used to give an inf y (first
+    # case) or an inf X'y (second), and so a non-finite beta_ls
+    @pytest.mark.parametrize("dist, n, sigma_noise", [
+        ("normal", 64, 1e308), ("lognormal", 20000, 1e306),
+    ])
+    def test_overflowing_response_names_sigma_noise(self, dist, n, sigma_noise):
+        with pytest.raises(ValueError, match="sigma_noise"):
+            make_dataset(DataSpec(dist, n, 3, seed=0, sigma_noise=sigma_noise))
+
+    def test_large_finite_response_is_kept(self):
+        ds = make_dataset(DataSpec("lognormal", 20000, 3, seed=0, sigma_noise=1e305))
+        assert np.isfinite(ds.y).all() and np.isfinite(ds.beta_ls).all()
+
 
 def whole_array_dataset(spec):
     """make_dataset as one whole-array draw per stream call: each family's
