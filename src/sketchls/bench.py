@@ -22,9 +22,10 @@ replication r builds its dataset or in its ``start`` fails every entry of r;
 one raised in ``measure``, or a solve that ends ``diverge``, fails that
 entry only.  Neither aborts the run.  Failed entries are excluded from the
 means and counted in a ``failures`` column (a ``diverge`` status in the time
-table).  An invalid :class:`ExperimentConfig`, such as ``m > n`` or
-``tol <= 0``, raises ``ValueError`` when it is built, as does an empty,
-repeated or unknown method, variant, proportion or row-count list, and
+table).  An invalid :class:`ExperimentConfig`, such as ``m > n`` or a
+``tol`` that is not finite and positive, raises ``ValueError`` when it is
+built, as does an empty, repeated or unknown method, variant, proportion or
+row-count list, a proportion that is not finite and positive, and
 :func:`run_init_comparison`'s sizes and ``trim``, before the first
 replication.  Wall-clock columns include sketch construction and
 preconditioner build but exclude dataset generation; they are the only
@@ -101,8 +102,8 @@ class ExperimentConfig:
             raise ValueError(f"iter_cap must be >= 1, got {self.iter_cap}")
         if self.m > self.data.n:
             raise ValueError(f"m must lie in [1, n = {self.data.n}], got {self.m}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.init_policy not in ("default", "aopt-for-all"):
             raise ValueError(f"unknown init policy {self.init_policy!r}")
         object.__setattr__(self, "methods", _distinct("methods", self.methods, METHODS))
@@ -457,8 +458,8 @@ def lambda_sweep(cfg: ExperimentConfig, proportions, threads: int = 1):
     norm.  Rows follow (dist, d, proportion, delta_mean, failures).
     """
     proportions = [float(p) for p in _distinct("proportions", proportions)]
-    if any(p <= 0 for p in proportions):
-        raise ValueError("proportions must be positive")
+    if not all(0.0 < p < np.inf for p in proportions):
+        raise ValueError(f"proportions must be finite and > 0, got {proportions}")
 
     def start(rep, ds):
         mask = _aopt_select(ds.x, cfg.m)

@@ -119,10 +119,21 @@ def _covariates(rng: np.random.Generator, dist: str, n: int, d: int) -> np.ndarr
 
 
 def gen_response(x, beta_star, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Linear response ``X @ beta_star`` plus sigma-scaled Gaussian noise."""
+    """Linear response ``X @ beta_star`` plus sigma-scaled Gaussian noise.  A
+    response that is not finite (a sigma so large that it overflows) raises
+    ValueError naming sigma."""
     x = as_matrix(x, "X")
-    beta_star = _check_coef(x, beta_star, "beta_star")
-    return x @ beta_star + sigma * rng.standard_normal(x.shape[0])
+    y = _response(x, _check_coef(x, beta_star, "beta_star"), sigma, rng)
+    if not np.isfinite(y).all():
+        raise ValueError(f"the response is not finite at sigma = {sigma}")
+    return y
+
+
+def _response(x: np.ndarray, beta_star: np.ndarray, sigma: float, rng) -> np.ndarray:
+    """:func:`gen_response` of a checked X and beta_star, unchecked: an
+    overflow gives non-finite entries without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x @ beta_star + sigma * rng.standard_normal(x.shape[0])
 
 
 def center(x, y):
@@ -144,16 +155,16 @@ def make_dataset(spec: DataSpec) -> Dataset:
     Draw order is fixed: covariates, then beta_star (d i.i.d. standard
     normals), then response noise.  X is built in one array and centered in
     place, as :func:`center` would, so no X-sized temporary is held beside
-    it.  X is checked once, by :func:`gen_response`.  The Gram matrix and
+    it.  X is checked once, by :func:`as_matrix`.  The Gram matrix and
     the exact least-squares solution are computed once on the centered pair;
     centering leaves beta_star the ground truth of the centered model.  A
     ``sigma_noise`` so large that y or beta_ls overflows raises ValueError.
     """
     rng = derive_rng(spec.seed)
-    x = _covariates(rng, spec.dist, spec.n, spec.d)
+    x = as_matrix(_covariates(rng, spec.dist, spec.n, spec.d), "X")
     beta_star = rng.standard_normal(spec.d)
+    y = _response(x, beta_star, spec.sigma_noise, rng)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
-        y = gen_response(x, beta_star, spec.sigma_noise, rng)
         x -= x.mean(axis=0)
         y -= y.mean()
         q = _gram(x)

@@ -95,6 +95,14 @@ def _whole(value, name: str, error: type = ValueError) -> int:
         raise error(f"{name} must be a whole number, got {value!r}") from None
 
 
+def _finite_nonneg(value, name: str):
+    """``value`` when it is finite and >= 0 (NaN is neither), else ValueError
+    naming ``name``: the one check of a real-valued setting where it enters."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return value
+
+
 def _require_symmetric(a: np.ndarray) -> None:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got shape {a.shape}")

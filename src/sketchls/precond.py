@@ -19,6 +19,7 @@ import numpy as np
 
 from .linalg import (
     CholeskyFactor,
+    _finite_nonneg,
     _gram,
     _row_sq_norms,
     _spectrum_cond,
@@ -59,8 +60,7 @@ class LambdaRule:
     def __post_init__(self):
         if self.profile not in ("concentrated", "heavy_tailed", "explicit"):
             raise ValueError(f"unknown lambda profile {self.profile!r}")
-        if not 0.0 <= self.explicit < np.inf:
-            raise ValueError(f"ridge weight must be finite and >= 0, got {self.explicit}")
+        _finite_nonneg(self.explicit, "ridge weight")
 
     @property
     def coefficient(self) -> float:
@@ -107,8 +107,7 @@ def build_m(x, mask: SubsampleMask, lam: float) -> Preconditioner:
 
 def _build_m(x: np.ndarray, mask: SubsampleMask, lam: float) -> Preconditioner:
     """:func:`build_m` of a checked X and a mask of its rows."""
-    if lam < 0:
-        raise ValueError(f"ridge weight must be >= 0, got {lam}")
+    _finite_nonneg(lam, "ridge weight")
     n, d = x.shape
     selected = x[mask.indices]
     m_matrix = (n / mask.m) * _gram(selected) + lam * np.eye(d)

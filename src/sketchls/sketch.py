@@ -164,16 +164,18 @@ def _plan_rows(n: int, rows: np.ndarray):
     return factors, (order, bounds, _HADAMARD[q][i_q], _HADAMARD[lo // q][i_r])
 
 
-def _workspace(n: int, k: int, factors: list):
-    """Scratch for :func:`_transform` of n x k panels: one n x k buffer, a
-    second only when more than one dense factor runs, and the first
-    factor's chunk of min(n, 4096) x k, which is the start of the second
+def _workspace(n: int, k: int, m: int):
+    """Scratch for :func:`_transform` of n x k padded data kept at m rows, in
+    panels of min(64, k) columns: one n-row panel buffer, a second only when
+    more than one of the :func:`_factors` ``(n, m)`` runs, and the first
+    factor's chunk of min(n, 4096) rows, which is the start of the second
     buffer when there is one (that buffer is free until the second factor).
     Buffers are separate allocations: once an allocation below 32 MiB is
     freed, glibc serves later ones up to its size from the heap, so one
     double-size buffer would raise the resident peak."""
-    bufs = [np.empty(n * k) for _ in range(1 + (len(factors) > 1))]
-    return bufs, bufs[1] if len(bufs) > 1 else np.empty(min(n, _CHUNK) * k)
+    width = min(_PANEL, k)
+    bufs = [np.empty(n * width) for _ in range(1 + (len(_factors(n, m)) > 1))]
+    return bufs, bufs[1] if len(bufs) > 1 else np.empty(min(n, _CHUNK) * width)
 
 
 def _fill(out: np.ndarray, s: int, r0: int, x, y, signs) -> None:
@@ -246,29 +248,6 @@ def _transform(x, y, signs: np.ndarray, rows: np.ndarray, plan, work) -> np.ndar
     return out
 
 
-def _hadamard_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of ``H_n @ a``, n = a.shape[0] a power of two: the
-    kernel of :func:`_transform` on a formed matrix."""
-    n, k = a.shape
-    plan = _plan_rows(n, rows)
-    return _transform(a, None, np.ones(n), rows, plan, _workspace(n, k, plan[0]))
-
-
-def fwht(v) -> np.ndarray:
-    """Orthonormal Walsh-Hadamard transform, O(n log n).
-
-    The transform matrix is the 1/sqrt(n)-scaled Walsh-Hadamard matrix, so
-    ``fwht`` is an involution and an isometry.  It is the blocked kernel of
-    :func:`srht_apply` with every row kept: Kronecker factors of at most 128
-    of the Sylvester matrix, each applied as a dense +-1 matrix product.
-    """
-    v = as_vector(v)
-    n = v.size
-    if n < 1 or (n & (n - 1)) != 0:
-        raise NotPowerOfTwo(f"length {n} is not a power of two")
-    return _hadamard_rows(v[:, None], np.arange(n))[:, 0] / np.sqrt(n)
-
-
 def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length() if n > 1 else 1
 
@@ -293,7 +272,7 @@ def _srht_from_parts(x, y, signs: np.ndarray, rows: np.ndarray, m: int, work=Non
     width = min(_PANEL, k)
     plan = _plan_rows(signs.size, rows)
     if work is None:
-        work = _workspace(signs.size, width, plan[0])
+        work = _workspace(signs.size, k, rows.size)
     out = np.empty((rows.size, k))
     for j in range(0, k, width):
         c = min(width, k - j)
@@ -301,6 +280,27 @@ def _srht_from_parts(x, y, signs: np.ndarray, rows: np.ndarray, m: int, work=Non
                                        rows, plan, work)
     out /= np.sqrt(m)
     return np.ascontiguousarray(out[:, :d]), None if y is None else out[:, d].copy()
+
+
+def _hadamard_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of ``H_n @ a``, n = a.shape[0] a power of two: the SRHT
+    of ``a`` with unit signs and no scale."""
+    return _srht_from_parts(a, None, np.ones(a.shape[0]), rows, 1)[0]
+
+
+def fwht(v) -> np.ndarray:
+    """Orthonormal Walsh-Hadamard transform, O(n log n).
+
+    The transform matrix is the 1/sqrt(n)-scaled Walsh-Hadamard matrix, so
+    ``fwht`` is an involution and an isometry.  It is the blocked SRHT of
+    :func:`srht_apply` with unit signs and every row kept, whose 1/sqrt(m)
+    scale is then 1/sqrt(n).
+    """
+    v = as_vector(v)
+    n = v.size
+    if n < 1 or (n & (n - 1)) != 0:
+        raise NotPowerOfTwo(f"length {n} is not a power of two")
+    return _srht_from_parts(v[:, None], None, np.ones(n), np.arange(n), n)[0][:, 0]
 
 
 def _rows(x, y, idx, scale):
@@ -323,7 +323,7 @@ def _sketcher(x, y, variant: str, m: int, rng: np.random.Generator | None):
         n_pad = _next_pow2(n)
         if not 1 <= _whole(m, "sketch size", NotEnoughRows) <= n_pad:
             raise NotEnoughRows(f"sketch size {m} not in 1..{n_pad} (padded rows)")
-        work = _workspace(n_pad, min(_PANEL, d + (y is not None)), _factors(n_pad, m))
+        work = _workspace(n_pad, d + (y is not None), m)
 
         def draw():
             signs = rademacher(rng, n_pad)
@@ -436,8 +436,6 @@ def _aopt_select(x: np.ndarray, m: int) -> SubsampleMask:
     if not 1 <= _whole(m, "subsample size", BadSubsampleSize) <= n:
         raise BadSubsampleSize(f"subsample size {m} not in 1..{n}")
     sq = _row_sq_norms(x)
-    if m == n:
-        return SubsampleMask(np.ones(n, dtype=np.uint8), n)
     threshold = np.partition(sq, n - m)[n - m]
     delta = np.zeros(n, dtype=np.uint8)
     above = sq > threshold

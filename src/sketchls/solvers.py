@@ -44,8 +44,8 @@ from .errors import (
     RankDeficient,
     ZeroDirection,
 )
-from .linalg import (_check_coef, _check_xy, _gram, _whole, as_matrix, as_vector,
-                     cholesky, solve_spd, sym_eigvals)
+from .linalg import (_check_coef, _check_xy, _finite_nonneg, _gram, _whole, as_matrix,
+                     as_vector, cholesky, solve_spd, sym_eigvals)
 from .precond import _build_m
 from .sketch import SketchKind, _aopt_select, _sketcher
 # perfbench/tracer.py wraps these names here; the solvers call their cores
@@ -127,8 +127,9 @@ class IsometryReport:
 
 def _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup, step):
     """The one entry and loop of the iterative solvers.  It checks
-    ``n_iter``, ``(X, y)``, ``beta0`` (zero when None) and ``beta_ls`` (None
-    allowed), then drives ``step(x, y, *setup(x, y, beta0, beta_ls))``:
+    ``n_iter``, ``stop_at_dist`` (finite and >= 0), ``(X, y)``, ``beta0``
+    (zero when None) and ``beta_ls`` (None allowed), then drives
+    ``step(x, y, *setup(x, y, beta0, beta_ls))``:
     ``setup`` does the one-time work and gives the start, the source and any
     hook, and the step yields ``(beta, alpha, status, resid)`` for the start
     and each step (``resid = y - X beta``, ``alpha`` None for the start and
@@ -144,6 +145,7 @@ def _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup, step):
     ``setup_seconds``: the setup and the start's residual.
     """
     n_iter = _whole(n_iter, "n_iter")
+    _finite_nonneg(stop_at_dist, "stop_at_dist")
     x, y = _check_xy(x, y)
     beta0 = np.zeros(x.shape[1]) if beta0 is None else _check_coef(x, beta0, "beta0")
     beta_ls = None if beta_ls is None else _check_coef(x, beta_ls, "beta_ls")
@@ -463,6 +465,7 @@ def preconditioned_descent(
     a fixed point).  When ``tol`` > 0 the run also stops once the iterate
     moves by at most ``tol`` in Euclidean norm.
     """
+    _finite_nonneg(tol, "tol")
     setup = lambda x, y, beta0, beta_ls: (beta0, apply_inv)
     return _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup, partial(_descent, tol=tol))
 
@@ -484,8 +487,11 @@ def aopt_ihs_solve(
     recycled to build ``M = (n/m) * masked Gram + lam * I`` once, and every
     step applies M^{-1} to the exact gradient with the exact line-search step
     length, so the objective never increases.  ``tol`` enables early stopping
-    on the iterate displacement (0 disables it).
+    on the iterate displacement (0 disables it).  ``lam`` and ``tol`` must be
+    finite and >= 0, checked before X is read.
     """
+    _finite_nonneg(lam, "ridge weight")
+    _finite_nonneg(tol, "tol")
 
     def setup(x, y, beta0, beta_ls):
         start, mask = _aopt_cs_estimate(x, y, m)

@@ -451,6 +451,73 @@ def test_size_that_is_not_whole_is_named_before_any_work(entry, xy, monkeypatch)
     assert str(exc.value) == message
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work before the setting check")
+
+
+#: NaN, inf and a negative value: outside the range of every real setting
+_NOT_FINITE_OR_NEGATIVE = (np.nan, np.inf, -1.0)
+#: every iterative solve, on ``(x, y)`` with more keywords
+_SOLVES = {
+    "preconditioned_descent": lambda x, y, **kw: preconditioned_descent(
+        x, y, None, _no_work, 2, **kw),
+    **{name: lambda x, y, e=entry, **kw: e.solve(
+        x, y, M, 2, **kw, **e.settings(rng=derive_rng(1), lam=0.1))
+       for name, entry in METHODS.items()},
+}
+#: each real-valued setting where it enters, the values outside its range
+#: (0 too for a proportion and a bench tol), and the message each raises
+_REAL_ENTRIES = {
+    "lambda_sweep-proportions": (lambda x, y, v: lambda_sweep(_config(), [v]),
+                                 _NOT_FINITE_OR_NEGATIVE + (0.0,),
+                                 "proportions must be finite and > 0, got [{}]"),
+    "ExperimentConfig-tol": (lambda x, y, v: _config(tol=v), _NOT_FINITE_OR_NEGATIVE + (0.0,),
+                             "tol must be finite and > 0, got {}"),
+    "build_m-lam": (lambda x, y, v: build_m(x, SubsampleMask(np.arange(N) < M, M), v),
+                    _NOT_FINITE_OR_NEGATIVE, "ridge weight must be finite and >= 0, got {}"),
+    "aopt_ihs_solve-lam": (lambda x, y, v: aopt_ihs_solve(x, y, M, 2, v), _NOT_FINITE_OR_NEGATIVE,
+                           "ridge weight must be finite and >= 0, got {}"),
+    **{f"{name}-tol": (lambda x, y, v, run=_SOLVES[name]: run(x, y, tol=v),
+                       _NOT_FINITE_OR_NEGATIVE, "tol must be finite and >= 0, got {}")
+       for name in ("aopt-ihs", "preconditioned_descent")},
+    **{f"{name}-stop_at_dist": (lambda x, y, v, run=run: run(
+        x, y, beta_ls=np.zeros(D), stop_at_dist=v), _NOT_FINITE_OR_NEGATIVE,
+        "stop_at_dist must be finite and >= 0, got {}") for name, run in _SOLVES.items()},
+}
+
+#: a real-valued setting out of its range, with the message it gives
+REAL_SETTINGS = {f"{entry}-{v}": (lambda x, y, call=call, v=v: call(x, y, v), message.format(v))
+                 for entry, (call, values, message) in _REAL_ENTRIES.items() for v in values}
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_SETTINGS))
+def test_real_setting_out_of_range_is_named_before_any_work(entry, xy, monkeypatch):
+    # NaN and inf used to pass these checks: a NaN or inf proportion failed
+    # each replication in numpy, a bench tol of inf reported 0 iterations, a
+    # solver tol of inf stopped after one step, and a NaN or negative tol or
+    # stop_at_dist turned its stop off
+    for module, name in ((sketchls.bench, "make_dataset"), (sketchls.sketch, "_row_sq_norms"),
+                         (sketchls.sketch, "_leverage_scores"), (sketchls.sketch, "_workspace"),
+                         (sketchls.solvers, "_sketcher"), (sketchls.solvers, "_gram"),
+                         (sketchls.precond, "_gram")):
+        monkeypatch.setattr(module, name, _no_work)
+    call, message = REAL_SETTINGS[entry]
+    with pytest.raises(ValueError) as exc:
+        call(*xy)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("sigma", [1e308, np.inf, np.nan])
+def test_response_that_is_not_finite_names_sigma(sigma, monkeypatch):
+    # gen_response used to return inf entries with an overflow warning
+    x, _ = scan_data()
+    scans = count_scans(monkeypatch)
+    with pytest.raises(ValueError) as exc:
+        gen_response(x, np.ones(SCAN_D), sigma, derive_rng(1))
+    assert str(exc.value) == f"the response is not finite at sigma = {sigma}"
+    assert len(scans) == 1
+
+
 def test_numpy_integer_sizes_accepted(xy):
     x, y = xy
     m, n_iter = np.int64(M), np.int64(2)

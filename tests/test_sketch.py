@@ -28,7 +28,9 @@ from sketchls import (
     srht_apply,
     uniform_sample,
 )
-from sketchls.sketch import _hadamard_rows, _srht_from_parts, rademacher
+import sketchls.sketch
+from sketchls.sketch import (_hadamard_rows, _sketcher, _srht_from_parts, _workspace,
+                             rademacher)
 
 
 def dense_hadamard_rows(n, rows, a):
@@ -84,6 +86,13 @@ class TestFwht:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(n)
         np.testing.assert_allclose(fwht(v), h @ v, atol=1e-12)
+
+    @pytest.mark.parametrize("p", range(14))
+    def test_is_the_srht_with_unit_signs_and_every_row_kept(self, p):
+        n = 1 << p
+        v = np.random.default_rng(p).standard_normal(n)
+        srht = _srht_from_parts(v[:, None], None, np.ones(n), np.arange(n), n)[0][:, 0]
+        assert np.array_equal(fwht(v), srht)
 
 
 class TestBlockedHadamard:
@@ -203,6 +212,46 @@ class TestSketchMemory:
         make_dataset(spec)  # warm
         peak = peak_traced_bytes(lambda: make_dataset(spec))
         assert peak <= bound * spec.n * spec.d * 8
+
+
+def allocations(work) -> list:
+    """Sizes of the arrays a :func:`_workspace` allocated, in order: its
+    panel buffers, then its chunk when that is not the second buffer."""
+    bufs, chunk = work
+    assert all(b.base is None for b in bufs)
+    return [b.size for b in bufs] + ([] if any(chunk is b for b in bufs) else [chunk.size])
+
+
+class TestWorkspace:
+    # the buffers the sketcher allocated when it sized them itself: one
+    # n_pad x min(64, k) panel buffer and a 4096-row chunk on the kept-row
+    # path (m * 16 < n_pad), two panel buffers on the all-dense path
+    @pytest.mark.parametrize("n, k, m, sizes", [
+        pytest.param(1 << 14, 50, 1000, [(1 << 14) * 50, 4096 * 50], id="desk"),
+        pytest.param(1 << 14, 51, 1000, [(1 << 14) * 51, 4096 * 51], id="desk-with-y"),
+        pytest.param(1 << 17, 200, 4000, [(1 << 17) * 64, 4096 * 64], id="top"),
+        pytest.param(1 << 17, 201, 4000, [(1 << 17) * 64, 4096 * 64], id="top-with-y"),
+        pytest.param(512, 4, 128, [512 * 4, 512 * 4], id="suite-warm-up"),
+    ])
+    def test_sizes_itself(self, n, k, m, sizes):
+        assert allocations(_workspace(n, k, m)) == sizes
+
+    @pytest.mark.parametrize("with_y", [False, True])
+    @pytest.mark.parametrize("m", [100, 600])  # kept-row and all-dense paths
+    def test_one_workspace_per_sketcher(self, m, with_y, monkeypatch):
+        real, made = sketchls.sketch._workspace, []
+
+        def counting(*args):
+            made.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sketchls.sketch, "_workspace", counting)
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((3000, 6)), rng.standard_normal(3000)
+        draw = _sketcher(x, y if with_y else None, "srht", m, derive_rng(6))
+        for _ in range(3):
+            draw()
+        assert made == [(4096, 6 + with_y, m)]
 
 
 class TestSrht:
@@ -337,6 +386,10 @@ class TestAoptSelect:
 
     def test_full_selection(self):
         x = np.random.default_rng(0).standard_normal((5, 2))
+        np.testing.assert_array_equal(aopt_select(x, 5).delta, np.ones(5))
+
+    def test_full_selection_with_ties_at_the_least_norm(self):
+        x = np.array([[1.0], [0.0], [2.0], [0.0], [-1.0]])
         np.testing.assert_array_equal(aopt_select(x, 5).delta, np.ones(5))
 
     def test_deterministic(self):
