@@ -11,10 +11,11 @@ proportion.  The delta tables read the Gram matrix ``ds.gram`` that
 :func:`~sketchls.datagen.make_dataset` formed for ``beta_ls``.  X was
 checked when it was generated, so ``start`` and ``measure`` call the
 library's unchecked cores on it, and only each public solve scans it again.
-Replications run in a thread pool, each entry with its own generator stream,
-and the fold hands each key's successful values, in replication order, to
-the experiment's ``row(key, values, failures)``, which yields that key's CSV
-rows.  So results are byte-identical regardless of the worker count.
+Replications run in a pool of ``threads`` workers (``threads = 1`` is a pool
+of one), each entry with its own generator stream, and the fold hands each
+key's successful values, in replication order, to the experiment's
+``row(key, values, failures)``, which yields that key's CSV rows.  So
+results are byte-identical regardless of the worker count.
 Solvers are looked up by name in :data:`sketchls.solvers.METHODS`.
 
 Any library error (:class:`~sketchls.errors.SketchlsError`) raised while
@@ -164,11 +165,8 @@ def _table(spec: DataSpec, start, keys, reps: int, threads: int, row):
                 values[key] = measure(key)
         return values
 
-    if threads <= 1:
-        per_rep = [one_rep(rep) for rep in range(reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_rep = list(pool.map(one_rep, range(reps)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        per_rep = list(pool.map(one_rep, range(reps)))
     rows, failures = [], {}
     for key in keys:
         values = [r[key] for r in per_rep if r[key] is not None]
@@ -234,10 +232,11 @@ class _Diverged(SketchlsError):
 
 
 def _rep_solve(cfg: ExperimentConfig, rep: int, ds: Dataset, method: str, n_iter: int,
-               lam=None, beta0=None, stop_at_dist: float = 0.0) -> SolveTrace:
+               beta0=None, stop_at_dist: float = 0.0) -> SolveTrace:
     """One configured method on one replication, passed the settings it reads
-    of its own stream, the ridge weight ``lam`` and the start ``beta0``."""
+    of its own stream, the config's ridge weight for X and the start ``beta0``."""
     entry = SOLVERS[method]
+    lam = cfg.lambda_rule._resolve(ds.x) if "lam" in entry.reads else None
     trace = entry.solve(ds.x, ds.y, cfg.m, n_iter, beta_ls=ds.beta_ls, stop_at_dist=stop_at_dist,
                         **entry.settings(rng=_rep_rng(cfg, rep, method), lam=lam, beta0=beta0))
     if trace.status == "diverge":
@@ -273,15 +272,13 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1):
     (method, iter, mse1, mse2, failures).
     """
 
-    reads_lam = _reads(cfg.methods, "lam")
     shares_start = cfg.init_policy == "aopt-for-all" and _reads(cfg.methods, "beta0")
 
     def start(rep, ds):
-        lam = cfg.lambda_rule._resolve(ds.x) if reads_lam else None
         beta0 = _aopt_cs_estimate(ds.x, ds.y, cfg.m)[0] if shares_start else None
 
         def measure(method):
-            trace = _rep_solve(cfg, rep, ds, method, cfg.n_iter, lam=lam, beta0=beta0)
+            trace = _rep_solve(cfg, rep, ds, method, cfg.n_iter, beta0=beta0)
             viol = _descent_violations(trace.objective) if method == "aopt-ihs" else 0
             return _sq_error_curves(trace, ds.beta_star, cfg.n_iter), viol
 
@@ -392,14 +389,9 @@ def run_time_to_precision(cfg: ExperimentConfig, threads: int = 1):
     generation and the exact solve are excluded.
     """
 
-    reads_lam = _reads(cfg.methods, "lam")
-
     def start(rep, ds):
-        lam = cfg.lambda_rule._resolve(ds.x) if reads_lam else None
-
         def measure(method):
-            trace = _rep_solve(cfg, rep, ds, method, cfg.iter_cap, lam=lam,
-                               stop_at_dist=cfg.tol)
+            trace = _rep_solve(cfg, rep, ds, method, cfg.iter_cap, stop_at_dist=cfg.tol)
             secs = trace.setup_seconds + float(np.sum(trace.elapsed))
             return trace.dist_to_ls[-1] <= cfg.tol, trace.iterations, secs
 

@@ -39,14 +39,23 @@ __all__ = [
 SINGULAR_RTOL = 1e-14
 
 
+def _real(x, name: str) -> np.ndarray:
+    """``x`` as a float64 array, or ValueError naming ``name`` when its dtype
+    is complex (a cast would drop the imaginary part)."""
+    a = np.asarray(x)
+    if a.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite float64 2-D array.
+    """Coerce a real input to a finite float64 2-D array.
 
     A NaN or infinite entry always makes its row sum non-finite, so one
     product with a ones vector accepts every finite array whose row sums do
     not overflow; only the rest get the elementwise check.
     """
-    a = np.asarray(x, dtype=np.float64)
+    a = _real(x, name)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {a.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -56,8 +65,8 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite float64 1-D array."""
-    a = np.asarray(x, dtype=np.float64)
+    """Coerce a real input to a finite float64 1-D array."""
+    a = _real(x, name)
     if a.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {a.shape}")
     if not np.isfinite(a).all():

@@ -140,8 +140,8 @@ def delta_measure(pre: Preconditioner, q) -> float:
 
 
 def _bound_pieces(x, mask: SubsampleMask, c_lower: float):
-    if c_lower <= 0:
-        raise ValueError(f"c_lower must be > 0, got {c_lower}")
+    if not 0.0 < c_lower < np.inf:  # NaN too
+        raise ValueError(f"c_lower must be {'> 0' if c_lower <= 0 else 'finite'}, got {c_lower}")
     x = _check_mask(x, mask)
     ev = sym_eigvals(_gram(x))
     kappa = _spectrum_cond(ev, "Gram matrix")

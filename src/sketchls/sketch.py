@@ -73,6 +73,7 @@ class SubsampleMask:
     m: int
 
     def __post_init__(self):
+        _whole(self.m, "m", BadSubsampleSize)
         delta = np.asarray(self.delta)
         # check the raw values: a uint8 cast would read 0.5 as 0 and 257 as 1
         if delta.ndim != 1 or not np.isin(delta, (0, 1)).all():

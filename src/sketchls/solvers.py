@@ -18,11 +18,12 @@ each solver only those.  A randomized solver's ``kind`` may be a row count
 m, for an SRHT of m rows, which is how the table calls it.
 
 Every solve runs through one loop, :func:`_iterate`, which checks the
-inputs, times the setup, drives the step and ends a run at the target or at
-a non-finite iterate.  Its :class:`SolveTrace` holds the full iterate
-history, so correctness oracles (the closed-form trajectory, isometry
-reports, the contraction bound) can audit a run after the fact.  A step
-yields each iterate with its residual ``y - X beta``, carried forward as
+inputs, times the setup, forms and records the start with its residual
+``y - X beta``, drives the step and ends a run at the target or at a
+non-finite iterate.  Its :class:`SolveTrace` holds the full iterate history,
+so correctness oracles (the closed-form trajectory, isometry reports, the
+contraction bound) can audit a run after the fact.  A step begins at its
+first step and yields each iterate with its residual, carried forward as
 ``r - alpha X u`` by a step that forms the image ``X u`` of its direction.
 Every step reads X twice.  Gradients and objective values are always
 computed against the unpadded data; zero padding exists only inside the SRHT.
@@ -128,21 +129,21 @@ class IsometryReport:
 def _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup, step):
     """The one entry and loop of the iterative solvers.  It checks
     ``n_iter``, ``stop_at_dist`` (finite and >= 0), ``(X, y)``, ``beta0``
-    (zero when None) and ``beta_ls`` (None allowed), then drives
-    ``step(x, y, *setup(x, y, beta0, beta_ls))``:
-    ``setup`` does the one-time work and gives the start, the source and any
-    hook, and the step yields ``(beta, alpha, status, resid)`` for the start
-    and each step (``resid = y - X beta``, ``alpha`` None for the start and
-    unit steps) or returns a status to end without a new iterate.  The loop
-    records each iterate, its objective ``0.5 r.r``, its distance to
-    ``beta_ls`` and its step length.  It stops after ``n_iter`` steps (the
-    start only when ``n_iter <= 0``), at a status other than ``"ok"``, at the
-    first iterate (the start included) within ``stop_at_dist`` of
-    ``beta_ls``, and as ``diverge`` at the first with a non-finite objective,
-    so numpy's overflow and invalid warnings are off.  A
-    :class:`NotPositiveDefinite` from the setup or step t leaves with
-    ``iteration`` 0 or t, named in its message.  The first yield is timed as
-    ``setup_seconds``: the setup and the start's residual.
+    (zero when None) and ``beta_ls`` (None allowed).  ``setup(x, y, beta0,
+    beta_ls)`` does the one-time work and gives the start, the source and any
+    hook; the loop forms the start's residual ``resid = y - X start``,
+    records the start and drives ``step(x, y, start, resid, *source)``.  The
+    step begins at its first step: it yields ``(beta, alpha, status, resid)``
+    for each step (``alpha`` None for unit steps) or returns a status to end
+    without a new iterate.  The loop records each iterate, its objective
+    ``0.5 r.r``, its distance to ``beta_ls`` and its step length.  It stops
+    after ``n_iter`` steps (the start only when ``n_iter <= 0``), at a status
+    other than ``"ok"``, at the first iterate (the start included) within
+    ``stop_at_dist`` of ``beta_ls``, and as ``diverge`` at the first with a
+    non-finite objective, so numpy's overflow and invalid warnings are off.
+    A :class:`NotPositiveDefinite` from the setup or step t leaves with
+    ``iteration`` 0 or t, named in its message.  The setup and the start's
+    residual and record are timed as ``setup_seconds``.
     """
     n_iter = _whole(n_iter, "n_iter")
     _finite_nonneg(stop_at_dist, "stop_at_dist")
@@ -153,7 +154,10 @@ def _iterate(x, y, beta0, beta_ls, n_iter, stop_at_dist, setup, step):
     targeted = stop_at_dist > 0.0 and beta_ls is not None
 
     def run():
-        return (yield from step(x, y, *setup(x, y, beta0, beta_ls)))
+        start, *source = setup(x, y, beta0, beta_ls)
+        resid = y - x @ start
+        yield start, None, "ok", resid
+        return (yield from step(x, y, start, resid, *source))
 
     iterates = run()
     for t in range(max(n_iter, 0) + 1):
@@ -204,15 +208,16 @@ def _sketch_inv(x, kind, rng, fresh=False, record=None):
     return lambda v: solve_spd(fac, v)
 
 
-def _unit(x, y, beta, inv, watch=None):
+def _unit(x, y, beta, resid, inv, watch=lambda beta, resid: ("ok", None)):
     """The unit step ``beta + M_t^{-1} X' (y - X beta)``.  ``watch(beta,
-    resid)`` gives each iterate's status and the gradient if it formed it."""
-    resid = y - x @ beta
+    resid)`` gives each iterate's status and the gradient if it formed it,
+    from the start on (whose status is ``"ok"``)."""
+    grad = watch(beta, resid)[1]
     while True:
-        status, grad = ("ok", None) if watch is None else watch(beta, resid)
-        yield beta, None, status, resid
         beta = beta + inv(x.T @ resid if grad is None else grad)
         resid = y - x @ beta
+        status, grad = watch(beta, resid)
+        yield beta, None, status, resid
 
 
 def _growth(x, y, beta_ls):
@@ -230,12 +235,10 @@ def _growth(x, y, beta_ls):
     return watch
 
 
-def _descent(x, y, beta, inv, tol):
+def _descent(x, y, beta, resid, inv, tol):
     """The exact line-search step along ``u = M_t^{-1} X' r``, whose image
     ``X u`` also gives the next residual.  A vanished direction ends the run
     as ``converged``, as does a step that moves beta by at most ``tol`` > 0."""
-    resid = y - x @ beta
-    yield beta, None, "ok", resid
     while True:
         v = x.T @ resid
         u = inv(v)
@@ -250,12 +253,10 @@ def _descent(x, y, beta, inv, tol):
         yield beta, alpha, "converged" if done else "ok", resid
 
 
-def _cg(x, y, beta, inv):
+def _cg(x, y, beta, resid, inv):
     """Preconditioned conjugate gradient on the normal equations, for a
     frozen source: the gradient is updated recursively, and ``X p`` also
     updates the residual.  A curvature <= 0 ends the run as ``converged``."""
-    resid = y - x @ beta
-    yield beta, None, "ok", resid
     r = x.T @ resid  # later gradients are updated recursively
     p = inv(r)
     rz = float(r @ p)
@@ -417,14 +418,15 @@ def contraction_bound(eps1: float, eps2: float, t: int, init_err: float) -> floa
     norm ``||X (beta - beta_ls)||``.  The Euclidean distance ``||beta -
     beta_ls||`` obeys the same rate only up to a factor ``sqrt(cond(X'X))``:
     the iteration matrix is non-normal, so a single Euclidean step can exceed
-    the rate.
+    the rate.  ``t`` must be a whole number and ``init_err`` finite and >= 0.
     """
     if not (0.0 <= eps1 < 0.5 and 0.0 <= eps2 < 1.0 - eps1):
         raise HypothesisViolated(
             f"need eps1 in [0, 1/2) and eps2 in [0, 1 - eps1), got {eps1}, {eps2}"
         )
-    if t < 0:
+    if _whole(t, "t", HypothesisViolated) < 0:
         raise HypothesisViolated("iteration count must be >= 0")
+    _finite_nonneg(init_err, "init_err")
     return (max(eps1, eps2) / (1.0 - eps1)) ** t * init_err
 
 

@@ -120,6 +120,20 @@ def test_xy_length_mismatch(entry, extra, xy):
         XY_ENTRIES[entry](x, y)
 
 
+@pytest.mark.parametrize("which", ["X", "y"])
+@pytest.mark.parametrize("entry", sorted(XY_ENTRIES))
+def test_complex_input_is_named_before_any_work(entry, which, xy, no_numerics, monkeypatch):
+    # a complex X or y used to be cast to its real part with only a
+    # ComplexWarning, so full_ls(X, y) returned full_ls(X.real, y)
+    for name in ("_row_sq_norms", "_leverage_scores", "_workspace"):
+        monkeypatch.setattr(sketchls.sketch, name, _no_work)
+    x, y = xy
+    x, y = (x + 1j * x, y) if which == "X" else (x, y + 1j * y)
+    with pytest.raises(ValueError) as exc:
+        XY_ENTRIES[entry](x, y)
+    assert str(exc.value) == f"{which} must be real, got complex128"
+
+
 def test_longer_y_no_longer_fits_its_prefix(xy):
     # the initializer used to fit y[:n] silently
     x, y = xy
@@ -355,6 +369,10 @@ def _rank_deficient_x():
      "c_lower must be > 0, got 0.0"),
     (lambda: hs_covariance_trace_bound(np.eye(4), aopt_select(np.eye(4), 2), -1.0),
      ValueError, "c_lower must be > 0, got -1.0"),
+    # NaN used to give a NaN bound, and inf the bound without its excluded rows
+    *[(lambda bound=bound, c=c: bound(np.eye(4), aopt_select(np.eye(4), 2), c),
+       ValueError, f"c_lower must be finite, got {c}")
+      for bound in (trace_inverse_bound, hs_covariance_trace_bound) for c in (np.nan, np.inf)],
     (lambda: run_convergence(_config(), threads=0), ValueError, "threads must be >= 1, got 0"),
     (lambda: run_init_comparison([512], 3, 16, 2, 2, threads=-3), ValueError,
      "threads must be >= 1, got -3"),
@@ -414,6 +432,10 @@ WHOLE_SIZES = {
         "lambda_sweep": lambda t: lambda_sweep(_config(), [0.1], t)}.items()},
     "SketchKind": (lambda x, y: SketchKind("srht", 20.5), BadSubsampleSize,
                    "m must be a whole number, got 20.5"),
+    "SubsampleMask": (lambda x, y: SubsampleMask(np.arange(N) < M, float(M)), BadSubsampleSize,
+                      f"m must be a whole number, got {float(M)}"),
+    "contraction_bound-t": (lambda x, y: contraction_bound(0.1, 0.1, 2.5, 1.0),
+                            HypothesisViolated, "t must be a whole number, got 2.5"),
     "srht_apply": (lambda x, y: srht_apply(x, y, 20.5, derive_rng(1)), NotEnoughRows,
                    "sketch size must be a whole number, got 20.5"),
     "uniform_sample": (lambda x, y: uniform_sample(x, y, 20.5, derive_rng(1)), NotEnoughRows,
@@ -477,6 +499,9 @@ _REAL_ENTRIES = {
                     _NOT_FINITE_OR_NEGATIVE, "ridge weight must be finite and >= 0, got {}"),
     "aopt_ihs_solve-lam": (lambda x, y, v: aopt_ihs_solve(x, y, M, 2, v), _NOT_FINITE_OR_NEGATIVE,
                            "ridge weight must be finite and >= 0, got {}"),
+    "contraction_bound-init_err": (lambda x, y, v: contraction_bound(0.1, 0.1, 2, v),
+                                   _NOT_FINITE_OR_NEGATIVE,
+                                   "init_err must be finite and >= 0, got {}"),
     **{f"{name}-tol": (lambda x, y, v, run=_SOLVES[name]: run(x, y, tol=v),
                        _NOT_FINITE_OR_NEGATIVE, "tol must be finite and >= 0, got {}")
        for name in ("aopt-ihs", "preconditioned_descent")},
