@@ -43,8 +43,8 @@ from numbers import Real
 import numpy as np
 
 from .datagen import DataSpec, Dataset, make_dataset
-from .errors import EmptyInput, SketchlsError
-from .linalg import _gram, _row_sq_norms, _whole
+from .errors import DimensionMismatch, EmptyInput, SketchlsError
+from .linalg import _gram, _real, _row_sq_norms, _whole
 from .precond import LambdaRule, _build_m, delta_from_matrix, delta_measure
 from .sketch import _aopt_select, _sketcher, derive_rng
 from .solvers import METHODS as SOLVERS
@@ -135,8 +135,12 @@ def _distinct(name: str, keys, allowed=None) -> tuple:
 
 
 def trimmed_mean(values, frac: float) -> float:
-    """Mean after dropping floor(frac * len) values from each tail."""
-    values = np.sort(np.asarray(values, dtype=np.float64))
+    """Mean after dropping floor(frac * len) values from each tail of a real
+    1-D sequence, whose non-finite values may be among those dropped."""
+    values = _real(values, "values")
+    if values.ndim != 1:
+        raise DimensionMismatch(f"values must be 1-D, got shape {values.shape}")
+    values = np.sort(values)
     if values.size == 0:
         raise EmptyInput("trimmed_mean of an empty sequence")
     if not 0.0 <= frac < 0.5:

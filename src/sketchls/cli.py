@@ -48,11 +48,11 @@ from .bench import (
 )
 from .datagen import DISTRIBUTIONS, DataSpec, _center, make_dataset
 from .errors import ConfigError, ParseError, SketchlsError
-from .linalg import _check_xy
+from .linalg import _check_xy, _full_ls
 from .precond import LambdaRule
 from .sketch import _next_pow2, derive_rng
 from .solvers import METHODS as SOLVERS
-from .solvers import SolveTrace, _full_ls
+from .solvers import SolveTrace
 
 PRNG_ALGORITHM = "numpy-pcg64"
 
@@ -283,7 +283,9 @@ def cmd_solve(args) -> int:
             "--lam", f"--lam must be a finite number >= 0 or a profile name, got {args.lam}"
         ) from None
     method = args.method
-    if method != "full" and args.m is None:
+    entry = SOLVERS.get(method)  # None for the full solve, which reads no setting
+    reads = entry.reads if entry else ()
+    if entry and args.m is None:
         raise ConfigError("m", f"--m is required for method {method!r}")
     if args.m is not None and args.m < 1:
         raise ConfigError("--m", f"--m must be >= 1, got {args.m}")
@@ -291,24 +293,23 @@ def cmd_solve(args) -> int:
     y = read_vector_csv(args.y)
     if y.size != x.shape[0]:
         raise ParseError(f"y has {y.size} rows but X has {x.shape[0]}; the files do not match")
-    # aopt-ihs selects m of the n rows; the SRHT keeps m of the padded rows
-    rows = x.shape[0] if method == "aopt-ihs" else _next_pow2(x.shape[0])
-    if method != "full" and args.m > rows:
+    # a method that reads rng keeps m of the padded rows; the others m of the n rows
+    rows = _next_pow2(x.shape[0]) if "rng" in reads else x.shape[0]
+    if entry and args.m > rows:
         raise ConfigError("--m", f"--m must be <= {rows} for method {method!r}, got {args.m}")
-    # X is checked once after centering and scaling, and once by the solve
+    # X and y, this command's own, are centered and scaled in place, then
+    # X is checked once, and once by the solve
     if not args.no_center:
-        x, y = _center(x, y)
+        _center(x, y)
     if args.scale:
         stds = x.std(axis=0)
         flat = np.flatnonzero(stds == 0.0)
         if flat.size:
             raise ParseError(f"{args.x}: column {flat[0] + 1} is constant, cannot scale")
-        x = x / stds
+        x /= stds
     x, y = _check_xy(x, y)
     beta_ls = _full_ls(x, y)
 
-    entry = SOLVERS.get(method)  # None for the full solve, which reads no setting
-    reads = entry.reads if entry else ()
     ridge_weight = rule._resolve(x) if "lam" in reads else None
     if entry is None:
         trace = SolveTrace(betas=[beta_ls], dist_to_ls=[0.0],

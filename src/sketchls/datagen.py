@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_coef, _check_xy, _gram, _whole, as_matrix
+from .linalg import _check_coef, _check_xy, _full_ls, _gram, _whole, as_matrix
 from .linalg import as_vector  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .sketch import derive_rng
-from .solvers import _full_ls
 
 __all__ = [
     "DISTRIBUTIONS",
@@ -138,15 +137,18 @@ def _response(x: np.ndarray, beta_star: np.ndarray, sigma: float, rng) -> np.nda
 
 def center(x, y):
     """Subtract column means from X and the mean from y (removes the
-    intercept).  Idempotent."""
-    return _center(*_check_xy(x, y))
+    intercept), in copies: the arguments are left as they are.  Idempotent."""
+    return _center(*(a.copy() for a in _check_xy(x, y)))
 
 
 def _center(x: np.ndarray, y: np.ndarray):
-    """:func:`center` of a checked ``(X, y)``."""
+    """:func:`center` in place, on float64 arrays the caller owns; returns
+    ``(x, y)``."""
     if x.shape[0] < 2:
         raise ValueError("centering needs at least two rows")
-    return x - x.mean(axis=0), y - y.mean()
+    x -= x.mean(axis=0)
+    y -= y.mean()
+    return x, y
 
 
 def make_dataset(spec: DataSpec) -> Dataset:
@@ -154,19 +156,19 @@ def make_dataset(spec: DataSpec) -> Dataset:
 
     Draw order is fixed: covariates, then beta_star (d i.i.d. standard
     normals), then response noise.  X is built in one array and centered in
-    place, as :func:`center` would, so no X-sized temporary is held beside
-    it.  X is checked once, by :func:`as_matrix`.  The Gram matrix and
-    the exact least-squares solution are computed once on the centered pair;
-    centering leaves beta_star the ground truth of the centered model.  A
-    ``sigma_noise`` so large that y or beta_ls overflows raises ValueError.
+    place through :func:`_center`, the core of :func:`center`, so no X-sized
+    temporary is held beside it.  X is checked once, by :func:`as_matrix`.
+    The Gram matrix and the exact least-squares solution are computed once
+    on the centered pair; centering leaves beta_star the ground truth of the
+    centered model.  A ``sigma_noise`` so large that y or beta_ls overflows
+    raises ValueError.
     """
     rng = derive_rng(spec.seed)
     x = as_matrix(_covariates(rng, spec.dist, spec.n, spec.d), "X")
     beta_star = rng.standard_normal(spec.d)
     y = _response(x, beta_star, spec.sigma_noise, rng)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
-        x -= x.mean(axis=0)
-        y -= y.mean()
+        _center(x, y)
         q = _gram(x)
         beta_ls = _full_ls(x, y, q)
     if not (np.isfinite(y).all() and np.isfinite(beta_ls).all()):

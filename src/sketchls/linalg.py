@@ -11,6 +11,9 @@ fixed BLAS build.
 A public kernel that reads a data matrix X checks it and hands it to a
 private core (:func:`_gram`, :func:`_row_sq_norms`); the library calls the
 cores on arrays it has already checked, so each X is scanned once per entry.
+Two more cores serve every layer above: :func:`_full_rank_factor`, the
+Cholesky factor of X'X or :class:`RankDeficient`, and :func:`_full_ls`, the
+exact least-squares fit of a checked ``(X, y)``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
+from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, SingularMatrix
 
 __all__ = [
     "CholeskyFactor",
@@ -174,13 +177,28 @@ def solve_spd(fac: CholeskyFactor, b):
 
     ``b`` may be a vector or a matrix of stacked right-hand sides (columns).
     """
-    b = np.asarray(b, dtype=np.float64)
+    b = _real(b, "b")
     if b.shape[0] != fac.dim:
         raise DimensionMismatch(
             f"factor dimension {fac.dim} does not match rhs length {b.shape[0]}"
         )
     inv = fac.inv_lower
     return inv.T @ (inv @ b)
+
+
+def _full_rank_factor(x: np.ndarray) -> CholeskyFactor:
+    """The Cholesky factor of X'X for a checked X, or :class:`RankDeficient`
+    when X does not have full column rank."""
+    try:
+        return cholesky(_gram(x))
+    except NotPositiveDefinite:
+        raise RankDeficient("X does not have full column rank") from None
+
+
+def _full_ls(x: np.ndarray, y: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+    """The exact least-squares solution of a checked ``(X, y)``, via Cholesky
+    of the Gram matrix, given X's Gram matrix ``q`` when it is already formed."""
+    return solve_spd(cholesky(_gram(x) if q is None else q), x.T @ y)
 
 
 def sym_eigvals(a) -> np.ndarray:

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .linalg import (
     CholeskyFactor,
     _finite_nonneg,
     _gram,
+    _require_symmetric,
     _row_sq_norms,
     _spectrum_cond,
     as_matrix,
@@ -118,10 +120,14 @@ def pencil_eigvals(m_matrix, q, factor: CholeskyFactor | None = None) -> np.ndar
     """Eigenvalues of the SPD pencil (Q, M), ascending.
 
     Computed as the spectrum of L^{-1} Q L^{-T} where M = L L^T, which shares
-    eigenvalues with M^{-1} Q but stays symmetric.
+    eigenvalues with M^{-1} Q but stays symmetric.  Q must be symmetric and
+    of the size of M (or of ``factor``, which stands in for M when given).
     """
     q = as_matrix(q)
+    _require_symmetric(q)
     fac = factor if factor is not None else cholesky(m_matrix)
+    if q.shape[0] != fac.dim:
+        raise DimensionMismatch(f"q has size {q.shape[0]}, M has size {fac.dim}")
     inv = fac.inv_lower
     b = inv @ q @ inv.T
     return sym_eigvals((b + b.T) * 0.5)

@@ -15,16 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadSubsampleSize,
-    DimensionMismatch,
-    NotEnoughRows,
-    NotPositiveDefinite,
-    NotPowerOfTwo,
-    RankDeficient,
-)
-from .linalg import (_check_xy, _gram, _row_sq_norms, _whole, as_matrix, as_vector,
-                     cholesky)
+from .errors import BadSubsampleSize, DimensionMismatch, NotEnoughRows, NotPowerOfTwo, RankDeficient
+from .linalg import _check_xy, _full_rank_factor, _row_sq_norms, _whole, as_matrix, as_vector
 
 __all__ = [
     "SketchKind",
@@ -283,12 +275,6 @@ def _srht_from_parts(x, y, signs: np.ndarray, rows: np.ndarray, m: int, work=Non
     return np.ascontiguousarray(out[:, :d]), None if y is None else out[:, d].copy()
 
 
-def _hadamard_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of ``H_n @ a``, n = a.shape[0] a power of two: the SRHT
-    of ``a`` with unit signs and no scale."""
-    return _srht_from_parts(a, None, np.ones(a.shape[0]), rows, 1)[0]
-
-
 def fwht(v) -> np.ndarray:
     """Orthonormal Walsh-Hadamard transform, O(n log n).
 
@@ -395,11 +381,7 @@ def _leverage_scores(x: np.ndarray) -> np.ndarray:
     n, d = x.shape
     if n < d:
         raise RankDeficient(f"need rows >= cols for leverage scores, got {n} x {d}")
-    try:
-        fac = cholesky(_gram(x))
-    except NotPositiveDefinite:
-        raise RankDeficient("X does not have full column rank") from None
-    inv_t = fac.inv_lower.T
+    inv_t = _full_rank_factor(x).inv_lower.T
     scores = np.empty(n)
     for s in range(0, n, _LEV_ROWS):
         w = x[s : s + _LEV_ROWS] @ inv_t

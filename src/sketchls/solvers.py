@@ -14,8 +14,9 @@ rows), a source of the ``M_t^{-1}`` of each step t and a step rule:
 
 :data:`METHODS` maps each solver's name to the solver and the settings it
 reads; the benchmark harness and the CLI dispatch through it only, passing
-each solver only those.  A randomized solver's ``kind`` may be a row count
-m, for an SRHT of m rows, which is how the table calls it.
+each solver only those.  A row that reads ``rng`` is randomized: its
+``kind`` may be a row count m, for an SRHT keeping m of the padded rows,
+which is how the table calls it; the other rows select m of the n rows.
 
 Every solve runs through one loop, :func:`_iterate`, which checks the
 inputs, times the setup, forms and records the start with its residual
@@ -38,15 +39,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    HypothesisViolated,
-    NotPositiveDefinite,
-    RankDeficient,
-    ZeroDirection,
-)
-from .linalg import (_check_coef, _check_xy, _finite_nonneg, _gram, _whole, as_matrix,
-                     as_vector, cholesky, solve_spd, sym_eigvals)
+from .errors import DimensionMismatch, HypothesisViolated, NotPositiveDefinite, ZeroDirection
+from .linalg import (_check_coef, _check_xy, _finite_nonneg, _full_ls, _full_rank_factor, _gram,
+                     _whole, as_matrix, as_vector, cholesky, solve_spd, sym_eigvals)
 from .precond import _build_m
 from .sketch import SketchKind, _aopt_select, _sketcher
 # perfbench/tracer.py wraps these names here; the solvers call their cores
@@ -283,12 +278,6 @@ def full_ls(x, y) -> np.ndarray:
     return _full_ls(*_check_xy(x, y))
 
 
-def _full_ls(x: np.ndarray, y: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
-    """:func:`full_ls` of a checked ``(X, y)``, given X's Gram matrix ``q``
-    when it is already formed."""
-    return solve_spd(cholesky(_gram(x) if q is None else q), x.T @ y)
-
-
 def cs_estimate(sx, sy) -> np.ndarray:
     """Classical sketch: least squares on the fully sketched pair (SX, Sy)."""
     return full_ls(sx, sy)
@@ -380,11 +369,7 @@ def isometry_check(x, sx) -> IsometryReport:
     """
     x = as_matrix(x)
     sx = _check_sketch(sx, x.shape[1], "sx")
-    try:
-        fac = cholesky(_gram(x))
-    except NotPositiveDefinite:
-        raise RankDeficient("X does not have full column rank") from None
-    w = fac.inv_lower @ sx.T
+    w = _full_rank_factor(x).inv_lower @ sx.T
     g = w @ w.T
     ev = sym_eigvals((g + g.T) * 0.5)
     lo, hi = float(ev[0]), float(ev[-1])

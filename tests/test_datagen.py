@@ -120,6 +120,18 @@ class TestCenter:
         with pytest.raises(ValueError, match="centering needs at least two rows"):
             center([[1.0, 2.0]], [3.0])
 
+    def test_float64_arguments_left_unchanged(self):
+        # the core centers in place; the public entry must center copies
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((10, 3)) + 2.0, rng.standard_normal(10) + 2.0
+        x0, y0 = x.copy(), y.copy()
+        xc, yc = center(x, y)
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(y, y0)
+        assert not np.shares_memory(xc, x) and not np.shares_memory(yc, y)
+        np.testing.assert_array_equal(xc, x0 - x0.mean(axis=0))
+        np.testing.assert_array_equal(yc, y0 - y0.mean())
+
 
 class TestMakeDataset:
     def test_deterministic(self):

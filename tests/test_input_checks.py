@@ -35,6 +35,7 @@ from sketchls import (
     closed_form_trajectory,
     contraction_bound,
     cs_estimate,
+    delta_from_matrix,
     derive_rng,
     draw_sketch,
     full_ls,
@@ -47,6 +48,7 @@ from sketchls import (
     lambda_sweep,
     leverage_sample,
     leverage_scores,
+    pencil_eigvals,
     preconditioned_descent,
     pw_gradient_solve,
     row_sq_norms,
@@ -55,8 +57,10 @@ from sketchls import (
     run_init_comparison,
     run_ridge_ablation,
     run_time_to_precision,
+    solve_spd,
     srht_apply,
     trace_inverse_bound,
+    trimmed_mean,
     uniform_sample,
 )
 from sketchls.cli import main
@@ -373,6 +377,25 @@ def _rank_deficient_x():
     *[(lambda bound=bound, c=c: bound(np.eye(4), aopt_select(np.eye(4), 2), c),
        ValueError, f"c_lower must be finite, got {c}")
       for bound in (trace_inverse_bound, hs_covariance_trace_bound) for c in (np.nan, np.inf)],
+    # a non-symmetric q used to give a spectrum of the wrong matrix, or a
+    # misleading SingularMatrix; a q of another shape failed in numpy's matmul
+    (lambda: pencil_eigvals(np.eye(2), [[1.0, 5.0], [0.0, 1.0]]), ValueError,
+     "matrix is not symmetric to relative tolerance 1e-12"),
+    (lambda: delta_from_matrix(np.eye(2), [[2.0, 5.0], [0.0, 2.0]]), ValueError,
+     "matrix is not symmetric to relative tolerance 1e-12"),
+    (lambda: pencil_eigvals(np.eye(2), np.ones((2, 3))), DimensionMismatch,
+     "matrix must be square, got shape (2, 3)"),
+    (lambda: delta_from_matrix(np.eye(2), np.eye(3)), DimensionMismatch,
+     "q has size 3, M has size 2"),
+    (lambda: pencil_eigvals(None, np.eye(3), cholesky(np.eye(2))), DimensionMismatch,
+     "q has size 3, M has size 2"),
+    # complex input used to be cast to its real part with a ComplexWarning
+    (lambda: solve_spd(cholesky(np.eye(2)), np.array([1 + 2j, 3.0])), ValueError,
+     "b must be real, got complex128"),
+    (lambda: trimmed_mean([1 + 5j, 2.0], 0.0), ValueError, "values must be real, got complex128"),
+    # a 2-D input used to be trimmed along its last axis only
+    (lambda: trimmed_mean([[1, 2], [3, 4]], 0.25), DimensionMismatch,
+     "values must be 1-D, got shape (2, 2)"),
     (lambda: run_convergence(_config(), threads=0), ValueError, "threads must be >= 1, got 0"),
     (lambda: run_init_comparison([512], 3, 16, 2, 2, threads=-3), ValueError,
      "threads must be >= 1, got -3"),

@@ -29,8 +29,7 @@ from sketchls import (
     uniform_sample,
 )
 import sketchls.sketch
-from sketchls.sketch import (_hadamard_rows, _sketcher, _srht_from_parts, _workspace,
-                             rademacher)
+from sketchls.sketch import _sketcher, _srht_from_parts, _workspace, rademacher
 
 
 def dense_hadamard_rows(n, rows, a):
@@ -113,7 +112,7 @@ class TestBlockedHadamard:
         edges = [rng.permutation(n)[:m] for m in (1, max(1, n // 16 - 1), max(1, n // 16))]
         for rows in (every, third, few, *edges):
             ref = dense_hadamard_rows(n, rows, a)
-            got = _hadamard_rows(a.copy(), rows)
+            got = _srht_from_parts(a.copy(), None, np.ones(n), rows, 1)[0]
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
     @pytest.mark.parametrize("n, d, m", [
