@@ -47,6 +47,8 @@ class DataSpec:
             raise ValueError(f"need n >= d >= 1, got n={self.n}, d={self.d}")
         if self.n < 2:
             raise ValueError("centering needs at least two rows")
+        if self.n == self.d:
+            raise ValueError(f"centered X has rank at most n - 1 = {self.n - 1} < d = {self.d}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.sigma_noise < np.inf:

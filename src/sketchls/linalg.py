@@ -99,9 +99,11 @@ def _check_coef(x: np.ndarray, v, name: str) -> np.ndarray:
 
 def _whole(value, name: str, error: type = ValueError) -> int:
     """``value`` as an int when ``operator.index`` accepts it (an int or a
-    numpy integer, not 20.0 or 20.5), else ``error`` naming ``name``: the one
-    check of a size where it enters the library."""
+    numpy integer, not 20.0, 20.5 or True), else ``error`` naming ``name``:
+    the one check of a size where it enters the library."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise error(f"{name} must be a whole number, got {value!r}") from None

@@ -304,7 +304,10 @@ def _sketcher(x, y, variant: str, m: int, rng: np.random.Generator | None):
     None)``; an SRHT then transforms one column fewer, so its SX can differ
     from the one beside Sy in the last bits.  The per-solve work (SRHT
     workspace, leverage probabilities, scale, largest-norm rows) is done here
-    once, and an ``m`` out of range raises here with the sampler's error."""
+    once; an ``m`` out of range raises here with the sampler's error, and an
+    ``rng`` that is not a Generator (``aopt`` reads none) with a TypeError."""
+    if variant != "aopt" and not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     n, d = x.shape
     if variant == "srht":
         n_pad = _next_pow2(n)

@@ -41,11 +41,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, HypothesisViolated, NotPositiveDefinite, ZeroDirection
 from .linalg import (_check_coef, _check_xy, _finite_nonneg, _full_ls, _full_rank_factor, _gram,
-                     _whole, as_matrix, as_vector, cholesky, solve_spd, sym_eigvals)
-from .precond import _build_m
+                     _whole, as_matrix, as_vector, cholesky, solve_spd)
+from .precond import _build_m, pencil_eigvals
 from .sketch import SketchKind, _aopt_select, _sketcher
 # perfbench/tracer.py wraps these names here; the solvers call their cores
-from .linalg import gram  # noqa: F401
+from .linalg import gram, sym_eigvals  # noqa: F401
 from .precond import build_m  # noqa: F401
 from .sketch import aopt_select, draw_sketch  # noqa: F401
 
@@ -363,15 +363,13 @@ def closed_form_trajectory(x, y, beta0, sketches) -> np.ndarray:
 def isometry_check(x, sx) -> IsometryReport:
     """Measure how far a sketched matrix is from an isometry on col(X).
 
-    Forms the Gram matrix of the sketched orthonormal basis through the thin
-    factorization (products with the inverse Cholesky factor of X^T X)
-    and reports its eigenvalue defects around 1.
+    The Gram matrix of the sketched orthonormal basis X L^{-T} (X'X = L L')
+    is L^{-1} (SX)'SX L^{-T}, whose spectrum is that of the pencil
+    ((SX)'SX, X'X); reports its eigenvalue defects around 1.
     """
     x = as_matrix(x)
     sx = _check_sketch(sx, x.shape[1], "sx")
-    w = _full_rank_factor(x).inv_lower @ sx.T
-    g = w @ w.T
-    ev = sym_eigvals((g + g.T) * 0.5)
+    ev = pencil_eigvals(None, _gram(sx), _full_rank_factor(x))
     lo, hi = float(ev[0]), float(ev[-1])
     eps1 = max(0.0, 1.0 - lo)
     eps2 = max(0.0, hi - 1.0)

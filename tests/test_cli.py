@@ -147,6 +147,15 @@ class TestGen:
         assert capsys.readouterr().err == "error: sigma_noise = 1e+308 overflows the response\n"
         assert not out.exists()
 
+    def test_square_data_names_the_rank(self, tmp_path, capsys):
+        # centering leaves rank n - 1 < d: this used to fail in make_dataset
+        # with "matrix is not positive definite"
+        out = tmp_path / "g"
+        assert run_cli("gen", "--dist", "normal", "--n", "4", "--d", "4",
+                       "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == "error: centered X has rank at most n - 1 = 3 < d = 4\n"
+        assert not out.exists()
+
     def test_invalid_distribution_flag(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "sketchls.cli", "gen", "--dist", "cauchy",

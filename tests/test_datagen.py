@@ -172,6 +172,12 @@ class TestMakeDataset:
         with pytest.raises(ValueError, match="centering needs at least two rows"):
             DataSpec("normal", 1, 1, 0)
 
+    def test_one_more_row_than_columns_builds(self):
+        # n == d is rejected (centering leaves rank n - 1); n == d + 1 is the
+        # smallest n that keeps full column rank
+        ds = make_dataset(DataSpec("normal", 6, 5, 0))
+        assert ds.x.shape == (6, 5) and np.isfinite(ds.beta_ls).all()
+
     @pytest.mark.parametrize("sigma_noise", [-1.0, np.nan, np.inf])
     def test_sigma_noise_must_be_non_negative(self, sigma_noise):
         with pytest.raises(ValueError, match="sigma_noise"):

@@ -54,11 +54,12 @@ def record(a: np.ndarray) -> dict:
             "first": [f"{v:.17g}" for v in np.atleast_1d(a[0])]}
 
 
-def run_case(kind: str, n: int, d: int = 0, m: int = 0) -> list:
-    """The records of one case's outputs."""
+def run_case(kind: str, n: int, d: int = 0, m: int = 0, order: str = "C") -> list:
+    """The records of one case's outputs, on an X in memory ``order``."""
     if kind == "fwht":
         return [record(fwht(np.random.default_rng([n]).standard_normal(n)))]
     x, y = data(n, d)
+    x = np.asarray(x, order=order)
     if kind == "srht_apply":
         return [record(a) for a in srht_apply(x, y, m, derive_rng(n, d, m))]
     draw = _sketcher(x, None, "srht", m, derive_rng(n, d, m, 1))
@@ -109,6 +110,13 @@ def test_srht_matches_the_golden_fixture(kind, n):
             np.testing.assert_allclose(np.asarray(g["first"], dtype=float),
                                        np.asarray(w["first"], dtype=float),
                                        rtol=REL_TOL, atol=REL_TOL * norm, err_msg=name)
+
+
+@pytest.mark.parametrize("kind,n", [group for group in GROUPS if group[0] != "fwht"])
+def test_srht_bits_do_not_depend_on_the_layout_of_x(kind, n):
+    # a column-major X must give the bytes of the row-major one
+    for name, args in cases(kind, n):
+        assert run_case(*args, order="F") == run_case(*args), name
 
 
 if __name__ == "__main__":

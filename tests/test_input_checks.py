@@ -361,6 +361,11 @@ def _rank_deficient_x():
 @pytest.mark.parametrize("call, error, message", [
     (lambda: DataSpec("cauchy", 16, 2, 0), ValueError, "unknown distribution 'cauchy'"),
     (lambda: DataSpec("normal", 2, 3, 0), ValueError, "need n >= d >= 1, got n=2, d=3"),
+    # n == d used to pass, then fail in make_dataset with NotPositiveDefinite
+    (lambda: DataSpec("normal", 4, 4, 0), ValueError,
+     "centered X has rank at most n - 1 = 3 < d = 4"),
+    (lambda: DataSpec("t2", 50, 50, 1), ValueError,
+     "centered X has rank at most n - 1 = 49 < d = 50"),
     (lambda: contraction_bound(0.1, 0.1, -1, 1.0), HypothesisViolated,
      "iteration count must be >= 0"),
     (lambda: isometry_check(_rank_deficient_x(), np.eye(D)), RankDeficient,
@@ -440,6 +445,15 @@ WHOLE_SIZES = {
                    "d must be a whole number, got 3.0"),
     "DataSpec-seed": (lambda x, y: DataSpec("normal", 200, 3, 0.5), ValueError,
                       "seed must be a whole number, got 0.5"),
+    # a bool used to pass as 1 (operator.index(True) == 1)
+    "DataSpec-n-bool": (lambda x, y: DataSpec("normal", True, 1, 0), ValueError,
+                        "n must be a whole number, got True"),
+    "DataSpec-d-bool": (lambda x, y: DataSpec("normal", 8, True, 0), ValueError,
+                        "d must be a whole number, got True"),
+    "SketchKind-bool": (lambda x, y: SketchKind("srht", True), BadSubsampleSize,
+                        "m must be a whole number, got True"),
+    "ihs_solve-m-bool": (lambda x, y: ihs_solve(x, y, True, 3, derive_rng(1)), BadSubsampleSize,
+                         "m must be a whole number, got True"),
     **{f"ExperimentConfig-{name}": (lambda x, y, name=name: _config(**{name: 10.5}),
                                     ValueError, f"{name} must be a whole number, got 10.5")
        for name in ("m", "n_iter", "reps", "iter_cap")},
@@ -498,6 +512,37 @@ def test_size_that_is_not_whole_is_named_before_any_work(entry, xy, monkeypatch)
 
 def _no_work(*args, **kwargs):
     raise AssertionError("work before the setting check")
+
+
+#: each randomized entry with an rng that is not a Generator, and its type;
+#: each used to fail inside numpy with an AttributeError
+NOT_GENERATORS = {
+    "srht_apply": (lambda x, y, rng: srht_apply(x, y, M, rng), 7),
+    "leverage_sample": (lambda x, y, rng: leverage_sample(x, y, M, rng), None),
+    "uniform_sample": (lambda x, y, rng: uniform_sample(x, y, M, rng), 7),
+    "draw_sketch": (lambda x, y, rng: draw_sketch(x, y, SRHT, rng), np.random.RandomState(0)),
+    "ihs_solve": (lambda x, y, rng: ihs_solve(x, y, SRHT, 2, rng), None),
+    "acc_ihs_solve": (lambda x, y, rng: acc_ihs_solve(x, y, M, 3, rng),
+                      np.random.RandomState(0)),
+    "pw_gradient_solve": (lambda x, y, rng: pw_gradient_solve(
+        x, y, SketchKind("uniform", M), 2, rng), 7),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NOT_GENERATORS))
+def test_rng_that_is_not_a_generator_is_named_before_any_work(entry, xy, monkeypatch):
+    for name in ("_workspace", "_leverage_scores", "_rows"):
+        monkeypatch.setattr(sketchls.sketch, name, _no_work)
+    call, rng = NOT_GENERATORS[entry]
+    with pytest.raises(TypeError) as exc:
+        call(*xy, rng)
+    assert str(exc.value) == f"rng must be a numpy.random.Generator, got {type(rng).__name__}"
+
+
+def test_aopt_sketch_reads_no_rng(xy):
+    x, y = xy
+    sx, sy = draw_sketch(x, y, SketchKind("aopt", M), None)
+    assert sx.shape == (M, D) and sy.shape == (M,)
 
 
 #: NaN, inf and a negative value: outside the range of every real setting
