@@ -11,8 +11,9 @@ proportion.  The delta tables read the Gram matrix ``ds.gram`` that
 :func:`~sketchls.datagen.make_dataset` formed for ``beta_ls``.  X was
 checked when it was generated, so ``start`` and ``measure`` call the
 library's unchecked cores on it, and only each public solve scans it again.
-Replications run in a pool of ``threads`` workers (``threads = 1`` is a pool
-of one), each entry with its own generator stream, and the fold hands each
+Replications run in order on the calling thread when ``threads = 1`` or X
+has fewer than ``_FAN_OUT = 2**16`` entries, else in a pool of ``threads``
+workers, each entry with its own generator stream, and the fold hands each
 key's successful values, in replication order, to the experiment's
 ``row(key, values, failures)``, which yields that key's CSV rows.  So
 results are byte-identical regardless of the worker count.
@@ -76,6 +77,9 @@ RIDGE_VARIANTS = ("ridged", "raw", "identity")
 #: fixed per-purpose stream tags so replication streams never collide
 _STREAMS = {"ihs": 1, "acc-ihs": 2, "pw-gradient": 3, "aopt-ihs": 4,
             "srht-cs": 5, "lev-cs": 6, "delta-srht": 7}
+
+#: replications fan out to workers from this many entries of X (crossover: 4096 x 10 to x 16)
+_FAN_OUT = 1 << 16  # smaller ones are interpreter-bound, so workers only contend for the GIL
 
 #: slack for the non-increasing-objective check; exact line search guarantees
 #: descent in exact arithmetic, this absorbs roundoff at the plateau
@@ -153,7 +157,9 @@ def _table(spec: DataSpec, start, keys, reps: int, threads: int, row):
     """The replication fold of every experiment (see the module docstring)
     over the datasets of ``spec``: the rows that ``row(key, values,
     failures)`` yields for each key in order, and each key's failure count.
-    ``threads`` is checked before the first replication."""
+    ``threads`` is checked before the first replication and caps the pool;
+    the replications run in order on the calling thread when ``threads`` is
+    1 or X has fewer than ``_FAN_OUT`` entries."""
     if _whole(threads, "threads") < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
@@ -169,8 +175,11 @@ def _table(spec: DataSpec, start, keys, reps: int, threads: int, row):
                 values[key] = measure(key)
         return values
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        per_rep = list(pool.map(one_rep, range(reps)))
+    if threads == 1 or spec.n * spec.d < _FAN_OUT:
+        per_rep = [one_rep(r) for r in range(reps)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            per_rep = list(pool.map(one_rep, range(reps)))
     rows, failures = [], {}
     for key in keys:
         values = [r[key] for r in per_rep if r[key] is not None]

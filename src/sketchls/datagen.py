@@ -72,7 +72,7 @@ def make_sigma(d: int) -> np.ndarray:
 
     SPD for every d, with eigenvalues 0.5 (multiplicity d-1) and 0.5 + 0.5 d.
     """
-    if d < 1:
+    if _whole(d, "d") < 1:
         raise ValueError("d must be >= 1")
     return 0.5 * np.eye(d) + 0.5 * np.ones((d, d))
 

@@ -123,6 +123,8 @@ def pencil_eigvals(m_matrix, q, factor: CholeskyFactor | None = None) -> np.ndar
     eigenvalues with M^{-1} Q but stays symmetric.  Q must be symmetric and
     of the size of M (or of ``factor``, which stands in for M when given).
     """
+    if m_matrix is None and factor is None:
+        raise TypeError("m_matrix or factor must be given, got neither")
     q = as_matrix(q)
     _require_symmetric(q)
     fac = factor if factor is not None else cholesky(m_matrix)

@@ -442,4 +442,6 @@ def draw_sketch(x, y, kind: SketchKind, rng: np.random.Generator | None):
     the Hessian side (estimators that cancel row scaling, like the classical
     sketch, are unaffected).
     """
+    if not isinstance(kind, SketchKind):
+        raise TypeError(f"kind must be a SketchKind, got {type(kind).__name__}")
     return _sketcher(*_check_xy(x, y), kind.variant, kind.m, rng)()

@@ -17,11 +17,13 @@ import csv
 import io
 import json
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sketchls.bench
 from sketchls.cli import BENCH_CSV, main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_bench"
@@ -93,6 +95,44 @@ def test_bench_outputs_match_the_golden_fixture(tmp_path, threads):
         assert [len(row) for row in got_rows] == [len(row) for row in want_rows], name
         for got_row, want_row in zip(got_rows, want_rows):
             assert all(map(_cells_close, got_row, want_row)), (name, got_row, want_row)
+
+
+def _dataset_threads(tmp: Path, monkeypatch) -> set:
+    """The threads that built a replication's dataset in :func:`run_all` at
+    ``--threads 2``."""
+    idents, make = [], sketchls.bench.make_dataset
+
+    def recorded(spec):
+        idents.append(threading.get_ident())
+        return make(spec)
+
+    monkeypatch.setattr(sketchls.bench, "make_dataset", recorded)
+    run_all(tmp, threads=2)
+    assert len(idents) == CONFIG["reps"] * (len(BENCH_CSV) - 1 + len(CONFIG["n_grid"]))
+    return set(idents)
+
+
+def test_small_replications_run_on_the_calling_thread(tmp_path, monkeypatch):
+    assert _dataset_threads(tmp_path, monkeypatch) == {threading.get_ident()}
+    assert max(CONFIG["n_grid"]) * CONFIG["d"] < sketchls.bench._FAN_OUT
+
+
+def test_replications_from_the_fan_out_size_run_on_workers(tmp_path, monkeypatch):
+    monkeypatch.setattr(sketchls.bench, "_FAN_OUT", 1)
+    assert threading.get_ident() not in _dataset_threads(tmp_path, monkeypatch)
+
+
+def test_pool_reproduces_the_golden_fixture(tmp_path, monkeypatch):
+    golden = json.loads((GOLDEN / "golden.json").read_text())
+    if golden["build"] == build():
+        want = ({name: (GOLDEN / name).read_bytes().decode() for name, *_ in BENCH_CSV.values()},
+                golden["manifests"])
+    else:  # on another build, the pool must give the calling thread's bytes
+        (tmp_path / "thread").mkdir()
+        want = run_all(tmp_path / "thread", threads=1)
+    monkeypatch.setattr(sketchls.bench, "_FAN_OUT", 0)  # every replication to the pool
+    (tmp_path / "pool").mkdir()
+    assert run_all(tmp_path / "pool", threads=2) == want
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ from sketchls import (
     lambda_sweep,
     leverage_sample,
     leverage_scores,
+    make_sigma,
     pencil_eigvals,
     preconditioned_descent,
     pw_gradient_solve,
@@ -404,6 +405,15 @@ def _rank_deficient_x():
     (lambda: run_convergence(_config(), threads=0), ValueError, "threads must be >= 1, got 0"),
     (lambda: run_init_comparison([512], 3, 16, 2, 2, threads=-3), ValueError,
      "threads must be >= 1, got -3"),
+    # a kind that is not a SketchKind used to fail with an AttributeError
+    *[(lambda kind=kind: draw_sketch(np.ones((N, D)), np.ones(N), kind, derive_rng(1)),
+       TypeError, f"kind must be a SketchKind, got {type(kind).__name__}")
+      for kind in ("srht", 16, None)],
+    # neither M nor a factor used to be read as a 0-d matrix
+    (lambda: pencil_eigvals(None, np.eye(2)), TypeError,
+     "m_matrix or factor must be given, got neither"),
+    (lambda: delta_from_matrix(None, [[2.0, 5.0], [0.0, 2.0]]), TypeError,
+     "m_matrix or factor must be given, got neither"),
 ])
 def test_bad_argument_error_names_it(call, error, message):
     with pytest.raises(error) as exc:
@@ -490,6 +500,10 @@ WHOLE_SIZES = {
         "n_iter must be a whole number, got 2.5") for name, entry in METHODS.items()},
     "preconditioned_descent-n_iter": (lambda x, y: preconditioned_descent(
         x, y, None, lambda v: v, 2.5), ValueError, "n_iter must be a whole number, got 2.5"),
+    # each used to fail inside numpy with a TypeError
+    "make_sigma": (lambda x, y: make_sigma(2.5), ValueError, "d must be a whole number, got 2.5"),
+    "make_sigma-bool": (lambda x, y: make_sigma(True), ValueError,
+                        "d must be a whole number, got True"),
 }
 
 
