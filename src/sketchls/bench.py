@@ -45,7 +45,7 @@ import numpy as np
 
 from .datagen import DataSpec, Dataset, make_dataset
 from .errors import DimensionMismatch, EmptyInput, SketchlsError
-from .linalg import _gram, _real, _row_sq_norms, _whole
+from .linalg import _finite_nonneg, _gram, _real, _row_sq_norms, _whole
 from .precond import LambdaRule, _build_m, delta_from_matrix, delta_measure
 from .sketch import _aopt_select, _sketcher, derive_rng
 from .solvers import METHODS as SOLVERS
@@ -102,13 +102,14 @@ class ExperimentConfig:
     iter_cap: int = 500
 
     def __post_init__(self):
+        for name, kind in (("data", DataSpec), ("lambda_rule", LambdaRule)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
         _check_sizes(self.m, self.n_iter, self.reps, self.trim)
-        if _whole(self.iter_cap, "iter_cap") < 1:
-            raise ValueError(f"iter_cap must be >= 1, got {self.iter_cap}")
+        _whole(self.iter_cap, "iter_cap", least=1)
         if self.m > self.data.n:
             raise ValueError(f"m must lie in [1, n = {self.data.n}], got {self.m}")
-        if not 0.0 < self.tol < np.inf:
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        _finite_nonneg(self.tol, "tol", positive=True)
         if self.init_policy not in ("default", "aopt-for-all"):
             raise ValueError(f"unknown init policy {self.init_policy!r}")
         object.__setattr__(self, "methods", _distinct("methods", self.methods, METHODS))
@@ -118,8 +119,7 @@ def _check_sizes(m: int, n_iter: int, reps: int, trim: float, least_iter: int = 
     """The size checks of every run: whole m and reps at least 1, a whole
     n_iter at least ``least_iter`` and a trim fraction in [0, 0.5)."""
     for name, value, least in (("m", m, 1), ("n_iter", n_iter, least_iter), ("reps", reps, 1)):
-        if _whole(value, name) < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+        _whole(value, name, least=least)
     if not 0.0 <= trim < 0.5:
         raise ValueError("trim must lie in [0, 0.5)")
 
@@ -160,8 +160,7 @@ def _table(spec: DataSpec, start, keys, reps: int, threads: int, row):
     ``threads`` is checked before the first replication and caps the pool;
     the replications run in order on the calling thread when ``threads`` is
     1 or X has fewer than ``_FAN_OUT`` entries."""
-    if _whole(threads, "threads") < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    _whole(threads, "threads", least=1)
 
     def one_rep(rep):
         values = dict.fromkeys(keys)  # None marks a failed entry
@@ -462,9 +461,8 @@ def lambda_sweep(cfg: ExperimentConfig, proportions, threads: int = 1):
     as the ridge weight sweeps over proportions of the total squared row
     norm.  Rows follow (dist, d, proportion, delta_mean, failures).
     """
-    proportions = [float(p) for p in _distinct("proportions", proportions)]
-    if not all(0.0 < p < np.inf for p in proportions):
-        raise ValueError(f"proportions must be finite and > 0, got {proportions}")
+    proportions = [float(_finite_nonneg(p, "proportion", positive=True))
+                   for p in _distinct("proportions", proportions)]
 
     def start(rep, ds):
         mask = _aopt_select(ds.x, cfg.m)

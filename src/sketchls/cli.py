@@ -48,7 +48,7 @@ from .bench import (
 )
 from .datagen import DISTRIBUTIONS, DataSpec, _center, make_dataset
 from .errors import ConfigError, ParseError, SketchlsError
-from .linalg import _check_xy, _full_ls
+from .linalg import _check_xy, _finite_nonneg, _full_ls, _whole
 from .precond import LambdaRule
 from .sketch import _next_pow2, derive_rng
 from .solvers import METHODS as SOLVERS
@@ -267,11 +267,9 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     started = time.time()
-    for flag, value in (("--n-iter", args.n_iter), ("--tol", args.tol), ("--seed", args.seed)):
-        if not value >= 0:
-            raise ConfigError(flag, f"{flag} must be >= 0, got {value}")
-    if not math.isfinite(args.tol):  # an inf tol would stop after one step
-        raise ConfigError("--tol", f"--tol must be finite, got {args.tol}")
+    _whole(args.n_iter, "--n-iter", least=0)
+    _finite_nonneg(args.tol, "--tol")  # an inf tol would stop after one step
+    _whole(args.seed, "--seed", least=0)
     try:
         lam = float(args.lam)
     except ValueError:
@@ -287,8 +285,8 @@ def cmd_solve(args) -> int:
     reads = entry.reads if entry else ()
     if entry and args.m is None:
         raise ConfigError("m", f"--m is required for method {method!r}")
-    if args.m is not None and args.m < 1:
-        raise ConfigError("--m", f"--m must be >= 1, got {args.m}")
+    if args.m is not None:
+        _whole(args.m, "--m", least=1)
     x = read_matrix_csv(args.x)
     y = read_vector_csv(args.y)
     if y.size != x.shape[0]:
@@ -446,8 +444,7 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
 
 def cmd_bench(args) -> int:
     started = time.time()
-    if args.threads < 1:
-        raise ConfigError("--threads", f"--threads must be >= 1, got {args.threads}")
+    _whole(args.threads, "--threads", least=1)
     name, header, keys, run = BENCH_CSV[args.experiment]
     config, unread = _resolve_config(args.config, keys)
     rows, meta = run(config, args.threads)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_coef, _check_xy, _full_ls, _gram, _whole, as_matrix
+from .linalg import _check_coef, _check_xy, _finite_nonneg, _full_ls, _gram, _whole, as_matrix
 from .linalg import as_vector  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .sketch import derive_rng
 
@@ -41,18 +41,16 @@ class DataSpec:
     def __post_init__(self):
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.dist!r}")
-        for name in ("n", "d", "seed"):
+        for name in ("n", "d"):
             _whole(getattr(self, name), name)
+        _whole(self.seed, "seed", least=0)
         if not self.n >= self.d >= 1:
             raise ValueError(f"need n >= d >= 1, got n={self.n}, d={self.d}")
         if self.n < 2:
             raise ValueError("centering needs at least two rows")
         if self.n == self.d:
             raise ValueError(f"centered X has rank at most n - 1 = {self.n - 1} < d = {self.d}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0 <= self.sigma_noise < np.inf:
-            raise ValueError("sigma_noise must be finite and >= 0")
+        _finite_nonneg(self.sigma_noise, "sigma_noise")
 
 
 @dataclass(frozen=True)
@@ -72,8 +70,7 @@ def make_sigma(d: int) -> np.ndarray:
 
     SPD for every d, with eigenvalues 0.5 (multiplicity d-1) and 0.5 + 0.5 d.
     """
-    if _whole(d, "d") < 1:
-        raise ValueError("d must be >= 1")
+    _whole(d, "d", least=1)
     return 0.5 * np.eye(d) + 0.5 * np.ones((d, d))
 
 
@@ -120,9 +117,10 @@ def _covariates(rng: np.random.Generator, dist: str, n: int, d: int) -> np.ndarr
 
 
 def gen_response(x, beta_star, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Linear response ``X @ beta_star`` plus sigma-scaled Gaussian noise.  A
-    response that is not finite (a sigma so large that it overflows) raises
-    ValueError naming sigma."""
+    """Linear response ``X @ beta_star`` plus Gaussian noise scaled by a
+    finite sigma >= 0.  A response that is not finite (a sigma so large that
+    it overflows) raises ValueError naming sigma."""
+    _finite_nonneg(sigma, "sigma")
     x = as_matrix(x, "X")
     y = _response(x, _check_coef(x, beta_star, "beta_star"), sigma, rng)
     if not np.isfinite(y).all():

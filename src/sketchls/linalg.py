@@ -44,9 +44,10 @@ SINGULAR_RTOL = 1e-14
 
 def _real(x, name: str) -> np.ndarray:
     """``x`` as a float64 array, or ValueError naming ``name`` when its dtype
-    is complex (a cast would drop the imaginary part)."""
+    is not bool, integer or float (a cast would drop the imaginary part of a
+    complex entry, parse a string and count a date's days since 1970)."""
     a = np.asarray(x)
-    if a.dtype.kind == "c":
+    if a.dtype.kind not in "biuf":
         raise ValueError(f"{name} must be real, got {a.dtype}")
     return a.astype(np.float64, copy=False)
 
@@ -97,23 +98,30 @@ def _check_coef(x: np.ndarray, v, name: str) -> np.ndarray:
     return v
 
 
-def _whole(value, name: str, error: type = ValueError) -> int:
+def _whole(value, name: str, error: type = ValueError, least: int | None = None) -> int:
     """``value`` as an int when ``operator.index`` accepts it (an int or a
-    numpy integer, not 20.0, 20.5 or True), else ``error`` naming ``name``:
-    the one check of a size where it enters the library."""
+    numpy integer, not 20.0, 20.5 or True) and it is at least ``least`` when
+    given, else ``error`` naming ``name``: the one check of a size."""
     try:
         if isinstance(value, bool):
             raise TypeError
-        return operator.index(value)
+        whole = operator.index(value)
     except TypeError:
         raise error(f"{name} must be a whole number, got {value!r}") from None
+    if least is not None and whole < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+    return whole
 
 
-def _finite_nonneg(value, name: str):
-    """``value`` when it is finite and >= 0 (NaN is neither), else ValueError
-    naming ``name``: the one check of a real-valued setting where it enters."""
-    if not 0.0 <= value < np.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+def _finite_nonneg(value, name: str, positive: bool = False):
+    """``value`` when it is a real number (not a bool or a string), finite and
+    >= 0, or > 0 when ``positive`` (NaN is neither), else ValueError naming
+    ``name``: the one check of a real-valued setting where it enters."""
+    a = np.asarray(value)  # a numpy scalar or 0-d array counts as a number
+    number = a.ndim == 0 and a.dtype.kind in "iuf"
+    if not (number and (0.0 < value if positive else 0.0 <= value) and value < np.inf):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, "
+                         f"got {value if number else repr(value)}")
     return value
 
 

@@ -63,6 +63,8 @@ class LambdaRule:
         if self.profile not in ("concentrated", "heavy_tailed", "explicit"):
             raise ValueError(f"unknown lambda profile {self.profile!r}")
         _finite_nonneg(self.explicit, "ridge weight")
+        if self.explicit and self.profile != "explicit":  # it would be dropped
+            raise ValueError(f"a {self.profile} rule takes no ridge weight, got {self.explicit}")
 
     @property
     def coefficient(self) -> float:
@@ -148,8 +150,7 @@ def delta_measure(pre: Preconditioner, q) -> float:
 
 
 def _bound_pieces(x, mask: SubsampleMask, c_lower: float):
-    if not 0.0 < c_lower < np.inf:  # NaN too
-        raise ValueError(f"c_lower must be {'> 0' if c_lower <= 0 else 'finite'}, got {c_lower}")
+    _finite_nonneg(c_lower, "c_lower", positive=True)
     x = _check_mask(x, mask)
     ev = sym_eigvals(_gram(x))
     kappa = _spectrum_cond(ev, "Gram matrix")

@@ -53,8 +53,7 @@ class SketchKind:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown sketch variant {self.variant!r}")
-        if _whole(self.m, "m", BadSubsampleSize) < 1:
-            raise BadSubsampleSize(f"sketch size must be >= 1, got {self.m}")
+        _whole(self.m, "m", BadSubsampleSize, least=1)
 
 
 @dataclass(frozen=True)
@@ -321,8 +320,7 @@ def _sketcher(x, y, variant: str, m: int, rng: np.random.Generator | None):
             return _srht_from_parts(x, y, signs, rows, m, work)
         return draw
     if variant == "leverage":
-        if _whole(m, "sketch size", BadSubsampleSize) < 1:
-            raise BadSubsampleSize(f"sketch size must be >= 1, got {m}")
+        _whole(m, "sketch size", BadSubsampleSize, least=1)
         scores = _leverage_scores(x)
         p = scores / scores.sum()
 

@@ -353,6 +353,19 @@ class TestRunRidgeAblation:
         assert meta["descent_violations"] == 0
         assert {r["variant"] for r in rows} <= {"ridged", "raw", "identity"}
 
+    @pytest.mark.parametrize("dist", ["normal", "lognormal", "t2", "mixture"])
+    def test_ridged_variant_is_the_aopt_ihs_method(self, dist):
+        # the ablation builds its ridged cell from the solver's parts, so a
+        # change to aopt-ihs's set-up must move both or neither
+        cfg = small_cfg(data=DataSpec(dist, 1024, 8, seed=3), m=64, n_iter=12, reps=5,
+                        lambda_rule=LambdaRule.for_distribution(dist), methods=("aopt-ihs",))
+        ablation, _ = run_ridge_ablation(cfg)
+        convergence, _ = run_convergence(cfg)
+        cells = ("iter", "mse1", "mse2", "failures")
+        ridged = [tuple(r[c] for c in cells) for r in ablation if r["variant"] == "ridged"]
+        assert len(ridged) == cfg.n_iter + 1
+        assert ridged == [tuple(r[c] for c in cells) for r in convergence]
+
 
 class TestLambdaSweep:
     def test_huge_ridge_flattens_delta(self):

@@ -65,7 +65,7 @@ from sketchls import (
     uniform_sample,
 )
 from sketchls.cli import main
-from sketchls.linalg import as_vector
+from sketchls.linalg import as_matrix, as_vector
 from sketchls.solvers import METHODS
 
 N, D, M = 64, 3, 16
@@ -137,6 +137,19 @@ def test_complex_input_is_named_before_any_work(entry, which, xy, no_numerics, m
     with pytest.raises(ValueError) as exc:
         XY_ENTRIES[entry](x, y)
     assert str(exc.value) == f"{which} must be real, got complex128"
+
+
+@pytest.mark.parametrize("which", ["X", "y"])
+@pytest.mark.parametrize("entry", sorted(XY_ENTRIES))
+def test_string_input_is_named_before_any_work(entry, which, xy, no_numerics, monkeypatch):
+    # an X or y of strings used to be parsed into floats without a word
+    for name in ("_row_sq_norms", "_leverage_scores", "_workspace"):
+        monkeypatch.setattr(sketchls.sketch, name, _no_work)
+    x, y = xy
+    x, y = (x.astype(str), y) if which == "X" else (x, y.astype(str))
+    with pytest.raises(ValueError) as exc:
+        XY_ENTRIES[entry](x, y)
+    assert str(exc.value) == f"{which} must be real, got {(x if which == 'X' else y).dtype}"
 
 
 def test_longer_y_no_longer_fits_its_prefix(xy):
@@ -376,12 +389,12 @@ def _rank_deficient_x():
     (lambda: cholesky(np.ones((2, 3))), DimensionMismatch,
      "matrix must be square, got shape (2, 3)"),
     (lambda: trace_inverse_bound(np.eye(4), aopt_select(np.eye(4), 2), 0.0), ValueError,
-     "c_lower must be > 0, got 0.0"),
+     "c_lower must be finite and > 0, got 0.0"),
     (lambda: hs_covariance_trace_bound(np.eye(4), aopt_select(np.eye(4), 2), -1.0),
-     ValueError, "c_lower must be > 0, got -1.0"),
+     ValueError, "c_lower must be finite and > 0, got -1.0"),
     # NaN used to give a NaN bound, and inf the bound without its excluded rows
     *[(lambda bound=bound, c=c: bound(np.eye(4), aopt_select(np.eye(4), 2), c),
-       ValueError, f"c_lower must be finite, got {c}")
+       ValueError, f"c_lower must be finite and > 0, got {c}")
       for bound in (trace_inverse_bound, hs_covariance_trace_bound) for c in (np.nan, np.inf)],
     # a non-symmetric q used to give a spectrum of the wrong matrix, or a
     # misleading SingularMatrix; a q of another shape failed in numpy's matmul
@@ -399,6 +412,13 @@ def _rank_deficient_x():
     (lambda: solve_spd(cholesky(np.eye(2)), np.array([1 + 2j, 3.0])), ValueError,
      "b must be real, got complex128"),
     (lambda: trimmed_mean([1 + 5j, 2.0], 0.0), ValueError, "values must be real, got complex128"),
+    # a string used to be parsed, and a date read as its day count since 1970
+    (lambda: solve_spd(cholesky(np.eye(2)), ["1", "2"]), ValueError, "b must be real, got <U1"),
+    (lambda: trimmed_mean(["1", "2"], 0.0), ValueError, "values must be real, got <U1"),
+    (lambda: as_matrix(np.array([["2020-01-01"]], dtype="datetime64[D]"), "X"), ValueError,
+     "X must be real, got datetime64[D]"),
+    (lambda: as_vector(np.array(["2020-01-01"], dtype="datetime64[D]"), "y"), ValueError,
+     "y must be real, got datetime64[D]"),
     # a 2-D input used to be trimmed along its last axis only
     (lambda: trimmed_mean([[1, 2], [3, 4]], 0.25), DimensionMismatch,
      "values must be 1-D, got shape (2, 2)"),
@@ -409,6 +429,17 @@ def _rank_deficient_x():
     *[(lambda kind=kind: draw_sketch(np.ones((N, D)), np.ones(N), kind, derive_rng(1)),
        TypeError, f"kind must be a SketchKind, got {type(kind).__name__}")
       for kind in ("srht", 16, None)],
+    # a config of the wrong types used to build, then fail with an
+    # AttributeError that aborted the whole bench run
+    (lambda: ExperimentConfig(DataSpec("normal", 512, 5, 0), 64, 3, 3, "concentrated"),
+     TypeError, "lambda_rule must be a LambdaRule, got str"),
+    (lambda: ExperimentConfig({"n": 5}, 64, 3, 3, LambdaRule("concentrated")), TypeError,
+     "data must be a DataSpec, got dict"),
+    # a weight beside a profile used to be dropped without a word
+    (lambda: LambdaRule("concentrated", 5.0), ValueError,
+     "a concentrated rule takes no ridge weight, got 5.0"),
+    (lambda: LambdaRule("heavy_tailed", 1), ValueError,
+     "a heavy_tailed rule takes no ridge weight, got 1"),
     # neither M nor a factor used to be read as a 0-d matrix
     (lambda: pencil_eigvals(None, np.eye(2)), TypeError,
      "m_matrix or factor must be given, got neither"),
@@ -561,6 +592,8 @@ def test_aopt_sketch_reads_no_rng(xy):
 
 #: NaN, inf and a negative value: outside the range of every real setting
 _NOT_FINITE_OR_NEGATIVE = (np.nan, np.inf, -1.0)
+#: a bool, a string and None: not a real setting at all
+_NOT_A_NUMBER = (True, "0.5", None)
 #: every iterative solve, on ``(x, y)`` with more keywords
 _SOLVES = {
     "preconditioned_descent": lambda x, y, **kw: preconditioned_descent(
@@ -573,27 +606,43 @@ _SOLVES = {
 #: (0 too for a proportion and a bench tol), and the message each raises
 _REAL_ENTRIES = {
     "lambda_sweep-proportions": (lambda x, y, v: lambda_sweep(_config(), [v]),
-                                 _NOT_FINITE_OR_NEGATIVE + (0.0,),
-                                 "proportions must be finite and > 0, got [{}]"),
-    "ExperimentConfig-tol": (lambda x, y, v: _config(tol=v), _NOT_FINITE_OR_NEGATIVE + (0.0,),
+                                 _NOT_FINITE_OR_NEGATIVE + (0.0,) + _NOT_A_NUMBER,
+                                 "proportion must be finite and > 0, got {}"),
+    "ExperimentConfig-tol": (lambda x, y, v: _config(tol=v),
+                             _NOT_FINITE_OR_NEGATIVE + (0.0,) + _NOT_A_NUMBER,
                              "tol must be finite and > 0, got {}"),
     "build_m-lam": (lambda x, y, v: build_m(x, SubsampleMask(np.arange(N) < M, M), v),
-                    _NOT_FINITE_OR_NEGATIVE, "ridge weight must be finite and >= 0, got {}"),
-    "aopt_ihs_solve-lam": (lambda x, y, v: aopt_ihs_solve(x, y, M, 2, v), _NOT_FINITE_OR_NEGATIVE,
+                    _NOT_FINITE_OR_NEGATIVE + _NOT_A_NUMBER,
+                    "ridge weight must be finite and >= 0, got {}"),
+    "aopt_ihs_solve-lam": (lambda x, y, v: aopt_ihs_solve(x, y, M, 2, v),
+                           _NOT_FINITE_OR_NEGATIVE + _NOT_A_NUMBER,
                            "ridge weight must be finite and >= 0, got {}"),
     "contraction_bound-init_err": (lambda x, y, v: contraction_bound(0.1, 0.1, 2, v),
-                                   _NOT_FINITE_OR_NEGATIVE,
+                                   _NOT_FINITE_OR_NEGATIVE + _NOT_A_NUMBER,
                                    "init_err must be finite and >= 0, got {}"),
     **{f"{name}-tol": (lambda x, y, v, run=_SOLVES[name]: run(x, y, tol=v),
-                       _NOT_FINITE_OR_NEGATIVE, "tol must be finite and >= 0, got {}")
+                       _NOT_FINITE_OR_NEGATIVE + _NOT_A_NUMBER,
+                       "tol must be finite and >= 0, got {}")
        for name in ("aopt-ihs", "preconditioned_descent")},
     **{f"{name}-stop_at_dist": (lambda x, y, v, run=run: run(
-        x, y, beta_ls=np.zeros(D), stop_at_dist=v), _NOT_FINITE_OR_NEGATIVE,
+        x, y, beta_ls=np.zeros(D), stop_at_dist=v), _NOT_FINITE_OR_NEGATIVE + _NOT_A_NUMBER,
         "stop_at_dist must be finite and >= 0, got {}") for name, run in _SOLVES.items()},
+    # a negative sigma used to give a response, and NaN or inf failed after
+    # the scan of X and the draw of the noise
+    "gen_response-sigma": (lambda x, y, v: gen_response(x, np.zeros(D), v, derive_rng(1)),
+                           _NOT_FINITE_OR_NEGATIVE + _NOT_A_NUMBER,
+                           "sigma must be finite and >= 0, got {}"),
+    "DataSpec-sigma_noise": (lambda x, y, v: DataSpec("normal", 64, 3, 0, v),
+                             _NOT_FINITE_OR_NEGATIVE + _NOT_A_NUMBER,
+                             "sigma_noise must be finite and >= 0, got {}"),
+    "trace_inverse_bound-c_lower": (lambda x, y, v: trace_inverse_bound(
+        x, SubsampleMask(np.arange(N) < M, M), v), _NOT_A_NUMBER,
+        "c_lower must be finite and > 0, got {}"),
 }
 
 #: a real-valued setting out of its range, with the message it gives
-REAL_SETTINGS = {f"{entry}-{v}": (lambda x, y, call=call, v=v: call(x, y, v), message.format(v))
+REAL_SETTINGS = {f"{entry}-{v!r}": (lambda x, y, call=call, v=v: call(x, y, v),
+                                    message.format(repr(v)))
                  for entry, (call, values, message) in _REAL_ENTRIES.items() for v in values}
 
 
@@ -602,11 +651,12 @@ def test_real_setting_out_of_range_is_named_before_any_work(entry, xy, monkeypat
     # NaN and inf used to pass these checks: a NaN or inf proportion failed
     # each replication in numpy, a bench tol of inf reported 0 iterations, a
     # solver tol of inf stopped after one step, and a NaN or negative tol or
-    # stop_at_dist turned its stop off
+    # stop_at_dist turned its stop off; a bool passed as 0 or 1, and a string
+    # or None failed with a TypeError that named no setting
     for module, name in ((sketchls.bench, "make_dataset"), (sketchls.sketch, "_row_sq_norms"),
                          (sketchls.sketch, "_leverage_scores"), (sketchls.sketch, "_workspace"),
                          (sketchls.solvers, "_sketcher"), (sketchls.solvers, "_gram"),
-                         (sketchls.precond, "_gram")):
+                         (sketchls.precond, "_gram"), (sketchls.datagen, "as_matrix")):
         monkeypatch.setattr(module, name, _no_work)
     call, message = REAL_SETTINGS[entry]
     with pytest.raises(ValueError) as exc:
@@ -614,7 +664,7 @@ def test_real_setting_out_of_range_is_named_before_any_work(entry, xy, monkeypat
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("sigma", [1e308, np.inf, np.nan])
+@pytest.mark.parametrize("sigma", [1e308])
 def test_response_that_is_not_finite_names_sigma(sigma, monkeypatch):
     # gen_response used to return inf entries with an overflow warning
     x, _ = scan_data()
