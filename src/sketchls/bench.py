@@ -107,8 +107,7 @@ class ExperimentConfig:
                 raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
         _check_sizes(self.m, self.n_iter, self.reps, self.trim)
         _whole(self.iter_cap, "iter_cap", least=1)
-        if self.m > self.data.n:
-            raise ValueError(f"m must lie in [1, n = {self.data.n}], got {self.m}")
+        _whole(self.m, "m", most=self.data.n)
         _finite_nonneg(self.tol, "tol", positive=True)
         if self.init_policy not in ("default", "aopt-for-all"):
             raise ValueError(f"unknown init policy {self.init_policy!r}")
@@ -120,8 +119,7 @@ def _check_sizes(m: int, n_iter: int, reps: int, trim: float, least_iter: int = 
     n_iter at least ``least_iter`` and a trim fraction in [0, 0.5)."""
     for name, value, least in (("m", m, 1), ("n_iter", n_iter, least_iter), ("reps", reps, 1)):
         _whole(value, name, least=least)
-    if not 0.0 <= trim < 0.5:
-        raise ValueError("trim must lie in [0, 0.5)")
+    _finite_nonneg(trim, "trim", below=0.5)
 
 
 def _distinct(name: str, keys, allowed=None) -> tuple:
@@ -141,14 +139,13 @@ def _distinct(name: str, keys, allowed=None) -> tuple:
 def trimmed_mean(values, frac: float) -> float:
     """Mean after dropping floor(frac * len) values from each tail of a real
     1-D sequence, whose non-finite values may be among those dropped."""
+    _finite_nonneg(frac, "trim fraction", below=0.5)
     values = _real(values, "values")
     if values.ndim != 1:
         raise DimensionMismatch(f"values must be 1-D, got shape {values.shape}")
     values = np.sort(values)
     if values.size == 0:
         raise EmptyInput("trimmed_mean of an empty sequence")
-    if not 0.0 <= frac < 0.5:
-        raise ValueError("trim fraction must lie in [0, 0.5)")
     k = int(np.floor(frac * values.size))
     return float(values[k : values.size - k].mean())
 

@@ -293,8 +293,8 @@ def cmd_solve(args) -> int:
         raise ParseError(f"y has {y.size} rows but X has {x.shape[0]}; the files do not match")
     # a method that reads rng keeps m of the padded rows; the others m of the n rows
     rows = _next_pow2(x.shape[0]) if "rng" in reads else x.shape[0]
-    if entry and args.m > rows:
-        raise ConfigError("--m", f"--m must be <= {rows} for method {method!r}, got {args.m}")
+    if entry:
+        _whole(args.m, "--m", most=rows)
     # X and y, this command's own, are centered and scaled in place, then
     # X is checked once, and once by the solve
     if not args.no_center:

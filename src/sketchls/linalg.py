@@ -98,10 +98,12 @@ def _check_coef(x: np.ndarray, v, name: str) -> np.ndarray:
     return v
 
 
-def _whole(value, name: str, error: type = ValueError, least: int | None = None) -> int:
+def _whole(value, name: str, error: type = ValueError, least: int | None = None,
+           most: int | None = None) -> int:
     """``value`` as an int when ``operator.index`` accepts it (an int or a
-    numpy integer, not 20.0, 20.5 or True) and it is at least ``least`` when
-    given, else ``error`` naming ``name``: the one check of a size."""
+    numpy integer, not 20.0, 20.5 or True) and it is at least ``least`` and
+    at most ``most`` when given, else ``error`` naming ``name``: the one check
+    of a size."""
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -110,18 +112,23 @@ def _whole(value, name: str, error: type = ValueError, least: int | None = None)
         raise error(f"{name} must be a whole number, got {value!r}") from None
     if least is not None and whole < least:
         raise error(f"{name} must be >= {least}, got {value}")
+    if most is not None and whole > most:
+        raise error(f"{name} must be <= {most}, got {value}")
     return whole
 
 
-def _finite_nonneg(value, name: str, positive: bool = False):
+def _finite_nonneg(value, name: str, positive: bool = False, below: float = np.inf,
+                   error: type = ValueError):
     """``value`` when it is a real number (not a bool or a string), finite and
-    >= 0, or > 0 when ``positive`` (NaN is neither), else ValueError naming
-    ``name``: the one check of a real-valued setting where it enters."""
+    >= 0, or > 0 when ``positive`` (NaN is neither), and < ``below`` when
+    given, else ``error`` naming ``name``: the one check of a real-valued
+    setting where it enters."""
     a = np.asarray(value)  # a numpy scalar or 0-d array counts as a number
     number = a.ndim == 0 and a.dtype.kind in "iuf"
-    if not (number and (0.0 < value if positive else 0.0 <= value) and value < np.inf):
-        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, "
-                         f"got {value if number else repr(value)}")
+    if not (number and (0.0 < value if positive else 0.0 <= value) and value < below):
+        bound = f" and < {below}" if below < np.inf else ""
+        raise error(f"{name} must be finite and {'>' if positive else '>='} 0{bound}, "
+                    f"got {value if number else repr(value)}")
     return value
 
 

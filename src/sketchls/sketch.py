@@ -38,9 +38,10 @@ def derive_rng(*key: int) -> np.random.Generator:
     """Independent PCG64 stream keyed by a tuple of integers.
 
     Identical keys yield identical streams; distinct keys yield statistically
-    independent streams (numpy SeedSequence hashing).
+    independent streams (numpy SeedSequence hashing).  Each part is a whole
+    number >= 0, so no bool or string shares an integer's stream.
     """
-    return np.random.default_rng(list(key))
+    return np.random.default_rng([_whole(k, "rng key", least=0) for k in key])
 
 
 @dataclass(frozen=True)
@@ -310,8 +311,7 @@ def _sketcher(x, y, variant: str, m: int, rng: np.random.Generator | None):
     n, d = x.shape
     if variant == "srht":
         n_pad = _next_pow2(n)
-        if not 1 <= _whole(m, "sketch size", NotEnoughRows) <= n_pad:
-            raise NotEnoughRows(f"sketch size {m} not in 1..{n_pad} (padded rows)")
+        _whole(m, "sketch size", NotEnoughRows, least=1, most=n_pad)
         work = _workspace(n_pad, d + (y is not None), m)
 
         def draw():
@@ -329,8 +329,7 @@ def _sketcher(x, y, variant: str, m: int, rng: np.random.Generator | None):
             return _rows(x, y, idx, 1.0 / np.sqrt(m * p[idx]))
         return draw
     if variant == "uniform":
-        if not 1 <= _whole(m, "sketch size", NotEnoughRows) <= n:
-            raise NotEnoughRows(f"sketch size {m} not in 1..{n}")
+        _whole(m, "sketch size", NotEnoughRows, least=1, most=n)
         scale = np.sqrt(n / m)
         return lambda: _rows(x, y, rng.choice(n, size=m, replace=False), scale)
     # deterministic: every draw is this pair
@@ -417,8 +416,7 @@ def aopt_select(x, m: int) -> SubsampleMask:
 def _aopt_select(x: np.ndarray, m: int) -> SubsampleMask:
     """:func:`aopt_select` of a checked X."""
     n = x.shape[0]
-    if not 1 <= _whole(m, "subsample size", BadSubsampleSize) <= n:
-        raise BadSubsampleSize(f"subsample size {m} not in 1..{n}")
+    _whole(m, "subsample size", BadSubsampleSize, least=1, most=n)
     sq = _row_sq_norms(x)
     threshold = np.partition(sq, n - m)[n - m]
     delta = np.zeros(n, dtype=np.uint8)

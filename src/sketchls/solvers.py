@@ -401,14 +401,11 @@ def contraction_bound(eps1: float, eps2: float, t: int, init_err: float) -> floa
     norm ``||X (beta - beta_ls)||``.  The Euclidean distance ``||beta -
     beta_ls||`` obeys the same rate only up to a factor ``sqrt(cond(X'X))``:
     the iteration matrix is non-normal, so a single Euclidean step can exceed
-    the rate.  ``t`` must be a whole number and ``init_err`` finite and >= 0.
+    the rate.  ``t`` must be a whole number >= 0 and ``init_err`` finite and >= 0.
     """
-    if not (0.0 <= eps1 < 0.5 and 0.0 <= eps2 < 1.0 - eps1):
-        raise HypothesisViolated(
-            f"need eps1 in [0, 1/2) and eps2 in [0, 1 - eps1), got {eps1}, {eps2}"
-        )
-    if _whole(t, "t", HypothesisViolated) < 0:
-        raise HypothesisViolated("iteration count must be >= 0")
+    _finite_nonneg(eps1, "eps1", below=0.5, error=HypothesisViolated)
+    _finite_nonneg(eps2, "eps2", below=1.0 - eps1, error=HypothesisViolated)
+    _whole(t, "t", HypothesisViolated, least=0)
     _finite_nonneg(init_err, "init_err")
     return (max(eps1, eps2) / (1.0 - eps1)) ** t * init_err
 

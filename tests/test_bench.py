@@ -465,7 +465,7 @@ class TestKeysCheckedUpFront:
     def test_init_trim_checked_before_any_dataset(self, monkeypatch):
         # trim = 0.6 used to fail only in the first size's trimmed means
         monkeypatch.setattr(sketchls.bench, "make_dataset", _no_replication)
-        with pytest.raises(ValueError, match=r"^trim must lie in \[0, 0.5\)$"):
+        with pytest.raises(ValueError, match=r"^trim must be finite and >= 0 and < 0.5, got 0.6$"):
             run_init_comparison([256], 3, 16, 4, 2, dist="normal", trim=0.6)
 
 

@@ -380,8 +380,7 @@ def _rank_deficient_x():
      "centered X has rank at most n - 1 = 3 < d = 4"),
     (lambda: DataSpec("t2", 50, 50, 1), ValueError,
      "centered X has rank at most n - 1 = 49 < d = 50"),
-    (lambda: contraction_bound(0.1, 0.1, -1, 1.0), HypothesisViolated,
-     "iteration count must be >= 0"),
+    (lambda: contraction_bound(0.1, 0.1, -1, 1.0), HypothesisViolated, "t must be >= 0, got -1"),
     (lambda: isometry_check(_rank_deficient_x(), np.eye(D)), RankDeficient,
      "X does not have full column rank"),
     (lambda: as_vector(np.ones((2, 2)), "y"), DimensionMismatch,
@@ -419,6 +418,10 @@ def _rank_deficient_x():
      "X must be real, got datetime64[D]"),
     (lambda: as_vector(np.array(["2020-01-01"], dtype="datetime64[D]"), "y"), ValueError,
      "y must be real, got datetime64[D]"),
+    # the trim fraction used to be checked after the sort, so an empty
+    # sample hid a bad one
+    (lambda: trimmed_mean([], 0.6), ValueError,
+     "trim fraction must be finite and >= 0 and < 0.5, got 0.6"),
     # a 2-D input used to be trimmed along its last axis only
     (lambda: trimmed_mean([[1, 2], [3, 4]], 0.25), DimensionMismatch,
      "values must be 1-D, got shape (2, 2)"),
@@ -445,6 +448,20 @@ def _rank_deficient_x():
      "m_matrix or factor must be given, got neither"),
     (lambda: delta_from_matrix(None, [[2.0, 5.0], [0.0, 2.0]]), TypeError,
      "m_matrix or factor must be given, got neither"),
+    # one past the rows a sampler keeps from: 100 rows, padded to 128 for the SRHT
+    (lambda: srht_apply(np.ones((100, D)), np.ones(100), 129, derive_rng(1)), NotEnoughRows,
+     "sketch size must be <= 128, got 129"),
+    (lambda: uniform_sample(np.ones((100, D)), np.ones(100), 101, derive_rng(1)), NotEnoughRows,
+     "sketch size must be <= 100, got 101"),
+    (lambda: aopt_select(np.ones((100, D)), 101), BadSubsampleSize,
+     "subsample size must be <= 100, got 101"),
+    (lambda: _config(m=65), ValueError, "m must be <= 64, got 65"),
+    # a string or a bool key used to draw an integer's stream, and a negative
+    # or fractional one failed in numpy without naming the key
+    (lambda: derive_rng("3"), ValueError, "rng key must be a whole number, got '3'"),
+    (lambda: derive_rng(True), ValueError, "rng key must be a whole number, got True"),
+    (lambda: derive_rng(2, -1), ValueError, "rng key must be >= 0, got -1"),
+    (lambda: derive_rng(1.5), ValueError, "rng key must be a whole number, got 1.5"),
 ])
 def test_bad_argument_error_names_it(call, error, message):
     with pytest.raises(error) as exc:
@@ -638,11 +655,32 @@ _REAL_ENTRIES = {
     "trace_inverse_bound-c_lower": (lambda x, y, v: trace_inverse_bound(
         x, SubsampleMask(np.arange(N) < M, M), v), _NOT_A_NUMBER,
         "c_lower must be finite and > 0, got {}"),
+    # a bool trim used to pass as 0 or 1, and a string or None failed with an
+    # unnamed TypeError
+    **{f"{name}-trim": (lambda x, y, v, run=run: run(v), _NOT_FINITE_OR_NEGATIVE + (0.5,)
+                        + _NOT_A_NUMBER, "trim must be finite and >= 0 and < 0.5, got {}")
+       for name, run in {"ExperimentConfig": lambda v: _config(trim=v),
+                         "run_init_comparison": lambda v: run_init_comparison(
+                             [512], 3, 16, 2, 2, trim=v)}.items()},
+    "trimmed_mean-frac": (lambda x, y, v: trimmed_mean([1.0, 2.0], v),
+                          _NOT_FINITE_OR_NEGATIVE + (0.5,) + _NOT_A_NUMBER,
+                          "trim fraction must be finite and >= 0 and < 0.5, got {}"),
+    # a bool eps1 or eps2 used to read as a range fault, and a string failed
+    # with an unnamed TypeError
+    "contraction_bound-eps1": (lambda x, y, v: contraction_bound(v, 0.1, 2, 1.0),
+                               _NOT_FINITE_OR_NEGATIVE + (0.5,) + _NOT_A_NUMBER,
+                               "eps1 must be finite and >= 0 and < 0.5, got {}"),
+    "contraction_bound-eps2": (lambda x, y, v: contraction_bound(0.25, v, 2, 1.0),
+                               _NOT_FINITE_OR_NEGATIVE + (0.75,) + _NOT_A_NUMBER,
+                               "eps2 must be finite and >= 0 and < 0.75, got {}"),
 }
+#: the settings whose range is a hypothesis of a bound, not ValueError's
+_REAL_ERRORS = {"contraction_bound-eps1": HypothesisViolated,
+                "contraction_bound-eps2": HypothesisViolated}
 
-#: a real-valued setting out of its range, with the message it gives
+#: a real-valued setting out of its range, with the message and error it gives
 REAL_SETTINGS = {f"{entry}-{v!r}": (lambda x, y, call=call, v=v: call(x, y, v),
-                                    message.format(repr(v)))
+                                    message.format(repr(v)), _REAL_ERRORS.get(entry, ValueError))
                  for entry, (call, values, message) in _REAL_ENTRIES.items() for v in values}
 
 
@@ -658,8 +696,8 @@ def test_real_setting_out_of_range_is_named_before_any_work(entry, xy, monkeypat
                          (sketchls.solvers, "_sketcher"), (sketchls.solvers, "_gram"),
                          (sketchls.precond, "_gram"), (sketchls.datagen, "as_matrix")):
         monkeypatch.setattr(module, name, _no_work)
-    call, message = REAL_SETTINGS[entry]
-    with pytest.raises(ValueError) as exc:
+    call, message, error = REAL_SETTINGS[entry]
+    with pytest.raises(error) as exc:
         call(*xy)
     assert str(exc.value) == message
 

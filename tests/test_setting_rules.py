@@ -1,7 +1,9 @@
-"""Each kind of setting has one rule, in ``linalg``: ``_whole(..., least=k)``
-states "a size is a whole number >= k" and ``_finite_nonneg`` states "a real
-setting is finite and >= 0 (or > 0)".  No other module writes either message
-out by hand, so a new check is one call to the rule, not a new copy of it."""
+"""Each kind of setting has one rule, in ``linalg``: ``_whole(..., least=k,
+most=j)`` states "a size is a whole number >= k and <= j" and
+``_finite_nonneg(..., below=b)`` states "a real setting is finite and >= 0 (or
+> 0), and < b".  No other module writes either message out by hand, nor a
+range in a wording of its own, so a new check is one call to the rule, not a
+new copy of it."""
 
 import ast
 from pathlib import Path
@@ -10,10 +12,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sketchls"
 #: the wording of the two rules
-RULE_WORDS = ("must be >= ", "must be finite")
-#: (module, message) of each hand-written copy that is not a setting check:
-#: contraction_bound's hypothesis, in the bound's own wording
-ALLOWED = {("solvers", "iteration count must be >= 0")}
+OWN_WORDS = ("must be >= ", "must be <= ", "must be finite")
+#: ... and of the ranges once worded by hand beside them
+RULE_WORDS = OWN_WORDS + ("must lie in", "not in 1..")
+#: (module, message) of each hand-written copy that is not a setting check
+ALLOWED = set()
 
 
 def texts(node):
@@ -55,4 +58,4 @@ def test_no_module_words_a_setting_rule_by_hand(module):
 
 def test_linalg_words_each_rule():
     assert {words for words in RULE_WORDS
-            if any(words in text for text in rule_messages("linalg"))} == set(RULE_WORDS)
+            if any(words in text for text in rule_messages("linalg"))} == set(OWN_WORDS)

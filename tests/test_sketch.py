@@ -468,3 +468,13 @@ class TestUniformAndDispatch:
         mask = SubsampleMask(np.array([True, False, True]), 2)
         np.testing.assert_array_equal(mask.delta, [1, 0, 1])
         assert mask.delta.dtype == np.uint8
+
+
+class TestDeriveRng:
+    def test_integer_keys_draw_the_recorded_streams(self):
+        # the key check adds no bits: these are the draws of default_rng([3])
+        # and default_rng([3, 0, 5]), numpy integers included
+        assert derive_rng(3).integers(2**32, size=4).tolist() == [
+            3485385464, 367860371, 770692085, 1017093381]
+        assert derive_rng(np.int64(3), 0, np.uint8(5)).integers(2**32, size=2).tolist() == [
+            3165309952, 3112894163]
